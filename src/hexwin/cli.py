@@ -118,7 +118,9 @@ def cmd_partition(args) -> int:
         fh.write(format_partition_records(part, ds.spot_ids))
     if args.render:
         write_ppm(args.render, partition_image(ds.coords, part.window_of_spot))
-    print(f"{part.n_windows} windows, {part.n_slots} slots, "
+    occ = part.occupancy.sum(axis=1)
+    print(f"{part.n_windows} windows, {part.n_slots} slots, largest {occ.max()}, "
+          f"fill {occ.sum() / part.occupancy.size:.3f}, "
           f"{len(part.dropped)} dropped -> {args.out}")
     return EXIT_OK
 

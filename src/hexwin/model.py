@@ -146,34 +146,49 @@ def vector_to_params(vec: np.ndarray, template: Params) -> Params:
 
 @dataclass(frozen=True)
 class _Packing:
-    """Scatter plan from spot rows into (window, slot) tensors plus offsets."""
+    """Gather plan from spot rows into compact (window, slot) tensors.
+
+    Each window's spots fill slots 0..occ-1 in ascending order of their
+    partition slot ids, so the packed width S' is the largest window
+    occupancy. Rotary offsets stay with the spot rows.
+    """
 
     win: np.ndarray        # (N,)
-    slot: np.ndarray       # (N,)
-    occ: np.ndarray        # (M, S) bool
-    cube: np.ndarray       # (M, S, 3) float cube offsets from window center cell
-    xy: np.ndarray         # (M, S, 2) float Cartesian offsets in spacings
+    slot: np.ndarray       # (N,) compact slot, < S'
+    occ: np.ndarray        # (M, S') bool
+    off: np.ndarray        # (N, 3) cube offsets (hexrope) or (N, 2) xy offsets (rope2d)
 
 
-def _packing_from_partition(part: WindowPartition) -> _Packing:
+def _compact_packing(win: np.ndarray, key: np.ndarray, n_windows: int,
+                     off: np.ndarray) -> _Packing:
+    """Rank each spot within its window by `key` and pack to the largest window."""
+    order = np.lexsort((key, win))
+    counts = np.bincount(win, minlength=n_windows)
+    starts = np.cumsum(counts) - counts
+    slot = np.empty(len(win), dtype=np.int64)
+    slot[order] = np.arange(len(win)) - starts[win[order]]
+    occ = np.arange(counts.max(initial=1)) < counts[:, None]
+    return _Packing(win=win, slot=slot, occ=occ, off=off)
+
+
+def _spot_offsets(cell_offsets, xy_offsets, cfg: ModelConfig) -> np.ndarray:
+    if cfg.pe == "hexrope":
+        return axial_to_cube(cell_offsets).astype(np.float64)
+    return np.asarray(xy_offsets, dtype=np.float64)
+
+
+def _packing_from_partition(part: WindowPartition, cfg: ModelConfig) -> _Packing:
     if len(part.dropped):
         raise InputError("model forward requires a partition with no dropped spots")
-    m, s = part.occupancy.shape
-    cube = np.zeros((m, s, 3))
-    xy = np.zeros((m, s, 2))
-    cube[part.window_of_spot, part.slot_of_spot] = axial_to_cube(part.cell_offsets)
-    xy[part.window_of_spot, part.slot_of_spot] = part.cart_offsets
-    return _Packing(win=part.window_of_spot, slot=part.slot_of_spot,
-                    occ=part.occupancy, cube=cube, xy=xy)
+    return _compact_packing(part.window_of_spot, part.slot_of_spot, part.n_windows,
+                            _spot_offsets(part.cell_offsets, part.cart_offsets, cfg))
 
 
-def _global_packing(coords, cells, scale: LatticeScale) -> _Packing:
+def _global_packing(coords, cells, scale: LatticeScale, cfg: ModelConfig) -> _Packing:
+    """All spots in one window, in row order."""
     n = len(coords)
-    return _Packing(win=np.zeros(n, dtype=np.int64),
-                    slot=np.arange(n, dtype=np.int64),
-                    occ=np.ones((1, n), dtype=bool),
-                    cube=axial_to_cube(cells).astype(np.float64)[None],
-                    xy=((coords - scale.anchor) / scale.d_med)[None])
+    off = _spot_offsets(cells, (coords - scale.anchor) / scale.d_med, cfg)
+    return _compact_packing(np.zeros(n, dtype=np.int64), np.arange(n), 1, off)
 
 
 @dataclass(frozen=True)
@@ -211,7 +226,7 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig, *,
         row_pack, row_part = [], []
         for block in range(cfg.blocks):
             if stage == cfg.stages - 1:
-                row_pack.append(_global_packing(coords, cells, scale))
+                row_pack.append(_global_packing(coords, cells, scale, cfg))
                 row_part.append(None)
             else:
                 if cfg.window == "hex":
@@ -223,7 +238,7 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig, *,
                                             cfg.stage_sides()[stage],
                                             schedule[block], strict=strict,
                                             stage=stage, block=block)
-                row_pack.append(_packing_from_partition(part))
+                row_pack.append(_packing_from_partition(part, cfg))
                 row_part.append(part)
         packings.append(row_pack)
         partitions.append(row_part)
@@ -231,76 +246,67 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig, *,
                     partitions=partitions)
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    m, s, d = x.shape
-    return x.reshape(m, s, heads, d // heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    m, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(m, s, h * dh)
-
-
 def _rope_apply(x, pack: _Packing, cfg: ModelConfig, inverse: bool = False):
-    rc = cfg.rope_config()
+    """Rotate (N, H, dh) token rows by each spot's own offset."""
     if cfg.pe == "hexrope":
-        off = pack.cube[:, None]
         fn = apply_hex_rope_vjp if inverse else apply_hex_rope
     else:
-        off = pack.xy[:, None]
         fn = apply_rope_2d_vjp if inverse else apply_rope_2d
-    return fn(x, off, rc)
+    return fn(x, pack.off[:, None], cfg.rope_config())
+
+
+def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
+    """Scatter (N, H, dh) token rows into zero-padded (M, H, S', dh) windows."""
+    m, s = pack.occ.shape
+    out = np.zeros((m, x.shape[1], s, x.shape[2]))
+    out[pack.win, :, pack.slot] = x
+    return out
 
 
 def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
                        prefix: str, cfg: ModelConfig):
-    """Multi-head window attention over packed slots; returns (out, cache)."""
-    m, s = pack.occ.shape
-    packed = np.zeros((m, s, cfg.dim))
-    packed[pack.win, pack.slot] = a
-    proj = {}
-    for name in ("q", "k", "v"):
-        proj[name] = _split_heads(
-            packed @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"],
-            cfg.heads)
-    qr = _rope_apply(proj["q"], pack, cfg)
-    kr = _rope_apply(proj["k"], pack, cfg)
+    """Multi-head attention within each packed window; returns (out, cache).
+
+    q/k/v are projected and rotated on the (N, dim) token rows and only then
+    gathered into windows.
+    """
+    n = len(a)
+    q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
+               .reshape(n, cfg.heads, cfg.head_dim) for name in ("q", "k", "v"))
+    qw = _to_windows(_rope_apply(q, pack, cfg), pack)
+    kw = _to_windows(_rope_apply(k, pack, cfg), pack)
+    vw = _to_windows(v, pack)
     inv = 1.0 / np.sqrt(cfg.head_dim)
-    scores = (qr @ kr.transpose(0, 1, 3, 2)) * inv
+    scores = (qw @ kw.transpose(0, 1, 3, 2)) * inv
     attn = masked_softmax(scores, pack.occ[:, None, None, :], axis=-1)
-    ctx = _merge_heads(attn @ proj["v"]) * pack.occ[..., None]
-    ctx_tok = ctx[pack.win, pack.slot]
+    ctx_tok = (attn @ vw)[pack.win, :, pack.slot].reshape(n, cfg.dim)
     out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    cache = (packed, qr, kr, proj["v"], attn, ctx_tok)
+    cache = (a, qw, kw, vw, attn, ctx_tok)
     return out, cache
 
 
 def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params,
                         prefix: str, cfg: ModelConfig, grads: Params) -> np.ndarray:
-    packed, qr, kr, v, attn, ctx_tok = cache
+    a, qw, kw, vw, attn, ctx_tok = cache
+    n = len(a)
     grads[f"{prefix}.attn.o.w"] += ctx_tok.T @ d_out
     grads[f"{prefix}.attn.o.b"] += d_out.sum(axis=0)
     d_ctx_tok = d_out @ params[f"{prefix}.attn.o.w"].T
-    m, s = pack.occ.shape
-    d_ctx = np.zeros((m, s, cfg.dim))
-    d_ctx[pack.win, pack.slot] = d_ctx_tok
-    d_ctx_h = _split_heads(d_ctx, cfg.heads)
-    d_attn = d_ctx_h @ v.transpose(0, 1, 3, 2)
-    d_v = attn.transpose(0, 1, 3, 2) @ d_ctx_h
+    d_ctx = _to_windows(d_ctx_tok.reshape(n, cfg.heads, cfg.head_dim), pack)
+    d_attn = d_ctx @ vw.transpose(0, 1, 3, 2)
+    d_v = (attn.transpose(0, 1, 3, 2) @ d_ctx)[pack.win, :, pack.slot]
     inv = 1.0 / np.sqrt(cfg.head_dim)
     d_scores = masked_softmax_vjp(d_attn, attn, axis=-1) * inv
-    d_qr = d_scores @ kr
-    d_kr = d_scores.transpose(0, 1, 3, 2) @ qr
-    d_q = _rope_apply(d_qr, pack, cfg, inverse=True)
-    d_k = _rope_apply(d_kr, pack, cfg, inverse=True)
-    d_packed = np.zeros_like(packed)
+    d_q = _rope_apply((d_scores @ kw)[pack.win, :, pack.slot], pack, cfg, inverse=True)
+    d_k = _rope_apply((d_scores.transpose(0, 1, 3, 2) @ qw)[pack.win, :, pack.slot],
+                      pack, cfg, inverse=True)
+    d_a = np.zeros_like(a)
     for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)):
-        flat = _merge_heads(d_h)
-        w = params[f"{prefix}.attn.{name}.w"]
-        grads[f"{prefix}.attn.{name}.w"] += np.tensordot(packed, flat, axes=([0, 1], [0, 1]))
-        grads[f"{prefix}.attn.{name}.b"] += flat.sum(axis=(0, 1))
-        d_packed += flat @ w.T
-    return d_packed[pack.win, pack.slot]
+        flat = d_h.reshape(n, cfg.dim)
+        grads[f"{prefix}.attn.{name}.w"] += a.T @ flat
+        grads[f"{prefix}.attn.{name}.b"] += flat.sum(axis=0)
+        d_a += flat @ params[f"{prefix}.attn.{name}.w"].T
+    return d_a
 
 
 def _block_forward(h: np.ndarray, pack: _Packing, params: Params,
@@ -413,60 +419,46 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     return grads
 
 
+def _one_window(h_window, occupancy, offsets, cfg: ModelConfig):
+    """Occupied slots of one window as token rows, with their packing.
+
+    Hex offsets may be axial (S, 2) or cube (S, 3); 2-d offsets are xy.
+    """
+    rows = np.flatnonzero(np.asarray(occupancy, dtype=bool))
+    off = np.asarray(offsets, dtype=np.float64)[rows]
+    if cfg.pe == "hexrope" and off.shape[-1] == 2:
+        off = axial_to_cube(off)
+    pack = _compact_packing(np.zeros(len(rows), dtype=np.int64), rows, 1, off)
+    return rows, np.asarray(h_window, dtype=np.float64)[rows], pack
+
+
 def window_attention(h_window: np.ndarray, occupancy: np.ndarray,
                      offsets: np.ndarray, params: Params, prefix: str,
                      cfg: ModelConfig):
     """Attention core for one window: returns (context, attention weights).
 
     The context is the per-slot concatenation of head outputs before the
-    output projection; unoccupied slots are zero.
+    output projection; unoccupied slots are zero, as are their attention
+    rows and columns.
     """
-    h_window = np.asarray(h_window, dtype=np.float64)
-    occupancy = np.asarray(occupancy, dtype=bool)
     s = len(h_window)
-    pack = _single_window_packing(occupancy, offsets, cfg, s)
-    proj = {}
-    packed = h_window[None]
-    for name in ("q", "k", "v"):
-        proj[name] = _split_heads(
-            packed @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"],
-            cfg.heads)
-    qr = _rope_apply(proj["q"], pack, cfg)
-    kr = _rope_apply(proj["k"], pack, cfg)
-    scores = (qr @ kr.transpose(0, 1, 3, 2)) / np.sqrt(cfg.head_dim)
-    attn = masked_softmax(scores, pack.occ[:, None, None, :], axis=-1)
-    ctx = _merge_heads(attn @ proj["v"]) * pack.occ[..., None]
-    return ctx[0], attn[0]
+    rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
+    _, (_, _, _, _, attn, ctx_tok) = _attention_forward(tokens, pack, params, prefix, cfg)
+    ctx = np.zeros((s, cfg.dim))
+    ctx[rows] = ctx_tok
+    weights = np.zeros((cfg.heads, s, s))
+    weights[:, rows[:, None], rows] = attn[0, :, :len(rows), :len(rows)]
+    return ctx, weights
 
 
 def hexmsa_block(h_window: np.ndarray, occupancy: np.ndarray,
                  offsets: np.ndarray, params: Params, prefix: str,
                  cfg: ModelConfig) -> np.ndarray:
     """Full pre-norm block on one packed window; unoccupied slots emit zeros."""
-    h = np.asarray(h_window, dtype=np.float64)
-    occupancy = np.asarray(occupancy, dtype=bool)
-    a, _ = layer_norm_fwd(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    ctx, _ = window_attention(a, occupancy, offsets, params, prefix, cfg)
-    h1 = h + ctx @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    f, _ = layer_norm_fwd(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    g = gelu(f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"])
-    h2 = h1 + g @ params[f"{prefix}.ffn.2.w"] + params[f"{prefix}.ffn.2.b"]
-    return h2 * occupancy[:, None]
-
-
-def _single_window_packing(occupancy, offsets, cfg: ModelConfig, s: int) -> _Packing:
-    offsets = np.asarray(offsets, dtype=np.float64)
-    if cfg.pe == "hexrope":
-        if offsets.shape == (s, 2):
-            offsets = axial_to_cube(offsets)
-        cube = offsets[None]
-        xy = np.zeros((1, s, 2))
-    else:
-        cube = np.zeros((1, s, 3))
-        xy = offsets[None]
-    idx = np.arange(s, dtype=np.int64)
-    return _Packing(win=np.zeros(s, dtype=np.int64), slot=idx,
-                    occ=occupancy.reshape(1, s), cube=cube, xy=xy)
+    rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
+    out = np.zeros((len(h_window), cfg.dim))
+    out[rows] = _block_forward(tokens, pack, params, prefix, cfg)[0]
+    return out
 
 
 CHECKPOINT_MAGIC = b"HEXWIN-CKPT-v1\n"
@@ -491,21 +483,32 @@ def save_checkpoint(path: str, params: Params, cfg: ModelConfig) -> None:
 
 
 def load_checkpoint(path: str) -> tuple[Params, ModelConfig]:
+    """Read a save_checkpoint file; any malformed or mis-sized one is an InputError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(CHECKPOINT_MAGIC):
         raise InputError(f"{path} is not a checkpoint file")
     rest = blob[len(CHECKPOINT_MAGIC):]
-    nl = rest.index(b"\n")
-    head_len = int(rest[:nl])
-    header = json.loads(rest[nl + 1:nl + 1 + head_len])
-    cfg = ModelConfig.from_dict(header["config"])
-    params: Params = {}
+    try:
+        nl = rest.index(b"\n")
+        head_len = int(rest[:nl])
+        header = json.loads(rest[nl + 1:nl + 1 + head_len])
+        cfg = ModelConfig.from_dict(header["config"])
+        specs = [(str(t["name"]), tuple(int(d) for d in t["shape"]))
+                 for t in header["tensors"]]
+        if head_len < 0 or any(d < 0 for _, shape in specs for d in shape):
+            raise ValueError("negative length")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"{path}: malformed checkpoint header: "
+                         f"{type(exc).__name__}: {exc}") from None
     pos = nl + 1 + head_len
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    counts = [int(np.prod(shape)) for _, shape in specs]
+    if len(rest) != pos + 8 * sum(counts):
+        raise InputError(f"{path}: checkpoint holds {len(rest) - pos} tensor bytes, "
+                         f"its header declares {8 * sum(counts)}")
+    params: Params = {}
+    for (name, shape), count in zip(specs, counts):
         arr = np.frombuffer(rest, dtype="<f8", count=count, offset=pos)
-        params[spec["name"]] = arr.reshape(shape).astype(np.float64)
+        params[name] = arr.reshape(shape).astype(np.float64)
         pos += count * 8
     return params, cfg

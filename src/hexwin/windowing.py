@@ -195,17 +195,29 @@ def _two_nearest(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.stack([first, second], axis=1)
 
 
-def _compress_windows(win, slot, n_slots, centers, center_cells, dropped):
-    """Drop empty windows and renumber survivors in original center order."""
-    assigned = win[win >= 0]
-    kept = np.unique(assigned)
-    remap = {int(w): i for i, w in enumerate(kept)}
-    new_win = np.array([remap[int(w)] if w >= 0 else -1 for w in win], dtype=np.int64)
+def _finish_partition(kind, size, shift, stage, block, coords, cells, scale,
+                      win, slot, n_slots, centers, center_cells,
+                      dropped) -> WindowPartition:
+    """Drop empty windows, renumber survivors in original center order and
+    attach each spot's cell and Cartesian offsets from its window center."""
+    kept, new_win = np.unique(win, return_inverse=True)
+    if len(kept) and kept[0] < 0:  # dropped spots (-1) sort first and stay -1
+        kept, new_win = kept[1:], new_win - 1
+    new_win = new_win.astype(np.int64)
+    valid = new_win >= 0
     occupancy = np.zeros((len(kept), n_slots), dtype=bool)
-    mask = new_win >= 0
-    occupancy[new_win[mask], slot[mask]] = True
-    return (new_win, occupancy, centers[kept], center_cells[kept],
-            np.array(sorted(dropped), dtype=np.int64))
+    occupancy[new_win[valid], slot[valid]] = True
+    kept_centers, kept_cells = centers[kept], center_cells[kept]
+    cell_offsets = np.zeros((len(coords), 2), dtype=np.int64)
+    cart_offsets = np.zeros((len(coords), 2), dtype=np.float64)
+    cell_offsets[valid] = cells[valid] - kept_cells[new_win[valid]]
+    cart_offsets[valid] = (coords[valid] - kept_centers[new_win[valid]]) / scale.d_med
+    return WindowPartition(kind=kind, size=size, shift_id=shift, stage=stage,
+                           block=block, window_of_spot=new_win, slot_of_spot=slot,
+                           occupancy=occupancy, centers=kept_centers,
+                           center_cells=kept_cells, cell_offsets=cell_offsets,
+                           cart_offsets=cart_offsets,
+                           dropped=np.array(sorted(dropped), dtype=np.int64))
 
 
 def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
@@ -247,19 +259,8 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     keep_metric = np.linalg.norm(coords - cell_pos, axis=1)
     win, slot, dropped = _resolve_collisions(order2, slot_candidates, keep_metric,
                                              len(slot_set), strict)
-    new_win, occupancy, kept_centers, kept_cells, dropped = _compress_windows(
-        win, slot, len(slot_set), centers, center_cells, dropped)
-
-    valid = new_win >= 0
-    cell_offsets = np.zeros((len(coords), 2), dtype=np.int64)
-    cart_offsets = np.zeros((len(coords), 2), dtype=np.float64)
-    cell_offsets[valid] = cells[valid] - kept_cells[new_win[valid]]
-    cart_offsets[valid] = (coords[valid] - kept_centers[new_win[valid]]) / scale.d_med
-    return WindowPartition(kind="hex", size=radius, shift_id=shift, stage=stage,
-                           block=block, window_of_spot=new_win, slot_of_spot=slot,
-                           occupancy=occupancy, centers=kept_centers,
-                           center_cells=kept_cells, cell_offsets=cell_offsets,
-                           cart_offsets=cart_offsets, dropped=dropped)
+    return _finish_partition("hex", radius, shift, stage, block, coords, cells, scale,
+                             win, slot, len(slot_set), centers, center_cells, dropped)
 
 
 def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
@@ -312,19 +313,9 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     keep_metric = np.linalg.norm(coords - subcell_center, axis=1)
     win, slot, dropped = _resolve_collisions(order2, slot_candidates, keep_metric,
                                              grid * grid, strict)
-    new_win, occupancy, kept_centers, kept_cells, dropped = _compress_windows(
-        win, slot, grid * grid, centers, center_cells, dropped)
-
-    valid = new_win >= 0
-    cell_offsets = np.zeros((len(coords), 2), dtype=np.int64)
-    cart_offsets = np.zeros((len(coords), 2), dtype=np.float64)
-    cell_offsets[valid] = cells[valid] - kept_cells[new_win[valid]]
-    cart_offsets[valid] = (coords[valid] - kept_centers[new_win[valid]]) / scale.d_med
-    return WindowPartition(kind="square", size=side, shift_id=shift, stage=stage,
-                           block=block, window_of_spot=new_win, slot_of_spot=slot,
-                           occupancy=occupancy, centers=kept_centers,
-                           center_cells=kept_cells, cell_offsets=cell_offsets,
-                           cart_offsets=cart_offsets, dropped=dropped)
+    return _finish_partition("square", side, shift, stage, block, coords, cells,
+                             scale, win, slot, grid * grid, centers, center_cells,
+                             dropped)
 
 
 def check_partition(part: WindowPartition, cells: np.ndarray) -> None:

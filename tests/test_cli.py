@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hexwin.cli import main
+from hexwin.model import ModelConfig, init_params, save_checkpoint
 from hexwin.render import read_ppm
 from hexwin.synth import SpotDataset, save_dataset
 
@@ -64,10 +65,17 @@ class TestGenerate:
 
 
 class TestPartition:
-    def test_records_and_verify(self, dataset_dir, tmp_path):
+    def test_records_and_verify(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "part.tsv"
         assert main(["partition", "--dataset", str(dataset_dir), "--k", "1",
                      "--shift", "0", "--out", str(out), "--verify"]) == 0
+        summary = capsys.readouterr().out.split(" -> ")[0].split(", ")
+        windows = int(summary[0].split()[0])
+        assert summary[1] == "7 slots"
+        largest = int(summary[2].removeprefix("largest "))
+        assert -(-37 // windows) <= largest <= 7
+        assert summary[3] == f"fill {37 / (windows * 7):.3f}"
+        assert summary[4] == "0 dropped"
         lines = out.read_text().splitlines()
         assert lines[0].split("\t") == ["spot_id", "stage", "block", "window",
                                         "slot", "center_x", "center_y"]
@@ -166,6 +174,21 @@ class TestExitCodes:
                            train={"steps": 1, "lr": 0.005, "seed": 1})
         assert main(["train", "--dataset", str(dataset_dir), "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 3
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"],
+                             ids=["truncated", "trailing-byte"])
+    def test_mis_sized_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
+                                                 capsys, edit):
+        cfg = ModelConfig(in_dim=5, genes=3, **{k: tuple(v) if k == "radii" else v
+                                                for k, v in SMALL_MODEL.items()})
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(str(ckpt), init_params(cfg, 0), cfg)
+        args = ["eval", "--dataset", str(dataset_dir), "--checkpoint", str(ckpt)]
+        assert main(args) == 0
+        ckpt.write_bytes(edit(ckpt.read_bytes()))
+        capsys.readouterr()
+        assert main(args) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_render_pred_without_checkpoint_is_usage_error(self, dataset_dir,
                                                            tmp_path):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from hexwin.model import (ModelConfig, backward, build_geometry, forward,
-                          hexmsa_block, init_params, load_checkpoint,
+from hexwin.errors import InputError
+from hexwin.model import (ModelConfig, _Packing, backward, build_geometry,
+                          forward, hexmsa_block, init_params, load_checkpoint,
                           params_to_vector, save_checkpoint, vector_to_params,
                           window_attention, zeros_like_params)
 from hexwin.numerics import finite_diff_grad, relative_error
@@ -216,6 +219,64 @@ class TestBackward:
         assert worst < 1e-4
 
 
+class TestCompactPacking:
+    @staticmethod
+    def padded_geometry(geo, cfg):
+        """The same geometry with every window packed to its full slot set."""
+        def full(part, pack):
+            if part is None:
+                return pack
+            off = (axial_to_cube(part.cell_offsets).astype(float)
+                   if cfg.pe == "hexrope" else part.cart_offsets)
+            return _Packing(win=part.window_of_spot, slot=part.slot_of_spot,
+                            occ=part.occupancy, off=off)
+        return dataclasses.replace(geo, packings=[
+            [full(part, pack) for part, pack in zip(parts, packs)]
+            for parts, packs in zip(geo.partitions, geo.packings)])
+
+    @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
+                                           ("square", "rope2d"),
+                                           ("square", "hexrope")])
+    def test_matches_padded_layout(self, window, pe):
+        cfg = ModelConfig(in_dim=5, genes=3, dim=8, heads=2, stages=4, blocks=3,
+                          radii=(1, 2, 4), out_dim=4, t_dim=3, window=window, pe=pe)
+        ds = generate(SynthConfig(radius=5, jitter=0.05, dropout=0.05, seed=12,
+                                  token_dim=5, transcriptomic_dim=3,
+                                  patterns=("boundary", "gradient", "noise")))
+        params = generic_params(cfg, seed=12)
+        geo = build_geometry(ds.coords, cfg)
+        padded = self.padded_geometry(geo, cfg)
+        narrower = False
+        for parts, packs in zip(geo.partitions[:-1], geo.packings[:-1]):
+            for part, pack in zip(parts, packs):
+                occ = part.occupancy.sum(axis=1)
+                assert pack.occ.shape == (part.n_windows, occ.max())
+                np.testing.assert_array_equal(pack.occ.sum(axis=1), occ)
+                order = np.lexsort((part.slot_of_spot, part.window_of_spot))
+                np.testing.assert_array_equal(
+                    pack.slot[order], np.concatenate([np.arange(c) for c in occ]))
+                narrower |= occ.max() < part.n_slots
+        assert narrower
+
+        rng = np.random.default_rng(3)
+        d_y = rng.normal(0, 1, (ds.n_spots, 3))
+        d_dev = rng.normal(0, 1, (ds.n_spots, 3))
+        d_z = rng.normal(0, 1, (ds.n_spots, 4))
+        results = []
+        for g in (geo, padded):
+            out = forward(ds.tokens, g, params, cfg, train=True)
+            grads = backward(out, g, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
+                             d_z_extra=d_z)
+            results.append((out, grads))
+        (out, grads), (ref, ref_grads) = results
+        for name in ("z", "y_hat", "y_dev_hat"):
+            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-12)
+        for k in params:
+            np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
+                                       atol=1e-12, err_msg=k)
+
+
 class TestCheckpoint:
     def test_round_trip_exact_and_byte_stable(self, tmp_path):
         params = generic_params(TINY, seed=11)
@@ -234,9 +295,29 @@ class TestCheckpoint:
     def test_rejects_non_checkpoint(self, tmp_path):
         bogus = tmp_path / "x.bin"
         bogus.write_bytes(b"not a checkpoint")
-        from hexwin.errors import InputError
         with pytest.raises(InputError):
             load_checkpoint(str(bogus))
+
+    @pytest.mark.parametrize("edit", [
+        lambda head, body: (b"", b""),                          # no length line
+        lambda head, body: (b"12x\n" + head, body),             # non-integer length
+        lambda head, body: (b"%d\n" % len(head), b"#" + head[1:] + body),
+        lambda head, body: (b"2\n{}", body),                    # missing keys
+        lambda head, body: (b"%d\n" % len(head) + head, body[:-1]),
+        lambda head, body: (b"%d\n" % len(head) + head, body + b"\0"),
+    ], ids=["no-newline", "bad-length", "bad-json", "missing-keys", "truncated",
+            "trailing-byte"])
+    def test_rejects_malformed(self, tmp_path, edit):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(str(path), generic_params(TINY), TINY)
+        magic, rest = path.read_bytes().split(b"\n", 1)
+        length, rest = rest.split(b"\n", 1)
+        head, body = rest[:int(length)], rest[int(length):]
+        prefix, tail = edit(head, body)
+        path.write_bytes(magic + b"\n" + prefix + tail)
+        with pytest.raises(InputError) as info:
+            load_checkpoint(str(path))
+        assert "\n" not in str(info.value)
 
 
 def test_vector_round_trip():
