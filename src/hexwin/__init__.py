@@ -26,8 +26,7 @@ from .synth import (SpotDataset, SynthConfig, generate, load_dataset,
                     mock_transcriptomic, save_dataset)
 from .trainer import TrainConfig, TrainResult, grad_check, train
 from .windowing import (SlotSet, WindowPartition, build_slot_set,
-                        check_partition, generate_centers,
-                        neighbor_coverage_rate, partition, partition_square,
-                        shift_schedule)
+                        check_partition, neighbor_coverage_rate, partition,
+                        partition_square, shift_schedule)
 
 __version__ = "0.1.0"

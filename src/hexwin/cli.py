@@ -20,8 +20,8 @@ from .errors import (CoverageError, DegenerateInputError, InputError,
 from .hexgeom import cells_for_points, estimate_scale
 from .losses import LossWeights
 from .metrics import evaluate, format_eval_report
-from .model import ModelConfig, build_geometry, forward, load_checkpoint, \
-    save_checkpoint
+from .model import ModelConfig, build_geometry, config_from_dict, forward, \
+    load_checkpoint, save_checkpoint
 from .render import heatmap_annotation, heatmap_image, partition_image, write_ppm
 from .synth import SynthConfig, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, grad_check, toy_grad_check_inputs, train
@@ -47,51 +47,46 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{path}: not a JSON config: {exc}") from None
     if not isinstance(cfg, dict):
         raise InputError(f"{path}: config root must be a JSON object")
+    for key, section in cfg.items():
+        if key not in ("synth", "model", "train"):
+            raise InputError(f"{path}: unknown config section {key!r}; "
+                             f"allowed: synth, model, train")
+        if not isinstance(section, dict):
+            raise InputError(f"{path}: config section {key!r} must be a JSON object")
     return cfg
 
 
 def _synth_config(section: dict, seed: int | None) -> SynthConfig:
-    fields = dict(section)
-    if "patterns" in fields:
-        fields["patterns"] = tuple(fields["patterns"])
-    if seed is not None:
-        fields["seed"] = seed
-    return SynthConfig(**fields)
+    return config_from_dict(SynthConfig, section, "synth",
+                            **({} if seed is None else {"seed": seed}))
 
 
 def _model_config(section: dict, in_dim: int, genes: int, args) -> ModelConfig:
-    fields = dict(section)
-    fields["in_dim"] = in_dim
-    fields["genes"] = genes
-    for key in ("radii", "square_sides"):
-        if key in fields:
-            fields[key] = tuple(fields[key])
-    for key in ("window", "pe"):
-        val = getattr(args, key, None)
-        if val:
-            fields[key] = val
-    return ModelConfig(**fields)
+    overrides = {key: getattr(args, key) for key in ("window", "pe")
+                 if getattr(args, key, None)}
+    return config_from_dict(ModelConfig, section, "model", in_dim=in_dim,
+                            genes=genes, **overrides)
 
 
 def _train_config(section: dict, args) -> TrainConfig:
-    fields = dict(section)
-    if "weights" in fields:
-        fields["weights"] = LossWeights(**fields["weights"])
-    for key in ("steps", "lr", "seed", "optimizer", "eval_every"):
-        val = getattr(args, key, None)
-        if val is not None:
-            fields[key] = val
-    for name in (getattr(args, "loss_off", None) or "").split(","):
-        name = name.strip()
-        if not name:
-            continue
+    overrides = {key: getattr(args, key)
+                 for key in ("steps", "lr", "seed", "optimizer", "eval_every")
+                 if getattr(args, key, None) is not None}
+    off = [name.strip() for name in (args.loss_off or "").split(",") if name.strip()]
+    for name in off:
         if name not in ("mse", "pearson", "tfa", "dev"):
             raise UsageError(f"unknown loss term {name!r} in --loss-off")
-        fields[f"use_{name}"] = False
-    return TrainConfig(**fields)
+    section = dict(section)
+    weights = config_from_dict(LossWeights, section.pop("weights", {}),
+                               "train.weights", **dict.fromkeys(off, 0.0))
+    return config_from_dict(TrainConfig, section, "train", weights=weights,
+                            **overrides)
 
 
 def cmd_generate(args) -> int:

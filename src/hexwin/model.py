@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,10 @@ class ModelConfig:
     knn_k: int = 6
 
     def __post_init__(self):
+        if min(self.dim, self.heads, self.stages, self.blocks, *self.radii,
+               *self.square_sides) < 1:
+            raise InputError("dim, heads, stages, blocks, radii and square "
+                             "sides must be >= 1")
         if self.dim % self.heads:
             raise InputError("dim must be divisible by heads")
         if len(self.radii) != self.stages - 1:
@@ -83,12 +87,36 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["radii"] = tuple(d.get("radii", ()))
-        d["square_sides"] = tuple(d.get("square_sides", ()))
-        return cls(**d)
+
+# config modules postpone annotations, so a field's type is its annotation string
+_JSON_SCALARS = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def config_from_dict(cls, section, name: str, **overrides):
+    """Build config dataclass cls from one JSON object plus overrides.
+
+    Lists become tuples for tuple-valued fields. Unknown keys, values of the
+    wrong JSON type and values cls rejects all raise InputError.
+    """
+    if not isinstance(section, dict):
+        raise InputError(f"{name} config must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        raise InputError(f"unknown {name} config key(s) {', '.join(unknown)}; "
+                         f"allowed: {', '.join(known)}")
+    values = {k: tuple(v) if isinstance(v, list) and isinstance(known[k].default, tuple)
+              else v for k, v in section.items()}
+    values.update(overrides)
+    for key, value in values.items():
+        want = _JSON_SCALARS.get(known[key].type)
+        if want and (not isinstance(value, want)
+                     or isinstance(value, bool) != (want is bool)):
+            raise InputError(f"{name}.{key} must be {known[key].type}, got {value!r}")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} config: {exc}") from None
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
@@ -493,7 +521,7 @@ def load_checkpoint(path: str) -> tuple[Params, ModelConfig]:
         nl = rest.index(b"\n")
         head_len = int(rest[:nl])
         header = json.loads(rest[nl + 1:nl + 1 + head_len])
-        cfg = ModelConfig.from_dict(header["config"])
+        cfg = config_from_dict(ModelConfig, header["config"], "model")
         specs = [(str(t["name"]), tuple(int(d) for d in t["shape"]))
                  for t in header["tensors"]]
         if head_len < 0 or any(d < 0 for _, shape in specs for d in shape):

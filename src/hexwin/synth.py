@@ -220,13 +220,25 @@ def load_dataset(indir: str) -> SpotDataset:
     path = os.path.join(indir, "spots.tsv")
     with open(path) as fh:
         rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    header = rows[0]
+    header = rows[0] if rows else []
     if header[:3] != ["spot_id", "x", "y"]:
         raise InputError(f"{path}: unexpected header {header[:3]}")
+    if len(rows) < 2:
+        raise InputError(f"{path}: no spot rows")
+    for r in rows[1:]:
+        if len(r) != len(header):
+            raise InputError(f"{path}: spot {r[0]!r} has {len(r)} fields, "
+                             f"the header has {len(header)}")
     gene_names = header[3:]
     spot_ids = [r[0] for r in rows[1:]]
-    coords = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
-    expression = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
+    try:
+        coords = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
+        expression = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if len(bad):
+        raise InputError(f"{path}: spot {spot_ids[bad[0]]!r} has non-finite coordinates")
     tokens = _read_matrix(os.path.join(indir, "tokens"))
     tpath = os.path.join(indir, "transcriptomic.bin")
     transcriptomic = (_read_matrix(os.path.join(indir, "transcriptomic"))
@@ -248,6 +260,16 @@ def _write_matrix(stem: str, arr: np.ndarray) -> None:
 
 def _read_matrix(stem: str) -> np.ndarray:
     with open(stem + ".json") as fh:
-        meta = json.load(fh)
-    data = np.fromfile(stem + ".bin", dtype=meta["dtype"])
-    return data.reshape(meta["shape"]).astype(np.float64)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"{stem}.json: not a JSON sidecar: {exc}") from None
+    shape = meta.get("shape") if isinstance(meta, dict) else None
+    if (not isinstance(shape, list) or len(shape) != 2 or meta.get("dtype") != "<f8"
+            or not all(isinstance(d, int) and d >= 0 for d in shape)):
+        raise InputError(f"{stem}.json: need dtype '<f8' and a 2-entry shape")
+    size = os.path.getsize(stem + ".bin")
+    if size != 8 * shape[0] * shape[1]:
+        raise InputError(f"{stem}.bin holds {size} bytes, its shape {shape} "
+                         f"needs {8 * shape[0] * shape[1]}")
+    return np.fromfile(stem + ".bin", dtype="<f8").reshape(shape).astype(np.float64)

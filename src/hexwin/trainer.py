@@ -30,11 +30,7 @@ class TrainConfig:
     lr: float = 3e-3
     optimizer: str = "adam"      # "adam" or "sgd"
     seed: int = 0
-    weights: LossWeights = field(default_factory=LossWeights)
-    use_mse: bool = True
-    use_pearson: bool = True
-    use_tfa: bool = True
-    use_dev: bool = True
+    weights: LossWeights = field(default_factory=LossWeights)  # 0 turns a term off
     eval_every: int = 10
     val_fraction: float = 0.2
     patience: int = 50           # evals without val improvement before stopping
@@ -88,11 +84,11 @@ def split_indices(n: int, val_fraction: float, seed: int):
 
 def objective(out: ForwardOutput, ds: SpotDataset, rows: np.ndarray,
               params: Params, cfg: ModelConfig, tcfg: TrainConfig):
-    """Loss report plus upstream gradients for the enabled terms.
+    """Loss report plus upstream gradients for the terms with nonzero weight.
 
     Returns (report, d_y_hat, d_y_dev_hat, d_z_extra, head_grads) where the
     gradient arrays are already weighted and scattered to full (N, ...) shape.
-    Disabled terms contribute exactly nothing, value and gradient alike.
+    Zero-weight terms contribute exactly nothing, value and gradient alike.
     """
     w = tcfg.weights
     n, g = out.y_hat.shape
@@ -102,13 +98,13 @@ def objective(out: ForwardOutput, ds: SpotDataset, rows: np.ndarray,
     d_z = None
     head_grads: Params = {}
     mse = pearson = tfa = dev = 0.0
-    if tcfg.use_mse and w.mse != 0.0:
+    if w.mse != 0.0:
         mse, grad = loss_mse_grad(out.y_hat[rows], y[rows])
         d_y_hat[rows] += w.mse * grad
-    if tcfg.use_pearson and w.pearson != 0.0:
+    if w.pearson != 0.0:
         pearson, grad = loss_pearson_grad(out.y_hat[rows], y[rows])
         d_y_hat[rows] += w.pearson * grad
-    if tcfg.use_tfa and w.tfa != 0.0 and cfg.t_dim:
+    if w.tfa != 0.0 and cfg.t_dim:
         if ds.transcriptomic is None:
             raise InputError("alignment loss enabled but the dataset has no "
                              "transcriptomic embeddings")
@@ -118,7 +114,7 @@ def objective(out: ForwardOutput, ds: SpotDataset, rows: np.ndarray,
         d_z[rows] = w.tfa * g_z
         head_grads["tfa.w"] = w.tfa * g_w
         head_grads["tfa.b"] = w.tfa * g_b
-    if tcfg.use_dev and w.dev != 0.0:
+    if w.dev != 0.0:
         if out.y_dev_hat is None:
             raise InputError("deviation loss needs a training-mode forward")
         dev, grad = loss_dev_grad(out.y_dev_hat[rows], y[rows])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CoverageError, InputError, SlotCollisionError
 from .hexgeom import (SQRT3, LatticeScale, axial_to_cartesian, cells_for_points,
-                      hex_distance)
+                      cube_round, hex_distance)
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class SlotSet:
 
     def __len__(self) -> int:
         return len(self.offsets)
-
-    def index_of(self) -> dict[tuple[int, int], int]:
-        return {(int(dq), int(dr)): i for i, (dq, dr) in enumerate(self.offsets)}
 
 
 def build_slot_set(radius: int) -> SlotSet:
@@ -70,45 +67,6 @@ def shift_schedule(n_blocks: int) -> list[int]:
     return [b % 3 for b in range(n_blocks)]
 
 
-def generate_centers(scale: LatticeScale, radius: int, shift: int,
-                     bounds: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """All shifted coarse-lattice centers within sqrt(3)*K*s_spot of the bbox.
-
-    The margin guarantees every spot inside the bounds has a center within
-    one window radius. Centers are ordered by their integer (alpha, beta)
-    lattice coordinates.
-    """
-    if radius < 1:
-        raise InputError("window radius must be >= 1")
-    lo = np.asarray(bounds[0], dtype=np.float64)
-    hi = np.asarray(bounds[1], dtype=np.float64)
-    if lo.shape != (2,) or hi.shape != (2,) or not np.all(np.isfinite([lo, hi])):
-        raise InputError("bounds must be two finite 2-vectors")
-    if np.any(hi < lo):
-        raise InputError("bounds must satisfy hi >= lo")
-    e1, e2 = center_basis(scale, radius)
-    delta = shift_delta(scale, radius, shift)
-    margin = SQRT3 * radius * scale.s_spot
-    basis_inv = np.linalg.inv(np.stack([e1, e2], axis=1))
-    corners = np.array([[lo[0] - margin, lo[1] - margin],
-                        [hi[0] + margin, lo[1] - margin],
-                        [lo[0] - margin, hi[1] + margin],
-                        [hi[0] + margin, hi[1] + margin]])
-    ab = (basis_inv @ (corners - scale.anchor - delta).T).T
-    a_lo, b_lo = np.floor(ab.min(axis=0)).astype(int) - 1
-    a_hi, b_hi = np.ceil(ab.max(axis=0)).astype(int) + 1
-    centers = []
-    for alpha in range(a_lo, a_hi + 1):
-        for beta in range(b_lo, b_hi + 1):
-            c = scale.anchor + alpha * e1 + beta * e2 + delta
-            gap = np.maximum(np.maximum(lo - c, c - hi), 0.0)
-            if gap @ gap <= margin * margin:
-                centers.append(c)
-    if not centers:
-        raise CoverageError("no window centers generated for the given bounds")
-    return np.array(centers)
-
-
 @dataclass(frozen=True)
 class WindowPartition:
     """Assignment of every spot to one (window, slot), plus packing masks.
@@ -141,58 +99,82 @@ class WindowPartition:
         return self.occupancy.shape[1]
 
 
-def _resolve_collisions(order2, slot_candidates, keep_metric, n_slots, strict):
-    """Place each spot at its (window, slot); on collision keep the closer spot
-    and reroute the other to its second-nearest window, else drop it.
+# the nearest center and its six neighbours, in lexicographic (alpha, beta) order
+_NEAREST_AND_RING = np.array([(-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)])
 
-    order2: (N, 2) window indices sorted by center distance.
-    slot_candidates: callable (spot, window) -> slot index or -1.
-    keep_metric: (N,) distance of each spot to its claimed cell/subcell center.
+
+def _check_spots(coords, cells) -> tuple[np.ndarray, np.ndarray]:
+    coords = np.asarray(coords, dtype=np.float64)
+    cells = np.asarray(cells, dtype=np.int64)
+    if coords.shape != (len(cells), 2) or cells.shape[1:] != (2,):
+        raise InputError("coords and cells must both have shape (N, 2)")
+    if not np.isfinite(coords).all():
+        raise InputError("spot coordinates must be finite")
+    return coords, cells
+
+
+def _center_positions(ids, scale: LatticeScale, radius: int, shift: int) -> np.ndarray:
+    """Cartesian positions of shifted coarse-lattice centers with ids (alpha, beta)."""
+    e1, e2 = center_basis(scale, radius)
+    return (scale.anchor + ids[..., :1] * e1 + ids[..., 1:] * e2
+            + shift_delta(scale, radius, shift))
+
+
+def _two_nearest_centers(coords: np.ndarray, scale: LatticeScale, radius: int,
+                         shift: int) -> np.ndarray:
+    """(N, 2, 2) lattice ids (alpha, beta) of each spot's nearest and
+    second-nearest shifted center; distance ties go to the lower id.
+
+    Cube rounding the fractional (alpha, beta) finds the nearest center of the
+    hexagonal center lattice; the second-nearest is one of its six neighbours.
+    """
+    e1, e2 = center_basis(scale, radius)
+    basis_inv = np.linalg.inv(np.stack([e1, e2], axis=1))
+    frac = (coords - scale.anchor - shift_delta(scale, radius, shift)) @ basis_inv.T
+    cand = cube_round(frac)[:, None, :] + _NEAREST_AND_RING
+    d2 = ((coords[:, None, :] - _center_positions(cand, scale, radius, shift)) ** 2
+          ).sum(axis=-1)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :2]
+    return np.take_along_axis(cand, order[..., None], axis=1)
+
+
+def _resolve_collisions(cand_win, cand_slot, keep_metric, n_slots, strict):
+    """Place each spot at its first (window, slot) candidate; on collision keep
+    the closer spot and move the other to its next free candidate, else drop it.
+
+    cand_win, cand_slot: (N, C) candidates in order of preference; slot -1
+    marks a window that cannot hold the spot. keep_metric: (N,) distance of
+    each spot to its claimed cell/subcell center.
     Returns (window_of_spot, slot_of_spot, dropped list).
     """
-    n = len(order2)
-    win = np.full(n, -1, dtype=np.int64)
-    slot = np.full(n, -1, dtype=np.int64)
+    win, slot = cand_win[:, 0].copy(), cand_slot[:, 0].copy()
+    if len(np.unique(win * n_slots + slot)) == len(win):
+        return win, slot, []
     taken: dict[tuple[int, int], int] = {}
     dropped: list[int] = []
-    for i in range(n):
-        w = int(order2[i, 0])
-        s = slot_candidates(i, w)
-        if s < 0:
-            raise CoverageError(f"spot {i} has no valid slot in its nearest window")
-        key = (w, s)
+    for i in range(len(win)):
+        key = (int(win[i]), int(slot[i]))
         holder = taken.get(key)
         if holder is None:
             taken[key] = i
-            win[i], slot[i] = w, s
             continue
         if strict:
             raise SlotCollisionError(
-                f"spots {holder} and {i} both map to window {w} slot {s}")
+                f"spots {holder} and {i} both map to window {key[0]} slot {key[1]}")
         if keep_metric[i] >= keep_metric[holder]:
             loser = i
         else:  # evict the current holder, keep i
             loser = holder
             taken[key] = i
-            win[i], slot[i] = w, s
-            win[loser], slot[loser] = -1, -1
-        w2 = int(order2[loser, 1])
-        s2 = slot_candidates(loser, w2)
-        if s2 >= 0 and (w2, s2) not in taken:
-            taken[(w2, s2)] = loser
-            win[loser], slot[loser] = w2, s2
+        win[loser], slot[loser] = -1, -1
+        for w2, s2 in zip(cand_win[loser, 1:].tolist(), cand_slot[loser, 1:].tolist()):
+            if s2 >= 0 and (w2, s2) not in taken:
+                taken[(w2, s2)] = loser
+                win[loser], slot[loser] = w2, s2
+                break
         else:
             dropped.append(loser)
     return win, slot, dropped
-
-
-def _two_nearest(coords: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    first = np.argmin(d2, axis=1)
-    rows = np.arange(len(coords))
-    d2[rows, first] = np.inf
-    second = np.argmin(d2, axis=1)
-    return np.stack([first, second], axis=1)
 
 
 def _finish_partition(kind, size, shift, stage, block, coords, cells, scale,
@@ -225,42 +207,42 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
               stage: int = 0, block: int = 0) -> WindowPartition:
     """Voronoi-style hexagonal window partition at one (stage, block).
 
-    Every spot joins its nearest shifted center (ties: lowest center index)
+    Every spot joins its nearest shifted center (ties: lowest lattice id)
     and occupies the slot matching its cell offset from the center cell. A
     spot whose offset exceeds the radius is a coverage-contract violation.
     Two spots in one cell collide: strict mode raises, lenient mode keeps
-    the spot nearer the cell center and reroutes or drops the other.
+    the spot nearer the cell center and reroutes the other to its
+    second-nearest window or drops it.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    cells = np.asarray(cells, dtype=np.int64)
-    if coords.shape != (len(cells), 2) or cells.shape[1] != 2:
-        raise InputError("coords and cells must both have shape (N, 2)")
-    bounds = (coords.min(axis=0), coords.max(axis=0))
-    centers = generate_centers(scale, radius, shift, bounds)
+    coords, cells = _check_spots(coords, cells)
+    if radius < 1:
+        raise InputError("window radius must be >= 1")
+    ids, cand_win = np.unique(_two_nearest_centers(coords, scale, radius, shift)
+                              .reshape(-1, 2), axis=0, return_inverse=True)
+    cand_win = cand_win.reshape(-1, 2)
+    centers = _center_positions(ids, scale, radius, shift)
     center_cells = cells_for_points(centers, scale)
-    order2 = _two_nearest(coords, centers)
 
-    slot_set = build_slot_set(radius)
-    lookup = slot_set.index_of()
-    nearest_off = cells - center_cells[order2[:, 0]]
-    bad = hex_distance(nearest_off, np.zeros_like(nearest_off)) > radius
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
+    width = 2 * radius + 1
+    offsets = build_slot_set(radius).offsets
+    slot_table = np.full((width, width), -1, dtype=np.int64)
+    slot_table[offsets[:, 0] + radius, offsets[:, 1] + radius] = np.arange(len(offsets))
+    off = cells[:, None, :] - center_cells[cand_win]
+    inside = np.abs(off).max(axis=-1) <= radius
+    box = np.clip(off + radius, 0, width - 1)
+    cand_slot = np.where(inside, slot_table[box[..., 0], box[..., 1]], -1)
+    if np.any(cand_slot[:, 0] < 0):
+        i = int(np.flatnonzero(cand_slot[:, 0] < 0)[0])
         raise CoverageError(
-            f"spot {i} sits {int(hex_distance(nearest_off[i], np.zeros(2, dtype=np.int64)))} "
+            f"spot {i} sits {int(hex_distance(off[i, 0], np.zeros(2, dtype=np.int64)))} "
             f"cells from its nearest center (radius {radius}); coverage contract violated")
-
-    def slot_candidates(i: int, w: int) -> int:
-        off = (int(cells[i, 0] - center_cells[w, 0]),
-               int(cells[i, 1] - center_cells[w, 1]))
-        return lookup.get(off, -1)
 
     cell_pos = axial_to_cartesian(cells, scale)
     keep_metric = np.linalg.norm(coords - cell_pos, axis=1)
-    win, slot, dropped = _resolve_collisions(order2, slot_candidates, keep_metric,
-                                             len(slot_set), strict)
+    win, slot, dropped = _resolve_collisions(cand_win, cand_slot, keep_metric,
+                                             len(offsets), strict)
     return _finish_partition("hex", radius, shift, stage, block, coords, cells, scale,
-                             win, slot, len(slot_set), centers, center_cells, dropped)
+                             win, slot, len(offsets), centers, center_cells, dropped)
 
 
 def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
@@ -270,13 +252,12 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
 
     Tiles have edge side * d_med; each tile is subdivided into a
     (2*side) x (2*side) grid of half-spacing subcells acting as slots.
+    Tiles do not overlap, so a spot's own tile is its only window: lenient
+    mode keeps the spot nearer the subcell center and drops the other.
     """
-    coords = np.asarray(coords, dtype=np.float64)
-    cells = np.asarray(cells, dtype=np.int64)
+    coords, cells = _check_spots(coords, cells)
     if side < 1:
         raise InputError("square window side must be >= 1")
-    if coords.shape != (len(cells), 2) or cells.shape[1] != 2:
-        raise InputError("coords and cells must both have shape (N, 2)")
     tile = side * scale.d_med
     deltas = (np.zeros(2), np.array([tile / 2.0, 0.0]), np.array([0.0, tile / 2.0]))
     if shift not in (0, 1, 2):
@@ -293,26 +274,10 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     centers = scale.anchor + delta + (uniq + 0.5) * tile
     center_cells = cells_for_points(centers, scale)
 
-    d2 = ((coords[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-    rows = np.arange(len(coords))
-    d2[rows, win0] = np.inf
-    second = np.argmin(d2, axis=1)
-    order2 = np.stack([win0, second], axis=1)
-
-    def slot_candidates(i: int, w: int) -> int:
-        if w == order2[i, 0]:
-            return int(slots[i])
-        rel = (coords[i] - scale.anchor - delta) / tile - uniq[w]
-        if not (0.0 <= rel[0] < 1.0 and 0.0 <= rel[1] < 1.0):
-            return -1
-        sx = min(int(rel[0] * grid), grid - 1)
-        sy = min(int(rel[1] * grid), grid - 1)
-        return sy * grid + sx
-
     subcell_center = (tiles + (sub + 0.5) / grid) * tile + scale.anchor + delta
     keep_metric = np.linalg.norm(coords - subcell_center, axis=1)
-    win, slot, dropped = _resolve_collisions(order2, slot_candidates, keep_metric,
-                                             grid * grid, strict)
+    win, slot, dropped = _resolve_collisions(win0.reshape(-1, 1), slots[:, None],
+                                             keep_metric, grid * grid, strict)
     return _finish_partition("square", side, shift, stage, block, coords, cells,
                              scale, win, slot, grid * grid, centers, center_cells,
                              dropped)

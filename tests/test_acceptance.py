@@ -299,10 +299,9 @@ def test_criterion_9_ablation_plumbing(learn_run):
         reports[name] = res.eval_log[-1][1]
         assert np.isfinite(reports[name].pcc_f)
 
-    toggles = {"mse": dict(use_mse=False), "pearson": dict(use_pearson=False),
-               "tfa": dict(use_tfa=False), "dev": dict(use_dev=False)}
-    for term, kw in toggles.items():
-        res = train(train_ds, LEARN_MODEL, dataclasses.replace(tcfg, **kw))
+    for term in ("mse", "pearson", "tfa", "dev"):
+        weights = dataclasses.replace(tcfg.weights, **{term: 0.0})
+        res = train(train_ds, LEARN_MODEL, dataclasses.replace(tcfg, weights=weights))
         assert res.eval_log, f"loss toggle {term} emitted no eval reports"
         reports[f"off-{term}"] = res.eval_log[-1][1]
 

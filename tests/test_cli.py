@@ -28,6 +28,14 @@ SMALL_MODEL = {"dim": 6, "heads": 1, "stages": 2, "blocks": 2, "radii": [1],
                "out_dim": 4, "t_dim": 3}
 
 
+def assert_invalid_input(capsys, argv):
+    """The command exits 1 with one `invalid input:` line and no traceback."""
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid input: "), err
+
+
 @pytest.fixture()
 def dataset_dir(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", synth=SMALL_SYNTH)
@@ -189,6 +197,68 @@ class TestExitCodes:
         capsys.readouterr()
         assert main(args) == 1
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: json.dumps(cfg)[:-5],
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "heads": 0}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "radii": 3}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "blocks": 1.5}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "depth": 2}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "stepz": 2}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1,
+                                                 "weights": {"gamma": 1.0}}}),
+        lambda cfg: json.dumps({**cfg, "modle": SMALL_MODEL}),
+    ], ids=["malformed-json", "zero-heads", "scalar-radii", "float-blocks",
+            "unknown-model-key", "unknown-train-key", "unknown-weight-key",
+            "unknown-section"])
+    def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                       edit):
+        path = tmp_path / "cfg.json"
+        argv = ["train", "--dataset", str(dataset_dir), "--config", str(path),
+                "--out", str(tmp_path / "run")]
+        cfg = {"model": SMALL_MODEL, "train": {"steps": 1}}
+        path.write_text(json.dumps(cfg))
+        assert main(argv) == 0
+        path.write_text(edit(cfg))
+        assert_invalid_input(capsys, argv)
+
+    def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, "radus": 3})
+        assert_invalid_input(capsys, ["generate", "--config", cfg,
+                                      "--out", str(tmp_path / "d")])
+
+    def test_zero_heads_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
+                                                  capsys):
+        cfg = ModelConfig(in_dim=5, genes=3, **{k: tuple(v) if k == "radii" else v
+                                                for k, v in SMALL_MODEL.items()})
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(str(ckpt), init_params(cfg, 0), cfg)
+        blob = ckpt.read_bytes()
+        assert blob.count(b'"heads":1,') == 1
+        ckpt.write_bytes(blob.replace(b'"heads":1,', b'"heads":0,'))
+        assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
+                                      "--checkpoint", str(ckpt)])
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: (d / "tokens.json").write_text(
+            '{"dtype": "<f8", "order": "C", "shape": [37, 4]}'),
+        lambda d: (d / "spots.tsv").write_text(
+            (d / "spots.tsv").read_text().replace("\n", "\tnot-a-field\n", 2)),
+        lambda d: (d / "spots.tsv").write_text(
+            "\n".join(line if i != 3 else "\t".join(line.split("\t")[:3])
+                      for i, line in enumerate((d / "spots.tsv").read_text()
+                                               .splitlines()))),
+        lambda d: (d / "spots.tsv").write_text(
+            "\n".join(line if i != 2 else "\t".join(
+                [line.split("\t")[0], "nan"] + line.split("\t")[2:])
+                for i, line in enumerate((d / "spots.tsv").read_text()
+                                         .splitlines()))),
+    ], ids=["tokens-shape", "ragged-header-row", "missing-fields", "nan-x"])
+    def test_bad_dataset_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                        edit):
+        edit(dataset_dir)
+        assert_invalid_input(capsys, ["partition", "--dataset", str(dataset_dir),
+                                      "--out", str(tmp_path / "p.tsv")])
 
     def test_render_pred_without_checkpoint_is_usage_error(self, dataset_dir,
                                                            tmp_path):

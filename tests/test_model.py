@@ -320,6 +320,14 @@ class TestCheckpoint:
         assert "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("field", [dict(dim=0), dict(heads=0), dict(stages=0, radii=()),
+                                   dict(blocks=0), dict(radii=(1, 0, 4)),
+                                   dict(window="square", square_sides=(2, 0, 8))])
+def test_config_rejects_zero_sizes(field):
+    with pytest.raises(InputError):
+        ModelConfig(in_dim=5, genes=3, **field)
+
+
 def test_vector_round_trip():
     params = init_params(TINY, 0)
     vec = params_to_vector(params)

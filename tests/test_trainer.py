@@ -55,14 +55,16 @@ class TestTrainLoop:
             np.testing.assert_array_equal(a.final_params[k], b.final_params[k])
 
     def test_toggle_off_equals_zero_weight(self):
+        # a zero weight switches the term off: it logs 0 and its head never moves
         ds = small_dataset(3)
-        base = dict(steps=6, lr=1e-2, seed=3, val_fraction=0.0)
-        toggled = train(ds, CFG, TrainConfig(use_tfa=False, **base))
-        zeroed = train(ds, CFG, TrainConfig(
-            weights=LossWeights(tfa=0.0), **base))
-        for k in toggled.final_params:
-            np.testing.assert_array_equal(toggled.final_params[k],
-                                          zeroed.final_params[k])
+        tcfg = TrainConfig(steps=6, lr=1e-2, seed=3, val_fraction=0.0,
+                           weights=LossWeights(tfa=0.0))
+        zeroed = train(ds, CFG, tcfg)
+        assert all(line.split("\t")[3] == "0.0" for line in zeroed.log_lines[1:])
+        init = init_params(CFG, tcfg.seed)
+        for k in ("tfa.w", "tfa.b"):
+            np.testing.assert_array_equal(zeroed.final_params[k], init[k])
+        assert not np.array_equal(zeroed.final_params["gene.w"], init["gene.w"])
 
     def test_best_checkpoint_tracks_minimum_total(self):
         ds = small_dataset(4)

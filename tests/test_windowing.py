@@ -6,9 +6,9 @@ from hexwin.hexgeom import (SQRT3, LatticeScale, axial_to_cartesian,
                             cells_for_points, estimate_scale, hex_distance)
 from hexwin.windowing import (SlotSet, build_slot_set, center_basis,
                               check_partition, format_partition_records,
-                              generate_centers, neighbor_coverage_rate,
-                              partition, partition_square, shift_delta,
-                              shift_schedule, six_neighbor_pairs)
+                              neighbor_coverage_rate, partition,
+                              partition_square, shift_delta, shift_schedule,
+                              six_neighbor_pairs)
 
 UNIT = LatticeScale.from_spacing(1.0, (0.0, 0.0))
 
@@ -30,6 +30,35 @@ def lattice_points(radius, scale=UNIT, jitter=0.0, seed=0):
         pts = pts + np.random.default_rng(seed).normal(0, jitter * scale.d_med,
                                                        pts.shape)
     return pts
+
+
+def brute_force_centers(pts, scale, radius, shift):
+    """Every shifted center over an (alpha, beta) box around the bounding box,
+    plus each spot's nearest and second-nearest center index (ties: lower
+    index, i.e. lower (alpha, beta))."""
+    e1, e2 = center_basis(scale, radius)
+    delta = shift_delta(scale, radius, shift)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    corners = np.array([lo, [hi[0], lo[1]], [lo[0], hi[1]], hi])
+    ab = (corners - scale.anchor - delta) @ np.linalg.inv(np.stack([e1, e2], axis=1)).T
+    a_lo, b_lo = np.floor(ab.min(axis=0)).astype(int) - 2
+    a_hi, b_hi = np.ceil(ab.max(axis=0)).astype(int) + 2
+    ids = np.array([(a, b) for a in range(a_lo, a_hi + 1)
+                    for b in range(b_lo, b_hi + 1)])
+    centers = scale.anchor + ids[:, :1] * e1 + ids[:, 1:] * e2 + delta
+    d2 = ((pts[:, None] - centers[None]) ** 2).sum(-1)
+    first = np.argmin(d2, axis=1)
+    d2[np.arange(len(pts)), first] = np.inf
+    return centers, first, np.argmin(d2, axis=1)
+
+
+def same_grouping(win_a, win_b):
+    groups_a, groups_b = {}, {}
+    for i in range(len(win_a)):
+        groups_a.setdefault(int(win_a[i]), set()).add(i)
+        groups_b.setdefault(int(win_b[i]), set()).add(i)
+    return (set(map(frozenset, groups_a.values()))
+            == set(map(frozenset, groups_b.values())))
 
 
 class TestSlotSet:
@@ -65,37 +94,55 @@ class TestSlotSet:
 class TestCenters:
     def test_origin_center_exists_for_anchor_spot(self):
         pts = np.array([[0.0, 0.0]])
-        centers = generate_centers(UNIT, 2, 0, (pts.min(0), pts.max(0)))
-        assert np.any(np.all(np.abs(centers - UNIT.anchor) < 1e-12, axis=1))
+        part = partition(pts, cells_for_points(pts, UNIT), UNIT, 2, 0)
+        np.testing.assert_array_equal(part.centers, [UNIT.anchor])
 
     def test_shift_translates_centers(self):
-        bounds = (np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
-        base = generate_centers(UNIT, 2, 0, bounds)
-        shifted = generate_centers(UNIT, 2, 1, bounds)
-        delta = shift_delta(UNIT, 2, 1)
-        base_set = {tuple(np.round(c, 9)) for c in base}
-        # every shifted center is a base center plus e1/2 (candidate grids can
-        # differ at the margin, so compare on the intersection)
-        moved = {tuple(np.round(c - delta, 9)) for c in shifted}
-        assert len(moved & base_set) > 0.8 * min(len(moved), len(base_set))
+        pts = lattice_points(6)
+        cells = cells_for_points(pts, UNIT)
+        e1, e2 = center_basis(UNIT, 2)
+        to_ab = np.linalg.inv(np.stack([e1, e2], axis=1))
+        for shift in (0, 1, 2):
+            centers = partition(pts, cells, UNIT, 2, shift).centers
+            ab = (centers - UNIT.anchor - shift_delta(UNIT, 2, shift)) @ to_ab.T
+            np.testing.assert_allclose(ab, np.round(ab), atol=1e-9)
 
     def test_every_spot_near_a_center(self):
         pts = lattice_points(8)
-        centers = generate_centers(UNIT, 2, 0, (pts.min(0), pts.max(0)))
-        ccells = cells_for_points(centers, UNIT)
         cells = cells_for_points(pts, UNIT)
-        d2 = ((pts[:, None] - centers[None]) ** 2).sum(-1)
-        nearest = np.argmin(d2, axis=1)
-        dist = hex_distance(cells, ccells[nearest])
-        assert dist.max() <= 2
-
-    def test_degenerate_bounds_rejected(self):
-        with pytest.raises(InputError):
-            generate_centers(UNIT, 2, 0, (np.array([1.0, 1.0]), np.array([0.0, 0.0])))
+        part = partition(pts, cells, UNIT, 2, 0)
+        assert hex_distance(cells, part.center_cells[part.window_of_spot]).max() <= 2
 
     def test_radius_zero_rejected(self):
+        pts = lattice_points(2)
         with pytest.raises(InputError):
-            generate_centers(UNIT, 0, 0, (np.zeros(2), np.ones(2)))
+            partition(pts, cells_for_points(pts, UNIT), UNIT, 0, 0)
+
+    @pytest.mark.parametrize("builder", [partition, partition_square])
+    def test_non_finite_coordinates_rejected(self, builder):
+        pts = lattice_points(2)
+        cells = cells_for_points(pts, UNIT)
+        pts[3, 1] = np.nan
+        with pytest.raises(InputError):
+            builder(pts, cells, UNIT, 1, 0)
+
+    @pytest.mark.parametrize("variant", ["exact", "jittered", "moved"])
+    def test_matches_brute_force_enumeration(self, variant):
+        scale = UNIT
+        pts = lattice_points(7, jitter=0.1 if variant == "jittered" else 0.0, seed=3)
+        if variant == "moved":
+            pts = 37.5 * pts + np.array([-812.25, 90.125])
+            scale = estimate_scale(pts, 6)
+        cells = cells_for_points(pts, scale)
+        for k in (1, 2, 3, 4):
+            for shift in (0, 1, 2):
+                part = partition(pts, cells, scale, k, shift)
+                centers, first, _ = brute_force_centers(pts, scale, k, shift)
+                assert same_grouping(part.window_of_spot, first)
+                np.testing.assert_array_equal(part.centers[part.window_of_spot],
+                                              centers[first])
+                np.testing.assert_array_equal(
+                    part.cell_offsets, cells - cells_for_points(centers[first], scale))
 
 
 class TestPartition:
@@ -111,19 +158,11 @@ class TestPartition:
         pts = lattice_points(4)
         cells = cells_for_points(pts, UNIT)
         part = partition(pts, cells, UNIT, 1, 0)
-        centers = generate_centers(UNIT, 1, 0, (pts.min(0), pts.max(0)))
-        d2 = ((pts[:, None] - centers[None]) ** 2).sum(-1)
-        oracle = np.argmin(d2, axis=1)
+        _, oracle, _ = brute_force_centers(pts, UNIT, 1, 0)
         # window indices are renumbered after dropping empties; compare by
         # grouping structure
-        groups_a = {}
-        groups_b = {}
-        for i in range(len(pts)):
-            groups_a.setdefault(int(part.window_of_spot[i]), set()).add(i)
-            groups_b.setdefault(int(oracle[i]), set()).add(i)
-        assert set(map(frozenset, groups_a.values())) == \
-            set(map(frozenset, groups_b.values()))
-        assert max(len(g) for g in groups_a.values()) <= 7
+        assert same_grouping(part.window_of_spot, oracle)
+        assert np.bincount(part.window_of_spot).max() <= 7
         check_partition(part, cells)
 
     def test_three_shifts_differ(self):
@@ -175,6 +214,12 @@ class TestPartition:
         assert placed + len(part.dropped) == len(pts)
         assert placed >= len(pts) - 1
         check_partition(part, cells)
+        # spot 0 sits on its cell center and keeps the slot; spot 1 moves to
+        # its second-nearest window, where its cell is still within radius
+        centers, first, second = brute_force_centers(pts, scale, 1, 0)
+        assert len(part.dropped) == 0
+        np.testing.assert_array_equal(part.centers[part.window_of_spot[:2]],
+                                      [centers[first[0]], centers[second[1]]])
 
     def test_determinism(self):
         pts = lattice_points(6, jitter=0.05, seed=9)
@@ -213,6 +258,19 @@ class TestSquarePartition:
         together_hex = wh[pairs[:, 0]] == wh[pairs[:, 1]]
         split_square = ws[pairs[:, 0]] != ws[pairs[:, 1]]
         assert np.any(together_hex & split_square)
+
+    def test_lenient_collision_drops_loser(self):
+        # spots 0 and 1 share a subcell; tiles do not overlap, so the one
+        # farther from the subcell center has nowhere else to go
+        pts = np.array([[0.1, 0.1], [0.15, 0.1], [1.2, 0.3], [0.3, 1.4]])
+        cells = cells_for_points(pts, UNIT)
+        with pytest.raises(SlotCollisionError):
+            partition_square(pts, cells, UNIT, 2, 0)
+        part = partition_square(pts, cells, UNIT, 2, 0, strict=False)
+        np.testing.assert_array_equal(part.dropped, [0])
+        assert part.window_of_spot[0] == -1 and part.slot_of_spot[0] == -1
+        np.testing.assert_array_equal(part.window_of_spot[1:], [0, 0, 0])
+        check_partition(part, cells)
 
     def test_jittered_lattice_is_collision_free(self):
         for seed in range(5):
