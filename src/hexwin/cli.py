@@ -139,12 +139,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _predict(ds, checkpoint: str) -> np.ndarray:
+    """Gene predictions of a checkpoint on a dataset with matching widths."""
+    params, mcfg = load_checkpoint(checkpoint)
+    if (mcfg.in_dim, mcfg.genes) != (ds.tokens.shape[1], ds.n_genes):
+        raise InputError(f"{checkpoint} takes {mcfg.in_dim} token features and "
+                         f"predicts {mcfg.genes} genes; the dataset has "
+                         f"{ds.tokens.shape[1]} and {ds.n_genes}")
+    geometry = build_geometry(ds.coords, mcfg)
+    return forward(ds.tokens, geometry, params, mcfg, train=False).y_hat
+
+
 def cmd_eval(args) -> int:
     ds = load_dataset(args.dataset)
-    params, mcfg = load_checkpoint(args.checkpoint)
-    geometry = build_geometry(ds.coords, mcfg)
-    out = forward(ds.tokens, geometry, params, mcfg, train=False)
-    report = evaluate(out.y_hat, ds.expression, ds.gene_names)
+    report = evaluate(_predict(ds, args.checkpoint), ds.expression, ds.gene_names)
     text = format_eval_report(report)
     if args.out:
         with open(args.out, "w") as fh:
@@ -172,9 +180,7 @@ def cmd_render(args) -> int:
     if args.source == "truth":
         values = ds.expression
     else:
-        params, mcfg = load_checkpoint(args.checkpoint)
-        geometry = build_geometry(ds.coords, mcfg)
-        values = forward(ds.tokens, geometry, params, mcfg, train=False).y_hat
+        values = _predict(ds, args.checkpoint)
     wanted = args.genes.split(",") if args.genes else ds.gene_names
     os.makedirs(args.out, exist_ok=True)
     for name in wanted:
@@ -188,6 +194,16 @@ def cmd_render(args) -> int:
             fh.write(note + "\n")
         print(note)
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> _Parser:
@@ -236,7 +252,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient certification")
-    p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--seeds", type=_positive_int, default=1)
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(fn=cmd_gradcheck)
@@ -246,7 +262,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint")
     p.add_argument("--genes", help="comma list; default every gene")
     p.add_argument("--source", choices=("pred", "truth"), default="pred")
-    p.add_argument("--width", type=int, default=400)
+    p.add_argument("--width", type=_positive_int, default=400)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_render)
     return parser

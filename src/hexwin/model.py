@@ -291,43 +291,95 @@ def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
     return out
 
 
+# Score cells (windows x heads x query rows x keys) in one attention tile,
+# 512 KiB of float64. glibc hands freed buffers of 1 MiB and more back to the
+# OS, so larger tiles fault in again on every call: at 2^17 cells training on
+# the ~300-spot acceptance slide took ~5x the minor page faults of 2^16 and
+# ran ~5% slower on a 2-core host; 2^15 made 2.3k-spot training ~25% slower.
+TILE_CELLS = 1 << 16
+
+
+def _tiles(m: int, s: int, heads: int):
+    """Cells of the largest tile, and the (window, query-row) slices of every tile.
+
+    Whole windows are grouped while they fit in TILE_CELLS; a window too
+    large for one tile, such as the global one, is cut into blocks of query
+    rows (at least one row each). A softmax row needs only its own keys, so
+    every tile is exact on its own.
+    """
+    n_win = min(m, max(1, TILE_CELLS // (heads * s * s)))
+    rows = min(s, max(1, TILE_CELLS // (n_win * heads * s)))
+    return n_win * heads * rows * s, [(slice(w0, w0 + n_win), slice(r0, r0 + rows))
+                                      for w0 in range(0, m, n_win)
+                                      for r0 in range(0, s, rows)]
+
+
+def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The leading cells of a flat buffer as a C-contiguous array of `shape`."""
+    return buf[:int(np.prod(shape))].reshape(shape)
+
+
+def _tile_weights(qw, kw, occ, ws: slice, rs: slice, buf: np.ndarray) -> np.ndarray:
+    """Attention weights of query rows rs in windows ws, computed in buf."""
+    q = qw[ws, :, rs]
+    p = _view(buf, q.shape[:3] + kw.shape[2:3])
+    np.matmul(q, kw[ws].transpose(0, 1, 3, 2), out=p)
+    return masked_softmax(p, occ[ws, None, None, :], axis=-1, out=p)
+
+
 def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
                        prefix: str, cfg: ModelConfig):
     """Multi-head attention within each packed window; returns (out, cache).
 
     q/k/v are projected and rotated on the (N, dim) token rows and only then
-    gathered into windows.
+    gathered into windows; queries carry the 1/sqrt(head_dim) score scale.
+    Scores exist one tile at a time and are not kept: backward recomputes
+    them from the cached q/k/v.
     """
     n = len(a)
     q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
                .reshape(n, cfg.heads, cfg.head_dim) for name in ("q", "k", "v"))
-    qw = _to_windows(_rope_apply(q, pack, cfg), pack)
+    qw = _to_windows(_rope_apply(q, pack, cfg) * (1.0 / np.sqrt(cfg.head_dim)), pack)
     kw = _to_windows(_rope_apply(k, pack, cfg), pack)
     vw = _to_windows(v, pack)
-    inv = 1.0 / np.sqrt(cfg.head_dim)
-    scores = (qw @ kw.transpose(0, 1, 3, 2)) * inv
-    attn = masked_softmax(scores, pack.occ[:, None, None, :], axis=-1)
-    ctx_tok = (attn @ vw)[pack.win, :, pack.slot].reshape(n, cfg.dim)
+    ctx = np.empty_like(vw)
+    cells, tiles = _tiles(*pack.occ.shape, cfg.heads)
+    buf = np.empty(cells)
+    for ws, rs in tiles:
+        np.matmul(_tile_weights(qw, kw, pack.occ, ws, rs, buf), vw[ws], out=ctx[ws, :, rs])
+    ctx_tok = ctx[pack.win, :, pack.slot].reshape(n, cfg.dim)
     out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    cache = (a, qw, kw, vw, attn, ctx_tok)
+    cache = (a, qw, kw, vw, ctx_tok)
     return out, cache
 
 
 def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params,
                         prefix: str, cfg: ModelConfig, grads: Params) -> np.ndarray:
-    a, qw, kw, vw, attn, ctx_tok = cache
+    a, qw, kw, vw, ctx_tok = cache
     n = len(a)
     grads[f"{prefix}.attn.o.w"] += ctx_tok.T @ d_out
     grads[f"{prefix}.attn.o.b"] += d_out.sum(axis=0)
     d_ctx_tok = d_out @ params[f"{prefix}.attn.o.w"].T
     d_ctx = _to_windows(d_ctx_tok.reshape(n, cfg.heads, cfg.head_dim), pack)
-    d_attn = d_ctx @ vw.transpose(0, 1, 3, 2)
-    d_v = (attn.transpose(0, 1, 3, 2) @ d_ctx)[pack.win, :, pack.slot]
+    d_qw = np.empty_like(qw)
+    d_kw = np.zeros_like(kw)
+    d_vw = np.zeros_like(vw)
+    # one tile's scores, their gradient and one window group's key-row update
+    cells, tiles = _tiles(*pack.occ.shape, cfg.heads)
+    buf, d_buf, kv_buf = np.empty(cells), np.empty(cells), np.empty(kw.size)
+    for ws, rs in tiles:
+        attn = _tile_weights(qw, kw, pack.occ, ws, rs, buf)
+        d_c = d_ctx[ws, :, rs]
+        kv = _view(kv_buf, kw[ws].shape)
+        d_vw[ws] += np.matmul(attn.transpose(0, 1, 3, 2), d_c, out=kv)
+        d_scores = np.matmul(d_c, vw[ws].transpose(0, 1, 3, 2), out=_view(d_buf, attn.shape))
+        masked_softmax_vjp(d_scores, attn, axis=-1, out=d_scores)
+        np.matmul(d_scores, kw[ws], out=d_qw[ws, :, rs])
+        d_kw[ws] += np.matmul(d_scores.transpose(0, 1, 3, 2), qw[ws, :, rs], out=kv)
     inv = 1.0 / np.sqrt(cfg.head_dim)
-    d_scores = masked_softmax_vjp(d_attn, attn, axis=-1) * inv
-    d_q = _rope_apply((d_scores @ kw)[pack.win, :, pack.slot], pack, cfg, inverse=True)
-    d_k = _rope_apply((d_scores.transpose(0, 1, 3, 2) @ qw)[pack.win, :, pack.slot],
-                      pack, cfg, inverse=True)
+    d_q = _rope_apply(d_qw[pack.win, :, pack.slot] * inv, pack, cfg, inverse=True)
+    d_k = _rope_apply(d_kw[pack.win, :, pack.slot], pack, cfg, inverse=True)
+    d_v = d_vw[pack.win, :, pack.slot]
     d_a = np.zeros_like(a)
     for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)):
         flat = d_h.reshape(n, cfg.dim)
@@ -471,9 +523,11 @@ def window_attention(h_window: np.ndarray, occupancy: np.ndarray,
     """
     s = len(h_window)
     rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
-    _, (_, _, _, _, attn, ctx_tok) = _attention_forward(tokens, pack, params, prefix, cfg)
+    _, (_, qw, kw, _, ctx_tok) = _attention_forward(tokens, pack, params, prefix, cfg)
     ctx = np.zeros((s, cfg.dim))
     ctx[rows] = ctx_tok
+    attn = _tile_weights(qw, kw, pack.occ, slice(None), slice(None),
+                         np.empty(cfg.heads * kw.shape[2] ** 2))
     weights = np.zeros((cfg.heads, s, s))
     weights[:, rows[:, None], rows] = attn[0, :, :len(rows), :len(rows)]
     return ctx, weights

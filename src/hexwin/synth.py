@@ -231,6 +231,11 @@ def load_dataset(indir: str) -> SpotDataset:
                              f"the header has {len(header)}")
     gene_names = header[3:]
     spot_ids = [r[0] for r in rows[1:]]
+    seen: set[str] = set()
+    for sid in spot_ids:
+        if sid in seen:
+            raise InputError(f"{path}: duplicate spot id {sid!r}")
+        seen.add(sid)
     try:
         coords = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
         expression = np.array([[float(v) for v in r[3:]] for r in rows[1:]])

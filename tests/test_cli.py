@@ -34,6 +34,7 @@ def assert_invalid_input(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("invalid input: "), err
+    return err[0]
 
 
 @pytest.fixture()
@@ -264,6 +265,45 @@ class TestExitCodes:
                                                            tmp_path):
         assert main(["render", "--dataset", str(dataset_dir), "--out",
                      str(tmp_path / "imgs")]) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "render"])
+    @pytest.mark.parametrize("widths", [dict(in_dim=4, genes=3), dict(in_dim=5, genes=2)],
+                             ids=["tokens", "genes"])
+    def test_checkpoint_width_mismatch_is_usage_error(self, dataset_dir, tmp_path,
+                                                      capsys, command, widths):
+        cfg = ModelConfig(**widths, **{k: tuple(v) if k == "radii" else v
+                                       for k, v in SMALL_MODEL.items()})
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(str(ckpt), init_params(cfg, 0), cfg)
+        out = tmp_path / "out"
+        assert_invalid_input(capsys, [command, "--dataset", str(dataset_dir),
+                                      "--checkpoint", str(ckpt), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--seeds", "0"],
+        ["render", "--source", "truth", "--width", "0"],
+        ["render", "--source", "truth", "--width", "-3"],
+    ], ids=["gradcheck-seeds", "render-width", "render-negative-width"])
+    def test_non_positive_count_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                               argv):
+        if argv[0] == "render":
+            argv = argv + ["--dataset", str(dataset_dir), "--out", str(tmp_path / "imgs")]
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and ">= 1" in err[0]
+        assert not (tmp_path / "imgs").exists()
+
+    def test_duplicate_spot_id_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        path = dataset_dir / "spots.tsv"
+        lines = path.read_text().splitlines()
+        first, fifth = lines[1].split("\t")[0], lines[5].split("\t", 1)
+        lines[5] = "\t".join([first, fifth[1]])
+        path.write_text("\n".join(lines) + "\n")
+        err = assert_invalid_input(capsys, ["partition", "--dataset", str(dataset_dir),
+                                            "--out", str(tmp_path / "p.tsv")])
+        assert f"duplicate spot id {first!r}" in err
 
 
 def test_idempotent_partition_outputs(dataset_dir, tmp_path):

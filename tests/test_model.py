@@ -3,12 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hexwin import model
 from hexwin.errors import InputError
 from hexwin.model import (ModelConfig, _Packing, backward, build_geometry,
                           forward, hexmsa_block, init_params, load_checkpoint,
                           params_to_vector, save_checkpoint, vector_to_params,
                           window_attention, zeros_like_params)
-from hexwin.numerics import finite_diff_grad, relative_error
+from hexwin.numerics import finite_diff_grad, masked_softmax, relative_error
 from hexwin.rope import axial_to_cube
 from hexwin.synth import SynthConfig, generate
 
@@ -26,6 +27,27 @@ def generic_params(cfg, seed=0, scale=0.05):
     params = init_params(cfg, seed)
     rng = np.random.default_rng(seed + 1000)
     return {k: v + rng.normal(0, scale, v.shape) for k, v in params.items()}
+
+
+def worst_gradient_error(cfg, ds, params):
+    """Largest relative error of backward() against central differences."""
+    geo = build_geometry(ds.coords, cfg)
+    rng = np.random.default_rng(2)
+    d_y = rng.normal(0, 1, (ds.n_spots, cfg.genes))
+    d_dev = rng.normal(0, 1, (ds.n_spots, cfg.genes))
+    d_z = rng.normal(0, 1, (ds.n_spots, cfg.out_dim))
+    out = forward(ds.tokens, geo, params, cfg, train=True)
+    grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
+                     d_z_extra=d_z)
+
+    def scalar(vec):
+        p = vector_to_params(vec, params)
+        o = forward(ds.tokens, geo, p, cfg, train=True)
+        return float(np.sum(o.y_hat * d_y) + np.sum(o.y_dev_hat * d_dev)
+                     + np.sum(o.z * d_z))
+
+    fd = vector_to_params(finite_diff_grad(scalar, params_to_vector(params)), params)
+    return max(relative_error(grads[k], fd[k]) for k in params)
 
 
 class TestWindowAttention:
@@ -197,26 +219,7 @@ class TestBackward:
                           radii=(1,), out_dim=4, t_dim=3, window=window, pe=pe)
         ds = tiny_dataset(seed=9, n=12)
         params = generic_params(cfg, seed=9)
-        geo = build_geometry(ds.coords, cfg)
-        rng = np.random.default_rng(2)
-        d_y = rng.normal(0, 1, (ds.n_spots, 3))
-        d_dev = rng.normal(0, 1, (ds.n_spots, 3))
-        d_z = rng.normal(0, 1, (ds.n_spots, 4))
-
-        out = forward(ds.tokens, geo, params, cfg, train=True)
-        grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
-                         d_z_extra=d_z)
-
-        def scalar(vec):
-            p = vector_to_params(vec, params)
-            o = forward(ds.tokens, geo, p, cfg, train=True)
-            return float(np.sum(o.y_hat * d_y) + np.sum(o.y_dev_hat * d_dev)
-                         + np.sum(o.z * d_z))
-
-        fd = vector_to_params(finite_diff_grad(scalar, params_to_vector(params)),
-                              params)
-        worst = max(relative_error(grads[k], fd[k]) for k in params)
-        assert worst < 1e-4
+        assert worst_gradient_error(cfg, ds, params) < 1e-4
 
 
 class TestCompactPacking:
@@ -275,6 +278,68 @@ class TestCompactPacking:
         for k in params:
             np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
                                        atol=1e-12, err_msg=k)
+
+
+class TestQueryTiles:
+    TILE = 200      # score cells: every stage below splits into >= 3 tiles
+
+    @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
+                                           ("square", "rope2d"),
+                                           ("square", "hexrope")])
+    def test_tiled_matches_one_tile(self, window, pe, monkeypatch):
+        cfg = ModelConfig(in_dim=5, genes=3, dim=8, heads=2, stages=4, blocks=3,
+                          radii=(1, 2, 4), out_dim=4, t_dim=3, window=window, pe=pe)
+        ds = generate(SynthConfig(radius=5, jitter=0.05, dropout=0.05, seed=13,
+                                  token_dim=5, transcriptomic_dim=3,
+                                  patterns=("boundary", "gradient", "noise")))
+        params = generic_params(cfg, seed=13)
+        geo = build_geometry(ds.coords, cfg)
+        rng = np.random.default_rng(4)
+        d_y = rng.normal(0, 1, (ds.n_spots, 3))
+        d_dev = rng.normal(0, 1, (ds.n_spots, 3))
+        d_z = rng.normal(0, 1, (ds.n_spots, 4))
+        sizes = []
+
+        def spy(scores, valid, axis=-1, out=None):
+            sizes.append(scores.size)
+            return masked_softmax(scores, valid, axis=axis, out=out)
+
+        monkeypatch.setattr(model, "masked_softmax", spy)
+        results = []
+        for tile in (self.TILE, 1 << 40):
+            monkeypatch.setattr(model, "TILE_CELLS", tile)
+            for row in geo.packings:
+                for pack in row:
+                    n_tiles = len(model._tiles(*pack.occ.shape, cfg.heads)[1])
+                    assert n_tiles >= 3 if tile == self.TILE else n_tiles == 1
+            sizes.clear()
+            out = forward(ds.tokens, geo, params, cfg, train=True)
+            grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
+                             d_z_extra=d_z)
+            assert max(sizes) <= tile
+            packs = [pack for row in geo.packings for pack in row]
+            for block_cache, pack in zip(out.caches[-1], packs, strict=True):
+                # inputs, q/k/v windows and context: no score or weight tensor is kept
+                windows = pack.occ.shape[:1] + (cfg.heads, pack.occ.shape[1], cfg.head_dim)
+                assert [a.shape for a in block_cache[1]] == \
+                    [(ds.n_spots, cfg.dim)] + [windows] * 3 + [(ds.n_spots, cfg.dim)]
+            results.append((out, grads))
+        (out, grads), (ref, ref_grads) = results
+        for name in ("z", "y_hat", "y_dev_hat"):
+            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-12)
+        for k in params:
+            np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
+                                       atol=1e-12, err_msg=k)
+
+    def test_tiled_gradient_vs_finite_differences(self, monkeypatch):
+        ds = tiny_dataset(seed=9, n=12)
+        geo = build_geometry(ds.coords, TINY)
+        monkeypatch.setattr(model, "TILE_CELLS", 12)     # one global query row
+        for row in geo.packings:
+            for pack in row:
+                assert len(model._tiles(*pack.occ.shape, TINY.heads)[1]) >= 3
+        assert worst_gradient_error(TINY, ds, generic_params(TINY, seed=9)) < 1e-4
 
 
 class TestCheckpoint:
