@@ -65,17 +65,26 @@ def _lower_median(values: np.ndarray) -> float:
     return float(values[(len(values) - 1) // 2])
 
 
-def _knn_distances(points: np.ndarray, k: int, chunk: int = 2048) -> np.ndarray:
-    """(N, k) Euclidean distances from each point to its k nearest others."""
+def _knn_distances(points: np.ndarray, k: int, chunk: int = 256) -> np.ndarray:
+    """(N, k) Euclidean distances from each point to its k nearest others.
+
+    Squared distances are dx*dx + dy*dy, formed one chunk of rows at a time
+    in O(chunk * N) memory.
+    """
     n = len(points)
+    x, y = points[:, 0], points[:, 1]
     out = np.empty((n, k))
     for start in range(0, n, chunk):
-        block = points[start:start + chunk]
-        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
-        rows = np.arange(len(block))
+        stop = min(n, start + chunk)
+        d2 = x[start:stop, None] - x
+        d2 *= d2
+        dy = y[start:stop, None] - y
+        dy *= dy
+        d2 += dy
+        rows = np.arange(stop - start)
         d2[rows, start + rows] = np.inf
         part = np.partition(d2, k - 1, axis=1)[:, :k]
-        out[start:start + chunk] = np.sqrt(np.sort(part, axis=1))
+        out[start:stop] = np.sqrt(np.sort(part, axis=1))
     return out
 
 

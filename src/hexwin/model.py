@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import InputError, ShapeError
 from .hexgeom import LatticeScale, cells_for_points, estimate_scale
 from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp, \
-    masked_softmax, masked_softmax_vjp
+    masked_exp, masked_softmax, masked_softmax_vjp, softmax_from_lse
 from .rope import RopeConfig, apply_hex_rope, apply_hex_rope_vjp, \
     apply_rope_2d, apply_rope_2d_vjp, axial_to_cube
 from .windowing import WindowPartition, partition, partition_square, shift_schedule
@@ -64,6 +65,10 @@ class ModelConfig:
             raise InputError("pe must be 'hexrope' or 'rope2d'")
         if self.square_sides and len(self.square_sides) != self.stages - 1:
             raise InputError("need one square side per non-global stage")
+        rope = self.rope_config()
+        if rope.per_axis == 0:
+            raise InputError(f"head dim {self.head_dim} (dim / heads) leaves {self.pe} "
+                             f"no channel pair to rotate; need >= {2 * rope.n_axes}")
 
     @property
     def head_dim(self) -> int:
@@ -292,49 +297,67 @@ def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
 
 
 # Score cells (windows x heads x query rows x keys) in one attention tile,
-# 512 KiB of float64. glibc hands freed buffers of 1 MiB and more back to the
-# OS, so larger tiles fault in again on every call: at 2^17 cells training on
-# the ~300-spot acceptance slide took ~5x the minor page faults of 2^16 and
-# ran ~5% slower on a 2-core host; 2^15 made 2.3k-spot training ~25% slower.
+# 512 KiB of float64. Measured when every block took its own tile buffers:
+# glibc hands freed buffers of 1 MiB and more back to the OS, so larger tiles
+# faulted in again on every call: at 2^17 cells training on the ~300-spot
+# acceptance slide took ~5x the minor page faults of 2^16 and ran ~5% slower
+# on a 2-core host; 2^15 made 2.3k-spot training ~25% slower.
 TILE_CELLS = 1 << 16
 
 
-def _tiles(m: int, s: int, heads: int):
-    """Cells of the largest tile, and the (window, query-row) slices of every tile.
+def _tiles(m: int, s: int, heads: int, cols: int) -> list[tuple[slice, slice, slice]]:
+    """The (window, query-row, key) slices of every tile; the first is the largest.
 
-    Whole windows are grouped while they fit in TILE_CELLS; a window too
-    large for one tile, such as the global one, is cut into blocks of query
-    rows (at least one row each). A softmax row needs only its own keys, so
-    every tile is exact on its own.
+    Whole windows are grouped while they fit in TILE_CELLS. A window too
+    large for one tile, such as the global one, is cut into blocks of at
+    most `cols` keys and as many query rows as fit (at least one of each).
     """
     n_win = min(m, max(1, TILE_CELLS // (heads * s * s)))
-    rows = min(s, max(1, TILE_CELLS // (n_win * heads * s)))
-    return n_win * heads * rows * s, [(slice(w0, w0 + n_win), slice(r0, r0 + rows))
-                                      for w0 in range(0, m, n_win)
-                                      for r0 in range(0, s, rows)]
+    cols = min(s, cols)
+    rows = min(s, max(1, TILE_CELLS // (n_win * heads * cols)))
+    return [(slice(w0, w0 + n_win), slice(r0, r0 + rows), slice(k0, k0 + cols))
+            for w0 in range(0, m, n_win) for r0 in range(0, s, rows)
+            for k0 in range(0, s, cols)]
 
 
-def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The leading cells of a flat buffer as a C-contiguous array of `shape`."""
-    return buf[:int(np.prod(shape))].reshape(shape)
+def _key_block(heads: int) -> int:
+    """Keys per backward tile: square (query x key) blocks fill TILE_CELLS."""
+    return max(1, math.isqrt(TILE_CELLS // heads))
 
 
-def _tile_weights(qw, kw, occ, ws: slice, rs: slice, buf: np.ndarray) -> np.ndarray:
-    """Attention weights of query rows rs in windows ws, computed in buf."""
-    q = qw[ws, :, rs]
-    p = _view(buf, q.shape[:3] + kw.shape[2:3])
-    np.matmul(q, kw[ws].transpose(0, 1, 3, 2), out=p)
-    return masked_softmax(p, occ[ws, None, None, :], axis=-1, out=p)
+class _Workspace:
+    """Flat float64 buffers that every attention block of one pass reuses.
+
+    Tile buffers taken once per pass, not once per block, are not handed
+    back to the OS between blocks, so no block faults them in again.
+    """
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def view(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Buffer `name` as a C-contiguous array of `shape`, grown on demand."""
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            buf = self._bufs[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """(M, H, S', dh) windows as a contiguous (M, H, dh, S') array."""
+    return np.ascontiguousarray(x.transpose(0, 1, 3, 2))
 
 
 def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
-                       prefix: str, cfg: ModelConfig):
+                       prefix: str, cfg: ModelConfig, work: _Workspace):
     """Multi-head attention within each packed window; returns (out, cache).
 
     q/k/v are projected and rotated on the (N, dim) token rows and only then
     gathered into windows; queries carry the 1/sqrt(head_dim) score scale.
-    Scores exist one tile at a time and are not kept: backward recomputes
-    them from the cached q/k/v.
+    Scores exist one tile of whole query rows at a time and are not kept;
+    each query row's log-sum-exp is, so backward rebuilds any block of
+    weights in one pass (FlashAttention-2, Dao 2023).
     """
     n = len(a)
     q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
@@ -342,40 +365,60 @@ def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
     qw = _to_windows(_rope_apply(q, pack, cfg) * (1.0 / np.sqrt(cfg.head_dim)), pack)
     kw = _to_windows(_rope_apply(k, pack, cfg), pack)
     vw = _to_windows(v, pack)
+    kt = _transposed(kw)
     ctx = np.empty_like(vw)
-    cells, tiles = _tiles(*pack.occ.shape, cfg.heads)
-    buf = np.empty(cells)
-    for ws, rs in tiles:
-        np.matmul(_tile_weights(qw, kw, pack.occ, ws, rs, buf), vw[ws], out=ctx[ws, :, rs])
+    lse = np.empty(vw.shape[:3])
+    m, s = pack.occ.shape
+    for ws, rs, _ in _tiles(m, s, cfg.heads, s):
+        q_t = qw[ws, :, rs]
+        e = np.matmul(q_t, kt[ws], out=work.view("p", q_t.shape[:3] + (s,)))
+        e, total, lse_t = masked_exp(e, pack.occ[ws, None, None, :], axis=-1, out=e)
+        c = ctx[ws, :, rs]
+        np.matmul(e, vw[ws], out=c)
+        c /= total
+        lse[ws, :, rs] = lse_t[..., 0]
     ctx_tok = ctx[pack.win, :, pack.slot].reshape(n, cfg.dim)
     out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    cache = (a, qw, kw, vw, ctx_tok)
+    cache = (a, qw, kw, vw, ctx_tok, lse)
     return out, cache
 
 
 def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params,
-                        prefix: str, cfg: ModelConfig, grads: Params) -> np.ndarray:
-    a, qw, kw, vw, ctx_tok = cache
+                        prefix: str, cfg: ModelConfig, grads: Params,
+                        work: _Workspace) -> np.ndarray:
+    """FlashAttention-2 backward over (window group, query block, key block) tiles.
+
+    Each tile's weights are exp(S - LSE) from the cached log-sum-exp, and the
+    softmax vjp's row term is D = rowsum(dCtx * Ctx), taken once per block
+    on the token rows; every tile adds only into its own rows of dQ and its
+    own keys of dK and dV.
+    """
+    a, qw, kw, vw, ctx_tok, lse = cache
     n = len(a)
     grads[f"{prefix}.attn.o.w"] += ctx_tok.T @ d_out
     grads[f"{prefix}.attn.o.b"] += d_out.sum(axis=0)
-    d_ctx_tok = d_out @ params[f"{prefix}.attn.o.w"].T
-    d_ctx = _to_windows(d_ctx_tok.reshape(n, cfg.heads, cfg.head_dim), pack)
-    d_qw = np.empty_like(qw)
-    d_kw = np.zeros_like(kw)
-    d_vw = np.zeros_like(vw)
-    # one tile's scores, their gradient and one window group's key-row update
-    cells, tiles = _tiles(*pack.occ.shape, cfg.heads)
-    buf, d_buf, kv_buf = np.empty(cells), np.empty(cells), np.empty(kw.size)
-    for ws, rs in tiles:
-        attn = _tile_weights(qw, kw, pack.occ, ws, rs, buf)
-        d_c = d_ctx[ws, :, rs]
-        kv = _view(kv_buf, kw[ws].shape)
-        d_vw[ws] += np.matmul(attn.transpose(0, 1, 3, 2), d_c, out=kv)
-        d_scores = np.matmul(d_c, vw[ws].transpose(0, 1, 3, 2), out=_view(d_buf, attn.shape))
-        masked_softmax_vjp(d_scores, attn, axis=-1, out=d_scores)
-        np.matmul(d_scores, kw[ws], out=d_qw[ws, :, rs])
-        d_kw[ws] += np.matmul(d_scores.transpose(0, 1, 3, 2), qw[ws, :, rs], out=kv)
+    d_ctx_tok = (d_out @ params[f"{prefix}.attn.o.w"].T).reshape(n, cfg.heads, cfg.head_dim)
+    d_ctx = _to_windows(d_ctx_tok, pack)
+    row_term = np.zeros(lse.shape)
+    row_term[pack.win, :, pack.slot] = np.vecdot(
+        d_ctx_tok, ctx_tok.reshape(n, cfg.heads, cfg.head_dim))
+    kt, vt = _transposed(kw), _transposed(vw)
+    d_qw, d_kw, d_vw = np.zeros_like(qw), np.zeros_like(kw), np.zeros_like(vw)
+    m, s = pack.occ.shape
+    for ws, rs, ks in _tiles(m, s, cfg.heads, _key_block(cfg.heads)):
+        q_t, k_t, d_c = qw[ws, :, rs], kw[ws, :, ks], d_ctx[ws, :, rs]
+        shape = q_t.shape[:3] + k_t.shape[2:3]
+        p = np.matmul(q_t, kt[ws, :, :, ks], out=work.view("p", shape))
+        softmax_from_lse(p, pack.occ[ws, None, None, ks], lse[ws, :, rs, None], out=p)
+        d_p = np.matmul(d_c, vt[ws, :, :, ks], out=work.view("dp", shape))
+        d_s = masked_softmax_vjp(d_p, p, axis=-1, out=d_p,
+                                 inner=row_term[ws, :, rs, None])
+        # views of the gradients, so += adds in place with no write-back copy
+        d_q_t, d_k_t, d_v_t = d_qw[ws, :, rs], d_kw[ws, :, ks], d_vw[ws, :, ks]
+        d_kv = work.view("dh", k_t.shape)
+        d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv)
+        d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
+        d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
     inv = 1.0 / np.sqrt(cfg.head_dim)
     d_q = _rope_apply(d_qw[pack.win, :, pack.slot] * inv, pack, cfg, inverse=True)
     d_k = _rope_apply(d_kw[pack.win, :, pack.slot], pack, cfg, inverse=True)
@@ -390,9 +433,9 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
 
 
 def _block_forward(h: np.ndarray, pack: _Packing, params: Params,
-                   prefix: str, cfg: ModelConfig):
+                   prefix: str, cfg: ModelConfig, work: _Workspace):
     a, ln1c = layer_norm_fwd(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    attn_out, attn_cache = _attention_forward(a, pack, params, prefix, cfg)
+    attn_out, attn_cache = _attention_forward(a, pack, params, prefix, cfg, work)
     h1 = h + attn_out
     f, ln2c = layer_norm_fwd(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
@@ -402,7 +445,8 @@ def _block_forward(h: np.ndarray, pack: _Packing, params: Params,
 
 
 def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, params: Params,
-                    prefix: str, cfg: ModelConfig, grads: Params) -> np.ndarray:
+                    prefix: str, cfg: ModelConfig, grads: Params,
+                    work: _Workspace) -> np.ndarray:
     ln1c, attn_cache, ln2c, f, u, g = cache
     grads[f"{prefix}.ffn.2.w"] += g.reshape(-1, g.shape[-1]).T @ d_h2.reshape(-1, d_h2.shape[-1])
     grads[f"{prefix}.ffn.2.b"] += d_h2.sum(axis=0)
@@ -415,7 +459,7 @@ def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, params: Params,
     grads[f"{prefix}.ln2.g"] += d_g2
     grads[f"{prefix}.ln2.b"] += d_b2
     d_h1 = d_h1 + d_h2
-    d_a = _attention_backward(d_h1, attn_cache, pack, params, prefix, cfg, grads)
+    d_a = _attention_backward(d_h1, attn_cache, pack, params, prefix, cfg, grads, work)
     d_h, d_g1, d_b1 = layer_norm_vjp(d_a, ln1c)
     grads[f"{prefix}.ln1.g"] += d_g1
     grads[f"{prefix}.ln1.b"] += d_b1
@@ -438,10 +482,11 @@ def forward(tokens: np.ndarray, geometry: Geometry, params: Params,
         raise ShapeError(f"tokens must be (N, {cfg.in_dim}), got {tokens.shape}")
     h = tokens @ params["embed.w"] + params["embed.b"]
     block_caches = []
+    work = _Workspace()
     for stage in range(cfg.stages):
         for block in range(cfg.blocks):
             pack = geometry.packings[stage][block]
-            h, cache = _block_forward(h, pack, params, f"s{stage}b{block}", cfg)
+            h, cache = _block_forward(h, pack, params, f"s{stage}b{block}", cfg, work)
             block_caches.append(cache)
     m1 = h @ params["proj.1.w"] + params["proj.1.b"]
     mg = gelu(m1)
@@ -488,11 +533,12 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     grads["proj.1.b"] += d_m1.sum(axis=0)
     d_h = d_m1 @ params["proj.1.w"].T
     idx = len(block_caches) - 1
+    work = _Workspace()
     for stage in range(cfg.stages - 1, -1, -1):
         for block in range(cfg.blocks - 1, -1, -1):
             pack = geometry.packings[stage][block]
             d_h = _block_backward(d_h, block_caches[idx], pack, params,
-                                  f"s{stage}b{block}", cfg, grads)
+                                  f"s{stage}b{block}", cfg, grads, work)
             idx -= 1
     grads["embed.w"] += tokens.T @ d_h
     grads["embed.b"] += d_h.sum(axis=0)
@@ -523,11 +569,11 @@ def window_attention(h_window: np.ndarray, occupancy: np.ndarray,
     """
     s = len(h_window)
     rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
-    _, (_, qw, kw, _, ctx_tok) = _attention_forward(tokens, pack, params, prefix, cfg)
+    _, (_, qw, kw, _, ctx_tok, _) = _attention_forward(tokens, pack, params, prefix, cfg,
+                                                       _Workspace())
     ctx = np.zeros((s, cfg.dim))
     ctx[rows] = ctx_tok
-    attn = _tile_weights(qw, kw, pack.occ, slice(None), slice(None),
-                         np.empty(cfg.heads * kw.shape[2] ** 2))
+    attn = masked_softmax(qw @ _transposed(kw), pack.occ[:, None, None, :], axis=-1)
     weights = np.zeros((cfg.heads, s, s))
     weights[:, rows[:, None], rows] = attn[0, :, :len(rows), :len(rows)]
     return ctx, weights
@@ -539,7 +585,7 @@ def hexmsa_block(h_window: np.ndarray, occupancy: np.ndarray,
     """Full pre-norm block on one packed window; unoccupied slots emit zeros."""
     rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
     out = np.zeros((len(h_window), cfg.dim))
-    out[rows] = _block_forward(tokens, pack, params, prefix, cfg)[0]
+    out[rows] = _block_forward(tokens, pack, params, prefix, cfg, _Workspace())[0]
     return out
 
 

@@ -132,7 +132,9 @@ def _loss_and_grads(tokens, ds, rows, geometry, params, cfg, tcfg):
                      d_y_dev_hat=d_y_dev, d_z_extra=d_z)
     for k, v in head_grads.items():
         grads[k] += v
-    return report, grads, out
+    # only the predictions outlive the step: the block caches are freed here,
+    # before the next step's forward builds its own
+    return report, grads, out.y_hat
 
 
 def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
@@ -155,8 +157,8 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
     steps_run = 0
 
     for step in range(1, tcfg.steps + 1):
-        report, grads, out = _loss_and_grads(ds.tokens, ds, train_idx, geometry,
-                                             params, cfg, tcfg)
+        report, grads, y_hat = _loss_and_grads(ds.tokens, ds, train_idx, geometry,
+                                               params, cfg, tcfg)
         if not np.isfinite(report.total):
             worst = max(params, key=lambda k: float(np.max(np.abs(params[k]))))
             raise NumericError(
@@ -183,7 +185,7 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
         steps_run = step
 
         if len(val_idx) and step % tcfg.eval_every == 0:
-            rep = evaluate(out.y_hat[val_idx], ds.expression[val_idx],
+            rep = evaluate(y_hat[val_idx], ds.expression[val_idx],
                            ds.gene_names, bins=min(16, max(2, len(val_idx))))
             eval_log.append((step, rep))
             if rep.pcc_f > best_val:

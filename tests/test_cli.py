@@ -209,9 +209,12 @@ class TestExitCodes:
         lambda cfg: json.dumps({**cfg, "train": {"steps": 1,
                                                  "weights": {"gamma": 1.0}}}),
         lambda cfg: json.dumps({**cfg, "modle": SMALL_MODEL}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "dim": 8, "heads": 2}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "dim": 6, "heads": 2,
+                                                 "pe": "rope2d"}}),
     ], ids=["malformed-json", "zero-heads", "scalar-radii", "float-blocks",
             "unknown-model-key", "unknown-train-key", "unknown-weight-key",
-            "unknown-section"])
+            "unknown-section", "hexrope-head-dim-4", "rope2d-head-dim-3"])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        edit):
         path = tmp_path / "cfg.json"
@@ -228,17 +231,31 @@ class TestExitCodes:
         assert_invalid_input(capsys, ["generate", "--config", cfg,
                                       "--out", str(tmp_path / "d")])
 
-    def test_zero_heads_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
-                                                  capsys):
+    @staticmethod
+    def edited_checkpoint(tmp_path, old, new):
+        """A valid SMALL_MODEL checkpoint with one header field rewritten."""
         cfg = ModelConfig(in_dim=5, genes=3, **{k: tuple(v) if k == "radii" else v
                                                 for k, v in SMALL_MODEL.items()})
         ckpt = tmp_path / "ckpt.bin"
         save_checkpoint(str(ckpt), init_params(cfg, 0), cfg)
         blob = ckpt.read_bytes()
-        assert blob.count(b'"heads":1,') == 1
-        ckpt.write_bytes(blob.replace(b'"heads":1,', b'"heads":0,'))
+        assert blob.count(old) == 1
+        ckpt.write_bytes(blob.replace(old, new))
+        return str(ckpt)
+
+    def test_zero_heads_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
+                                                  capsys):
+        ckpt = self.edited_checkpoint(tmp_path, b'"heads":1,', b'"heads":0,')
         assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
-                                      "--checkpoint", str(ckpt)])
+                                      "--checkpoint", ckpt])
+
+    def test_unrotatable_head_dim_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
+                                                            capsys):
+        # dim 6 over 2 heads: head dim 3 holds no hexrope channel pair
+        ckpt = self.edited_checkpoint(tmp_path, b'"heads":1,', b'"heads":2,')
+        line = assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
+                                             "--checkpoint", ckpt])
+        assert "head dim 3" in line
 
     @pytest.mark.parametrize("edit", [
         lambda d: (d / "tokens.json").write_text(

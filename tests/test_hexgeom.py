@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hexwin.errors import DegenerateInputError, InputError
-from hexwin.hexgeom import (SQRT3, HexCoord, LatticeScale, axial_to_cartesian,
-                            cartesian_to_axial_frac, cells_for_points,
-                            cube_round, estimate_scale, hex_distance)
+from hexwin.hexgeom import (SQRT3, HexCoord, LatticeScale, _knn_distances,
+                            axial_to_cartesian, cartesian_to_axial_frac,
+                            cells_for_points, cube_round, estimate_scale,
+                            hex_distance)
 
 NEIGHBOR_DIRS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
 
@@ -50,6 +51,21 @@ class TestEstimateScale:
         assert scale.d_med == pytest.approx(1.0, abs=1e-12)
         assert scale.s_spot == pytest.approx(1.0 / SQRT3, abs=1e-12)
         np.testing.assert_allclose(scale.anchor, [0.0, 0.0])
+
+    @pytest.mark.parametrize("radius,jitter,chunk", [(10, 0.0, 256), (11, 0.25, 256),
+                                                     (6, 0.1, 7), (3, 0.05, 5)])
+    def test_knn_equals_broadcast_formula(self, radius, jitter, chunk):
+        # (N, N, 2) broadcast reference; the chunked per-axis form does the
+        # same arithmetic, so the distances must be bitwise equal
+        rng = np.random.default_rng(radius)
+        pts = axial_to_cartesian(hex_disk(radius), LatticeScale.from_spacing(2.5, [3.0, -1.0]))
+        pts = pts + rng.normal(0.0, jitter * 2.5, pts.shape)
+        pts = pts[rng.permutation(len(pts))]
+        assert len(pts) > chunk           # at least one chunk boundary
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        expect = np.sqrt(np.sort(np.partition(d2, 5, axis=1)[:, :6], axis=1))
+        np.testing.assert_array_equal(_knn_distances(pts, 6, chunk=chunk), expect)
 
     def test_coincident_points_degenerate(self):
         pts = np.zeros((4, 2))

@@ -9,7 +9,7 @@ from hexwin.model import (ModelConfig, _Packing, backward, build_geometry,
                           forward, hexmsa_block, init_params, load_checkpoint,
                           params_to_vector, save_checkpoint, vector_to_params,
                           window_attention, zeros_like_params)
-from hexwin.numerics import finite_diff_grad, masked_softmax, relative_error
+from hexwin.numerics import finite_diff_grad, relative_error
 from hexwin.rope import axial_to_cube
 from hexwin.synth import SynthConfig, generate
 
@@ -241,7 +241,7 @@ class TestCompactPacking:
                                            ("square", "rope2d"),
                                            ("square", "hexrope")])
     def test_matches_padded_layout(self, window, pe):
-        cfg = ModelConfig(in_dim=5, genes=3, dim=8, heads=2, stages=4, blocks=3,
+        cfg = ModelConfig(in_dim=5, genes=3, dim=12, heads=2, stages=4, blocks=3,
                           radii=(1, 2, 4), out_dim=4, t_dim=3, window=window, pe=pe)
         ds = generate(SynthConfig(radius=5, jitter=0.05, dropout=0.05, seed=12,
                                   token_dim=5, transcriptomic_dim=3,
@@ -281,13 +281,20 @@ class TestCompactPacking:
 
 
 class TestQueryTiles:
-    TILE = 200      # score cells: every stage below splits into >= 3 tiles
+    TILE = 200      # score cells: every stage below splits into >= 3 tiles per pass
+
+    @staticmethod
+    def tile_counts(pack, heads):
+        """(forward tiles, backward tiles) of one packing at the current budget."""
+        m, s = pack.occ.shape
+        return (len(model._tiles(m, s, heads, s)),
+                len(model._tiles(m, s, heads, model._key_block(heads))))
 
     @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
                                            ("square", "rope2d"),
                                            ("square", "hexrope")])
     def test_tiled_matches_one_tile(self, window, pe, monkeypatch):
-        cfg = ModelConfig(in_dim=5, genes=3, dim=8, heads=2, stages=4, blocks=3,
+        cfg = ModelConfig(in_dim=5, genes=3, dim=12, heads=2, stages=4, blocks=3,
                           radii=(1, 2, 4), out_dim=4, t_dim=3, window=window, pe=pe)
         ds = generate(SynthConfig(radius=5, jitter=0.05, dropout=0.05, seed=13,
                                   token_dim=5, transcriptomic_dim=3,
@@ -298,31 +305,46 @@ class TestQueryTiles:
         d_y = rng.normal(0, 1, (ds.n_spots, 3))
         d_dev = rng.normal(0, 1, (ds.n_spots, 3))
         d_z = rng.normal(0, 1, (ds.n_spots, 4))
-        sizes = []
+        sizes = {"forward": [], "backward": []}
 
-        def spy(scores, valid, axis=-1, out=None):
-            sizes.append(scores.size)
-            return masked_softmax(scores, valid, axis=axis, out=out)
+        def spy(fn, pass_name):
+            def wrapper(scores, *args, **kwargs):
+                sizes[pass_name].append(scores.size)
+                return fn(scores, *args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(model, "masked_softmax", spy)
+        # forward forms every score tile through masked_exp; backward rebuilds
+        # weights with softmax_from_lse and forms dS with masked_softmax_vjp
+        monkeypatch.setattr(model, "masked_exp", spy(model.masked_exp, "forward"))
+        for name in ("softmax_from_lse", "masked_softmax_vjp"):
+            monkeypatch.setattr(model, name, spy(getattr(model, name), "backward"))
+        packs = [pack for row in geo.packings for pack in row]
         results = []
         for tile in (self.TILE, 1 << 40):
             monkeypatch.setattr(model, "TILE_CELLS", tile)
-            for row in geo.packings:
-                for pack in row:
-                    n_tiles = len(model._tiles(*pack.occ.shape, cfg.heads)[1])
-                    assert n_tiles >= 3 if tile == self.TILE else n_tiles == 1
-            sizes.clear()
+            for pack in packs:
+                fwd, bwd = self.tile_counts(pack, cfg.heads)
+                assert min(fwd, bwd) >= 3 if tile == self.TILE else fwd == bwd == 1
+            if tile == self.TILE:
+                # backward cuts the global window along its keys as well
+                m, s = packs[-1].occ.shape
+                tiles = model._tiles(m, s, cfg.heads, model._key_block(cfg.heads))
+                assert tiles[0][2].stop < s
+            for calls in sizes.values():
+                calls.clear()
             out = forward(ds.tokens, geo, params, cfg, train=True)
             grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
                              d_z_extra=d_z)
-            assert max(sizes) <= tile
-            packs = [pack for row in geo.packings for pack in row]
+            for calls in sizes.values():
+                assert calls and max(calls) <= tile
             for block_cache, pack in zip(out.caches[-1], packs, strict=True):
-                # inputs, q/k/v windows and context: no score or weight tensor is kept
-                windows = pack.occ.shape[:1] + (cfg.heads, pack.occ.shape[1], cfg.head_dim)
+                # inputs, q/k/v windows, context and each query row's
+                # log-sum-exp: no score or weight tensor is kept
+                m, s = pack.occ.shape
+                windows = (m, cfg.heads, s, cfg.head_dim)
                 assert [a.shape for a in block_cache[1]] == \
-                    [(ds.n_spots, cfg.dim)] + [windows] * 3 + [(ds.n_spots, cfg.dim)]
+                    [(ds.n_spots, cfg.dim)] + [windows] * 3 + \
+                    [(ds.n_spots, cfg.dim), (m, cfg.heads, s)]
             results.append((out, grads))
         (out, grads), (ref, ref_grads) = results
         for name in ("z", "y_hat", "y_dev_hat"):
@@ -335,10 +357,14 @@ class TestQueryTiles:
     def test_tiled_gradient_vs_finite_differences(self, monkeypatch):
         ds = tiny_dataset(seed=9, n=12)
         geo = build_geometry(ds.coords, TINY)
-        monkeypatch.setattr(model, "TILE_CELLS", 12)     # one global query row
+        # backward tiles of one query row by one key; one global query row forward
+        monkeypatch.setattr(model, "TILE_CELLS", 1)
         for row in geo.packings:
             for pack in row:
-                assert len(model._tiles(*pack.occ.shape, TINY.heads)[1]) >= 3
+                m, s = pack.occ.shape
+                first = model._tiles(m, s, TINY.heads, model._key_block(TINY.heads))[0]
+                assert [sl.stop for sl in first] == [1, 1, 1]
+                assert min(self.tile_counts(pack, TINY.heads)) >= 3
         assert worst_gradient_error(TINY, ds, generic_params(TINY, seed=9)) < 1e-4
 
 

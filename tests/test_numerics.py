@@ -3,8 +3,9 @@ import pytest
 
 from hexwin.errors import NumericError, ShapeError
 from hexwin.numerics import (finite_diff_grad, gelu, gelu_vjp, layer_norm,
-                             layer_norm_fwd, layer_norm_vjp, masked_softmax,
-                             masked_softmax_vjp, relative_error)
+                             layer_norm_fwd, layer_norm_vjp, masked_exp,
+                             masked_softmax, masked_softmax_vjp, relative_error,
+                             softmax_from_lse)
 
 
 class TestMaskedSoftmax:
@@ -89,6 +90,58 @@ class TestMaskedSoftmax:
         analytic = masked_softmax_vjp(upstream, out)
         fd = finite_diff_grad(f, scores)
         assert relative_error(analytic, fd) < 1e-7
+
+
+class TestLogSumExp:
+    @staticmethod
+    def case(seed):
+        rng = np.random.default_rng(seed)
+        scores = rng.normal(0, 4, (3, 2, 5, 7))
+        valid = rng.random((3, 1, 1, 7)) < 0.6
+        valid[0] = False                       # every slice of window 0 is empty
+        valid[1] = True
+        return scores, valid
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_masked_exp_parts(self, seed):
+        scores, valid = self.case(seed)
+        e, total, lse = masked_exp(scores, valid)
+        np.testing.assert_allclose(e / total, masked_softmax(scores, valid),
+                                   rtol=0, atol=1e-15)
+        filled = np.where(valid, scores, -np.inf)
+        expect = np.log(np.sum(np.exp(filled[1:]), axis=-1, keepdims=True))
+        np.testing.assert_allclose(lse[1:], expect, rtol=1e-13)
+        # a slice with no valid entry weighs zero, not NaN
+        np.testing.assert_array_equal(e[0], 0.0)
+        np.testing.assert_array_equal(total[0], 1.0)
+        np.testing.assert_array_equal(lse[0], 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weights_from_lse_on_key_blocks(self, seed):
+        scores, valid = self.case(seed)
+        expect = masked_softmax(scores, valid)
+        _, _, lse = masked_exp(scores, valid)
+        for keys in (slice(0, 3), slice(3, 7)):
+            block = scores[..., keys].copy()
+            got = softmax_from_lse(block, valid[..., keys], lse, out=block)
+            assert got is block
+            np.testing.assert_allclose(got, expect[..., keys], rtol=1e-13, atol=1e-16)
+            np.testing.assert_array_equal(got[0], 0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_vjp_row_term_matches_vecdot(self, seed):
+        scores, valid = self.case(seed)
+        weights = masked_softmax(scores, valid)
+        upstream = np.random.default_rng(seed + 50).normal(0, 1, scores.shape)
+        expect = masked_softmax_vjp(upstream, weights)
+        inner = np.sum(upstream * weights, axis=-1, keepdims=True)
+        np.testing.assert_allclose(masked_softmax_vjp(upstream, weights, inner=inner),
+                                   expect, rtol=1e-12, atol=1e-15)
+        # with the row term known, each block of keys stands on its own
+        for keys in (slice(0, 4), slice(4, 7)):
+            got = masked_softmax_vjp(upstream[..., keys], weights[..., keys],
+                                     inner=inner)
+            np.testing.assert_allclose(got, expect[..., keys], rtol=1e-12, atol=1e-15)
 
 
 class TestLayerNorm:
