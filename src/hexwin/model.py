@@ -24,7 +24,9 @@ import numpy as np
 from .errors import InputError, ShapeError
 from .hexgeom import LatticeScale, cells_for_points, estimate_scale
 from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp, \
-    masked_exp, masked_softmax, masked_softmax_vjp, softmax_from_lse
+    masked_exp, masked_softmax
+# unused here; stays importable as hexwin.model.masked_softmax_vjp for perfbench's tracer
+from .numerics import masked_softmax_vjp  # noqa: F401
 from .rope import RopeConfig, apply_hex_rope, apply_hex_rope_vjp, \
     apply_rope_2d, apply_rope_2d_vjp, axial_to_cube
 from .windowing import WindowPartition, partition, partition_square, shift_schedule
@@ -289,10 +291,13 @@ def _rope_apply(x, pack: _Packing, cfg: ModelConfig, inverse: bool = False):
 
 
 def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
-    """Scatter (N, H, dh) token rows into zero-padded (M, H, S', dh) windows."""
+    """Scatter (N, H, dh) token rows into zero-padded (M, H, S', dh + 1) windows.
+
+    The extra column is left zero for the per-row term the caller puts there.
+    """
     m, s = pack.occ.shape
-    out = np.zeros((m, x.shape[1], s, x.shape[2]))
-    out[pack.win, :, pack.slot] = x
+    out = np.zeros((m, x.shape[1], s, x.shape[2] + 1))
+    out[pack.win, :, pack.slot, :-1] = x
     return out
 
 
@@ -303,6 +308,12 @@ def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
 # acceptance slide took ~5x the minor page faults of 2^16 and ran ~5% slower
 # on a 2-core host; 2^15 made 2.3k-spot training ~25% slower.
 TILE_CELLS = 1 << 16
+
+# Largest bound on a block's |scores| for which forward takes exp(S) with no
+# row-max shift: e^600 times any spot count stays finite and e^-600 is a
+# normal float, so no row sum overflows or underflows. Above it a tile
+# shifts each row by its max (masked_exp).
+EXP_LIMIT = 600.0
 
 
 def _tiles(m: int, s: int, heads: int, cols: int) -> list[tuple[slice, slice, slice]]:
@@ -357,30 +368,43 @@ def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
     gathered into windows; queries carry the 1/sqrt(head_dim) score scale.
     Scores exist one tile of whole query rows at a time and are not kept;
     each query row's log-sum-exp is, so backward rebuilds any block of
-    weights in one pass (FlashAttention-2, Dao 2023).
+    weights in one pass (FlashAttention-2, Dao 2023). Every per-row term
+    rides in one extra matmul column: values carry a column of ones (zero on
+    empty slots) that sums each row of exp(S), queries carry -LSE against a
+    row of ones under the keys, so a tile's only elementwise pass is exp.
     """
-    n = len(a)
+    n, dh = len(a), cfg.head_dim
     q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
-               .reshape(n, cfg.heads, cfg.head_dim) for name in ("q", "k", "v"))
-    qw = _to_windows(_rope_apply(q, pack, cfg) * (1.0 / np.sqrt(cfg.head_dim)), pack)
-    kw = _to_windows(_rope_apply(k, pack, cfg), pack)
-    vw = _to_windows(v, pack)
-    kt = _transposed(kw)
-    ctx = np.empty_like(vw)
-    lse = np.empty(vw.shape[:3])
+               .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
+    q = _rope_apply(q, pack, cfg) * (1.0 / np.sqrt(dh))
+    k = _rope_apply(k, pack, cfg)
+    # Cauchy-Schwarz: no score of the block exceeds beta in magnitude
+    beta = math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k)))
     m, s = pack.occ.shape
+    qa = _to_windows(q, pack)                      # [q | -LSE]
+    kta = np.zeros((m, cfg.heads, dh + 1, s))      # [K^T; 1]
+    kta[pack.win, :, :dh, pack.slot] = k
+    kta[:, :, dh] = 1.0
+    va = _to_windows(v, pack)                      # [V | 1]
+    va[..., dh] = pack.occ[:, None]
+    ctx = np.empty_like(va)                        # [numerator | row sum]
     for ws, rs, _ in _tiles(m, s, cfg.heads, s):
-        q_t = qw[ws, :, rs]
-        e = np.matmul(q_t, kt[ws], out=work.view("p", q_t.shape[:3] + (s,)))
-        e, total, lse_t = masked_exp(e, pack.occ[ws, None, None, :], axis=-1, out=e)
+        q_t = qa[ws, :, rs, :dh]
+        e = np.matmul(q_t, kta[ws, :, :dh], out=work.view("p", q_t.shape[:3] + (s,)))
         c = ctx[ws, :, rs]
-        np.matmul(e, vw[ws], out=c)
-        c /= total
-        lse[ws, :, rs] = lse_t[..., 0]
-    ctx_tok = ctx[pack.win, :, pack.slot].reshape(n, cfg.dim)
+        if beta <= EXP_LIMIT:
+            np.matmul(np.exp(e, out=e), va[ws], out=c)
+        else:
+            e, total, lse = masked_exp(e, pack.occ[ws, None, None, :], axis=-1, out=e)
+            np.matmul(e, va[ws, :, :, :dh], out=c[..., :dh])
+            c[..., :dh] /= total
+            qa[ws, :, rs, dh] = -lse[..., 0]
+    if beta <= EXP_LIMIT:
+        qa[..., dh] = -np.log(ctx[..., dh])
+        ctx[..., :dh] /= ctx[..., dh:]
+    ctx_tok = ctx[pack.win, :, pack.slot, :dh].reshape(n, cfg.dim)
     out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    cache = (a, qw, kw, vw, ctx_tok, lse)
-    return out, cache
+    return out, (a, qa, kta, va, ctx_tok)
 
 
 def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params,
@@ -388,38 +412,41 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
                         work: _Workspace) -> np.ndarray:
     """FlashAttention-2 backward over (window group, query block, key block) tiles.
 
-    Each tile's weights are exp(S - LSE) from the cached log-sum-exp, and the
-    softmax vjp's row term is D = rowsum(dCtx * Ctx), taken once per block
-    on the token rows; every tile adds only into its own rows of dQ and its
-    own keys of dK and dV.
+    A tile's weights are P = exp([q | -LSE] [K^T; 1]) = exp(S - LSE), and
+    dS = P * ([dCtx | -D] [V^T; 1]) = P * (dP - D) with the softmax vjp's row
+    term D = rowsum(dCtx * Ctx), taken once per block on the token rows. So a
+    tile makes two elementwise passes (exp and one multiply), plus the
+    masking of empty key slots in windowed tiles, and adds only into its own
+    rows of dQ and its own keys of dK and dV.
     """
-    a, qw, kw, vw, ctx_tok, lse = cache
-    n = len(a)
+    a, qa, kta, va, ctx_tok = cache
+    n, dh = len(a), cfg.head_dim
     grads[f"{prefix}.attn.o.w"] += ctx_tok.T @ d_out
     grads[f"{prefix}.attn.o.b"] += d_out.sum(axis=0)
-    d_ctx_tok = (d_out @ params[f"{prefix}.attn.o.w"].T).reshape(n, cfg.heads, cfg.head_dim)
-    d_ctx = _to_windows(d_ctx_tok, pack)
-    row_term = np.zeros(lse.shape)
-    row_term[pack.win, :, pack.slot] = np.vecdot(
-        d_ctx_tok, ctx_tok.reshape(n, cfg.heads, cfg.head_dim))
-    kt, vt = _transposed(kw), _transposed(vw)
-    d_qw, d_kw, d_vw = np.zeros_like(qw), np.zeros_like(kw), np.zeros_like(vw)
+    d_ctx_tok = (d_out @ params[f"{prefix}.attn.o.w"].T).reshape(n, cfg.heads, dh)
+    dca = _to_windows(d_ctx_tok, pack)             # [dCtx | -D]
+    dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx_tok, ctx_tok.reshape(n, cfg.heads, dh))
+    vta = _transposed(va)                          # [V^T; 1]
+    kw = _transposed(kta[:, :, :dh])               # K: dQ's matmul is slower on a strided view
     m, s = pack.occ.shape
+    d_qw, d_kw, d_vw = (np.zeros((m, cfg.heads, s, dh)) for _ in range(3))
     for ws, rs, ks in _tiles(m, s, cfg.heads, _key_block(cfg.heads)):
-        q_t, k_t, d_c = qw[ws, :, rs], kw[ws, :, ks], d_ctx[ws, :, rs]
+        q_t, k_t, d_c = qa[ws, :, rs, :dh], kw[ws, :, ks], dca[ws, :, rs, :dh]
         shape = q_t.shape[:3] + k_t.shape[2:3]
-        p = np.matmul(q_t, kt[ws, :, :, ks], out=work.view("p", shape))
-        softmax_from_lse(p, pack.occ[ws, None, None, ks], lse[ws, :, rs, None], out=p)
-        d_p = np.matmul(d_c, vt[ws, :, :, ks], out=work.view("dp", shape))
-        d_s = masked_softmax_vjp(d_p, p, axis=-1, out=d_p,
-                                 inner=row_term[ws, :, rs, None])
+        p = np.matmul(qa[ws, :, rs], kta[ws, :, :, ks], out=work.view("p", shape))
+        valid = pack.occ[ws, None, None, ks]
+        if not valid.all():
+            np.copyto(p, -np.inf, where=~valid)
+        np.exp(p, out=p)
+        d_s = np.matmul(dca[ws, :, rs], vta[ws, :, :, ks], out=work.view("dp", shape))
+        d_s *= p
         # views of the gradients, so += adds in place with no write-back copy
         d_q_t, d_k_t, d_v_t = d_qw[ws, :, rs], d_kw[ws, :, ks], d_vw[ws, :, ks]
-        d_kv = work.view("dh", k_t.shape)
+        d_kv = work.view("dh", d_k_t.shape)
         d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv)
         d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
         d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
-    inv = 1.0 / np.sqrt(cfg.head_dim)
+    inv = 1.0 / np.sqrt(dh)
     d_q = _rope_apply(d_qw[pack.win, :, pack.slot] * inv, pack, cfg, inverse=True)
     d_k = _rope_apply(d_kw[pack.win, :, pack.slot], pack, cfg, inverse=True)
     d_v = d_vw[pack.win, :, pack.slot]
@@ -439,19 +466,20 @@ def _block_forward(h: np.ndarray, pack: _Packing, params: Params,
     h1 = h + attn_out
     f, ln2c = layer_norm_fwd(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
-    g = gelu(u)
+    g, cdf = gelu(u)
     h2 = h1 + g @ params[f"{prefix}.ffn.2.w"] + params[f"{prefix}.ffn.2.b"]
-    return h2, (ln1c, attn_cache, ln2c, f, u, g)
+    return h2, (ln1c, attn_cache, ln2c, f, u, cdf)
 
 
 def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, params: Params,
                     prefix: str, cfg: ModelConfig, grads: Params,
                     work: _Workspace) -> np.ndarray:
-    ln1c, attn_cache, ln2c, f, u, g = cache
-    grads[f"{prefix}.ffn.2.w"] += g.reshape(-1, g.shape[-1]).T @ d_h2.reshape(-1, d_h2.shape[-1])
+    ln1c, attn_cache, ln2c, f, u, cdf = cache
+    g = (0.5 * u) * (2.0 * cdf)          # gelu(u), bit for bit
+    grads[f"{prefix}.ffn.2.w"] += g.T @ d_h2
     grads[f"{prefix}.ffn.2.b"] += d_h2.sum(axis=0)
     d_g = d_h2 @ params[f"{prefix}.ffn.2.w"].T
-    d_u = gelu_vjp(d_g, u)
+    d_u = gelu_vjp(d_g, u, cdf)
     grads[f"{prefix}.ffn.1.w"] += f.T @ d_u
     grads[f"{prefix}.ffn.1.b"] += d_u.sum(axis=0)
     d_f = d_u @ params[f"{prefix}.ffn.1.w"].T
@@ -471,12 +499,16 @@ class ForwardOutput:
     z: np.ndarray                    # (N, D_out) output embeddings
     y_hat: np.ndarray                # (N, G)
     y_dev_hat: np.ndarray | None     # (N, G), training only
-    caches: tuple = ()
+    caches: tuple = ()               # training only
 
 
 def forward(tokens: np.ndarray, geometry: Geometry, params: Params,
             cfg: ModelConfig, train: bool = True) -> ForwardOutput:
-    """Run the staged network; caches stay attached for backward()."""
+    """Run the staged network.
+
+    A training-mode forward keeps every block's cache attached for
+    backward(); an eval-mode one keeps none and returns only predictions.
+    """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim != 2 or tokens.shape[1] != cfg.in_dim:
         raise ShapeError(f"tokens must be (N, {cfg.in_dim}), got {tokens.shape}")
@@ -487,17 +519,17 @@ def forward(tokens: np.ndarray, geometry: Geometry, params: Params,
         for block in range(cfg.blocks):
             pack = geometry.packings[stage][block]
             h, cache = _block_forward(h, pack, params, f"s{stage}b{block}", cfg, work)
-            block_caches.append(cache)
+            if train:
+                block_caches.append(cache)
     m1 = h @ params["proj.1.w"] + params["proj.1.b"]
-    mg = gelu(m1)
+    mg, cdf = gelu(m1)
     z = mg @ params["proj.2.w"] + params["proj.2.b"]
     y_hat = z @ params["gene.w"] + params["gene.b"]
-    y_dev_hat = None
-    zc = None
-    if train:
-        zc = z - z.mean(axis=0)
-        y_dev_hat = zc @ params["dev.w"] + params["dev.b"]
-    caches = (tokens, h, m1, mg, z, zc, block_caches)
+    if not train:
+        return ForwardOutput(z=z, y_hat=y_hat, y_dev_hat=None)
+    zc = z - z.mean(axis=0)
+    y_dev_hat = zc @ params["dev.w"] + params["dev.b"]
+    caches = (tokens, h, m1, cdf, z, zc, block_caches)
     return ForwardOutput(z=z, y_hat=y_hat, y_dev_hat=y_dev_hat, caches=caches)
 
 
@@ -511,7 +543,9 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     alignment projection path); deviation-head gradients flow through the
     batch centering.
     """
-    tokens, h, m1, mg, z, zc, block_caches = out.caches
+    if not out.caches:
+        raise InputError("backward needs the caches of a training-mode forward")
+    tokens, h, m1, cdf, z, zc, block_caches = out.caches
     grads = zeros_like_params(params)
     grads["gene.w"] += z.T @ d_y_hat
     grads["gene.b"] += d_y_hat.sum(axis=0)
@@ -519,16 +553,15 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     if d_z_extra is not None:
         d_z = d_z + d_z_extra
     if d_y_dev_hat is not None:
-        if zc is None:
-            raise InputError("deviation gradients need a training-mode forward")
         grads["dev.w"] += zc.T @ d_y_dev_hat
         grads["dev.b"] += d_y_dev_hat.sum(axis=0)
         d_zc = d_y_dev_hat @ params["dev.w"].T
         d_z = d_z + d_zc - d_zc.mean(axis=0)
+    mg = (0.5 * m1) * (2.0 * cdf)        # gelu(m1), bit for bit
     grads["proj.2.w"] += mg.T @ d_z
     grads["proj.2.b"] += d_z.sum(axis=0)
     d_mg = d_z @ params["proj.2.w"].T
-    d_m1 = gelu_vjp(d_mg, m1)
+    d_m1 = gelu_vjp(d_mg, m1, cdf)
     grads["proj.1.w"] += h.T @ d_m1
     grads["proj.1.b"] += d_m1.sum(axis=0)
     d_h = d_m1 @ params["proj.1.w"].T
@@ -569,11 +602,12 @@ def window_attention(h_window: np.ndarray, occupancy: np.ndarray,
     """
     s = len(h_window)
     rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
-    _, (_, qw, kw, _, ctx_tok, _) = _attention_forward(tokens, pack, params, prefix, cfg,
-                                                       _Workspace())
+    _, (_, qa, kta, _, ctx_tok) = _attention_forward(tokens, pack, params, prefix, cfg,
+                                                     _Workspace())
     ctx = np.zeros((s, cfg.dim))
     ctx[rows] = ctx_tok
-    attn = masked_softmax(qw @ _transposed(kw), pack.occ[:, None, None, :], axis=-1)
+    dh = cfg.head_dim
+    attn = masked_softmax(qa[..., :dh] @ kta[:, :, :dh], pack.occ[:, None, None, :], axis=-1)
     weights = np.zeros((cfg.heads, s, s))
     weights[:, rows[:, None], rows] = attn[0, :, :len(rows), :len(rows)]
     return ctx, weights

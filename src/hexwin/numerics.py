@@ -75,38 +75,15 @@ def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
     return out
 
 
-def softmax_from_lse(scores: np.ndarray, valid: np.ndarray, lse: np.ndarray,
-                     out: np.ndarray) -> np.ndarray:
-    """Masked softmax weights ``exp(scores - lse)`` from a known log-sum-exp.
-
-    ``lse`` is each slice's log-sum-exp from ``masked_exp``, broadcast along
-    the softmax axis, so the weights need no max or sum pass and the slice
-    may be any part of the softmax axis. Invalid entries get exactly zero
-    weight. Computed in ``out``, which may be ``scores`` itself.
-    """
-    if out is not scores:
-        np.copyto(out, scores)
-    if not valid.all():
-        np.copyto(out, -np.inf, where=~valid)
-    out -= lse
-    return np.exp(out, out=out)
-
-
 def masked_softmax_vjp(grad_out: np.ndarray, weights: np.ndarray, axis: int = -1,
-                       out: np.ndarray | None = None,
-                       inner: np.ndarray | None = None) -> np.ndarray:
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Gradient of masked_softmax w.r.t. scores, given its output ``weights``.
 
     Invalid positions already carry zero weight, so they receive zero
-    gradient without special casing. ``inner`` is the row term
-    ``sum(grad_out * weights)`` along ``axis`` (kept as a size-1 axis); when
-    the caller already knows it, as attention does from its output and that
-    output's gradient, passing it skips the reduction, and ``grad_out`` and
-    ``weights`` may then cover only part of the softmax axis. The result is
-    written to ``out`` when given (it may be ``grad_out`` itself).
+    gradient without special casing. The result is written to ``out`` when
+    given (it may be ``grad_out`` itself).
     """
-    if inner is None:
-        inner = np.expand_dims(np.vecdot(grad_out, weights, axis=axis), axis)
+    inner = np.expand_dims(np.vecdot(grad_out, weights, axis=axis), axis)
     out = np.subtract(grad_out, inner, out=out)
     out *= weights
     return out
@@ -150,13 +127,18 @@ def layer_norm_vjp(grad_out, cache):
     return d_x, d_gain, d_bias
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact GELU: x * Phi(x) with the standard normal CDF."""
-    return 0.5 * x * (1.0 + erf(x * INV_SQRT2))
+def gelu(x: np.ndarray):
+    """Exact GELU x * Phi(x), with the standard normal CDF: returns (gelu, Phi).
 
-
-def gelu_vjp(grad_out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    ``(0.5 * x) * (2 * Phi)`` rebuilds the first bit for bit, so a caller
+    keeps Phi alone for ``gelu_vjp``.
+    """
     cdf = 0.5 * (1.0 + erf(x * INV_SQRT2))
+    return (0.5 * x) * (2.0 * cdf), cdf
+
+
+def gelu_vjp(grad_out: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Gradient of gelu at x, given its CDF output Phi(x)."""
     pdf = np.exp(-0.5 * x * x) * INV_SQRT_2PI
     return grad_out * (cdf + x * pdf)
 

@@ -1,11 +1,13 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hexwin import model
 from hexwin.errors import InputError
-from hexwin.model import (ModelConfig, _Packing, backward, build_geometry,
+from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_geometry,
                           forward, hexmsa_block, init_params, load_checkpoint,
                           params_to_vector, save_checkpoint, vector_to_params,
                           window_attention, zeros_like_params)
@@ -305,19 +307,20 @@ class TestQueryTiles:
         d_y = rng.normal(0, 1, (ds.n_spots, 3))
         d_dev = rng.normal(0, 1, (ds.n_spots, 3))
         d_z = rng.normal(0, 1, (ds.n_spots, 4))
-        sizes = {"forward": [], "backward": []}
+        views = []
+        real_view = model._Workspace.view
 
-        def spy(fn, pass_name):
-            def wrapper(scores, *args, **kwargs):
-                sizes[pass_name].append(scores.size)
-                return fn(scores, *args, **kwargs)
-            return wrapper
+        def spy_view(self, name, shape):
+            views.append((name, math.prod(shape)))
+            return real_view(self, name, shape)
 
-        # forward forms every score tile through masked_exp; backward rebuilds
-        # weights with softmax_from_lse and forms dS with masked_softmax_vjp
-        monkeypatch.setattr(model, "masked_exp", spy(model.masked_exp, "forward"))
-        for name in ("softmax_from_lse", "masked_softmax_vjp"):
-            monkeypatch.setattr(model, name, spy(getattr(model, name), "backward"))
+        def fail_exp(*args, **kwargs):
+            raise AssertionError("masked_exp called below EXP_LIMIT")
+
+        # every score tile is a workspace buffer ("p" weights, "dp" their
+        # gradient); scores this small never take the shifted fallback
+        monkeypatch.setattr(model._Workspace, "view", spy_view)
+        monkeypatch.setattr(model, "masked_exp", fail_exp)
         packs = [pack for row in geo.packings for pack in row]
         results = []
         for tile in (self.TILE, 1 << 40):
@@ -330,21 +333,28 @@ class TestQueryTiles:
                 m, s = packs[-1].occ.shape
                 tiles = model._tiles(m, s, cfg.heads, model._key_block(cfg.heads))
                 assert tiles[0][2].stop < s
-            for calls in sizes.values():
-                calls.clear()
+            views.clear()
             out = forward(ds.tokens, geo, params, cfg, train=True)
+            fwd_views = list(views)
+            views.clear()
             grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
                              d_z_extra=d_z)
-            for calls in sizes.values():
-                assert calls and max(calls) <= tile
+            for calls, names in ((fwd_views, {"p"}), (views, {"p", "dp"})):
+                cells = [size for name, size in calls if name in ("p", "dp")]
+                assert {name for name, _ in calls} - {"dh"} == names
+                assert max(cells) <= tile
             for block_cache, pack in zip(out.caches[-1], packs, strict=True):
-                # inputs, q/k/v windows, context and each query row's
-                # log-sum-exp: no score or weight tensor is kept
+                # inputs, [q | -LSE], [K^T; 1] and [V | 1] windows and the
+                # context: no score or weight tensor is kept
                 m, s = pack.occ.shape
-                windows = (m, cfg.heads, s, cfg.head_dim)
-                assert [a.shape for a in block_cache[1]] == \
-                    [(ds.n_spots, cfg.dim)] + [windows] * 3 + \
-                    [(ds.n_spots, cfg.dim), (m, cfg.heads, s)]
+                dh = cfg.head_dim
+                assert [a.shape for a in block_cache[1]] == [
+                    (ds.n_spots, cfg.dim), (m, cfg.heads, s, dh + 1),
+                    (m, cfg.heads, dh + 1, s), (m, cfg.heads, s, dh + 1),
+                    (ds.n_spots, cfg.dim)]
+                np.testing.assert_array_equal(block_cache[1][2][:, :, dh], 1.0)
+                np.testing.assert_array_equal(block_cache[1][3][..., dh],
+                                              np.broadcast_to(pack.occ[:, None], (m, cfg.heads, s)))
             results.append((out, grads))
         (out, grads), (ref, ref_grads) = results
         for name in ("z", "y_hat", "y_dev_hat"):
@@ -366,6 +376,107 @@ class TestQueryTiles:
                 assert [sl.stop for sl in first] == [1, 1, 1]
                 assert min(self.tile_counts(pack, TINY.heads)) >= 3
         assert worst_gradient_error(TINY, ds, generic_params(TINY, seed=9)) < 1e-4
+
+
+def forward_and_grads(cfg, ds, geo, params, seed=4):
+    rng = np.random.default_rng(seed)
+    d_y = rng.normal(0, 1, (ds.n_spots, cfg.genes))
+    d_dev = rng.normal(0, 1, (ds.n_spots, cfg.genes))
+    d_z = rng.normal(0, 1, (ds.n_spots, cfg.out_dim))
+    out = forward(ds.tokens, geo, params, cfg, train=True)
+    return out, backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
+                         d_z_extra=d_z)
+
+
+class TestExpBound:
+    """Blocks whose score bound exceeds EXP_LIMIT take the row-max shift."""
+
+    @staticmethod
+    def count_masked_exp(monkeypatch):
+        calls = []
+        real = model.masked_exp
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(model, "masked_exp", spy)
+        return calls
+
+    @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
+                                           ("square", "rope2d"),
+                                           ("square", "hexrope")])
+    def test_fallback_matches_fast_path(self, window, pe, monkeypatch):
+        cfg = ModelConfig(in_dim=5, genes=3, dim=12, heads=2, stages=4, blocks=3,
+                          radii=(1, 2, 4), out_dim=4, t_dim=3, window=window, pe=pe)
+        ds = generate(SynthConfig(radius=5, jitter=0.05, dropout=0.05, seed=14,
+                                  token_dim=5, transcriptomic_dim=3,
+                                  patterns=("boundary", "gradient", "noise")))
+        params = generic_params(cfg, seed=14)
+        geo = build_geometry(ds.coords, cfg)
+        calls = self.count_masked_exp(monkeypatch)
+        out, grads = forward_and_grads(cfg, ds, geo, params)
+        assert not calls
+        monkeypatch.setattr(model, "EXP_LIMIT", 0.0)
+        ref, ref_grads = forward_and_grads(cfg, ds, geo, params)
+        assert calls
+        for name in ("z", "y_hat", "y_dev_hat"):
+            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-12)
+        for k in params:
+            np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
+                                       atol=1e-12, err_msg=k)
+
+    def test_fallback_gradient_vs_finite_differences(self, monkeypatch):
+        monkeypatch.setattr(model, "EXP_LIMIT", 0.0)
+        ds = tiny_dataset(seed=9, n=12)
+        assert worst_gradient_error(TINY, ds, generic_params(TINY, seed=9)) < 1e-4
+
+    def test_large_scores_stay_finite(self, monkeypatch):
+        ds = tiny_dataset(seed=15, n=19)
+        geo = build_geometry(ds.coords, TINY)
+        params = generic_params(TINY, seed=15)
+        for name in params:
+            if ".attn.q." in name or ".attn.k." in name:
+                params[name] = params[name] * 60.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out, grads = forward_and_grads(TINY, ds, geo, params)
+        for value in (out.z, out.y_hat, out.y_dev_hat, *grads.values()):
+            assert np.all(np.isfinite(value))
+        # exp without the row-max shift would overflow on these scores
+        monkeypatch.setattr(model, "EXP_LIMIT", np.inf)
+        with pytest.warns(RuntimeWarning):
+            forward(ds.tokens, geo, params, TINY, train=True)
+        monkeypatch.setattr(model, "EXP_LIMIT", 0.0)
+        ref, ref_grads = forward_and_grads(TINY, ds, geo, params)
+        for name in ("z", "y_hat", "y_dev_hat"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
+        for k in params:
+            np.testing.assert_array_equal(grads[k], ref_grads[k], err_msg=k)
+
+
+class TestEvalMode:
+    def test_eval_forward_keeps_no_caches(self):
+        ds = tiny_dataset(seed=10)
+        params = generic_params(TINY, seed=10)
+        geo = build_geometry(ds.coords, TINY)
+        out = forward(ds.tokens, geo, params, TINY, train=False)
+        assert out.caches == () and out.y_dev_hat is None
+        train_out = forward(ds.tokens, geo, params, TINY, train=True)
+        np.testing.assert_array_equal(out.y_hat, train_out.y_hat)
+        np.testing.assert_array_equal(out.z, train_out.z)
+        with pytest.raises(InputError) as info:
+            backward(out, geo, params, TINY, d_y_hat=np.ones_like(out.y_hat))
+        assert "\n" not in str(info.value)
+
+    def test_backward_rejects_empty_caches(self):
+        ds = tiny_dataset(seed=10)
+        geo = build_geometry(ds.coords, TINY)
+        y = np.zeros((ds.n_spots, TINY.genes))
+        out = ForwardOutput(z=np.zeros((ds.n_spots, TINY.out_dim)), y_hat=y, y_dev_hat=y)
+        with pytest.raises(InputError) as info:
+            backward(out, geo, generic_params(TINY), TINY, d_y_hat=y, d_y_dev_hat=y)
+        assert "\n" not in str(info.value)
 
 
 class TestCheckpoint:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from hexwin.errors import NumericError, ShapeError
 from hexwin.numerics import (finite_diff_grad, gelu, gelu_vjp, layer_norm,
                              layer_norm_fwd, layer_norm_vjp, masked_exp,
-                             masked_softmax, masked_softmax_vjp, relative_error,
-                             softmax_from_lse)
+                             masked_softmax, masked_softmax_vjp, relative_error)
 
 
 class TestMaskedSoftmax:
@@ -118,29 +118,40 @@ class TestLogSumExp:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_weights_from_lse_on_key_blocks(self, seed):
-        scores, valid = self.case(seed)
+        # -LSE as an extra query column, against a row of ones under the keys,
+        # makes the score matmul give S - LSE: exp of it is the weights on any
+        # block of keys once empty keys are masked
+        _, valid = self.case(seed)
+        rng = np.random.default_rng(seed + 20)
+        q, k = rng.normal(0, 1, (3, 2, 5, 4)), rng.normal(0, 1, (3, 2, 7, 4))
+        scores = q @ k.transpose(0, 1, 3, 2)
         expect = masked_softmax(scores, valid)
         _, _, lse = masked_exp(scores, valid)
+        q_aug = np.concatenate([q, -lse], axis=-1)
+        kt_aug = np.concatenate([k.transpose(0, 1, 3, 2), np.ones((3, 2, 1, 7))], axis=-2)
         for keys in (slice(0, 3), slice(3, 7)):
-            block = scores[..., keys].copy()
-            got = softmax_from_lse(block, valid[..., keys], lse, out=block)
-            assert got is block
+            block = q_aug @ kt_aug[..., keys]
+            np.copyto(block, -np.inf, where=~valid[..., keys])
+            got = np.exp(block)
             np.testing.assert_allclose(got, expect[..., keys], rtol=1e-13, atol=1e-16)
             np.testing.assert_array_equal(got[0], 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_vjp_row_term_matches_vecdot(self, seed):
+        # for attention C = W V, the vjp's row term sum(dW * W) is
+        # D = rowsum(dC * C); as an extra column of dC against a row of ones
+        # under V^T the dW matmul gives dW - D, so each block of keys stands
+        # on its own
         scores, valid = self.case(seed)
+        rng = np.random.default_rng(seed + 50)
+        v, d_c = rng.normal(0, 1, (3, 2, 7, 4)), rng.normal(0, 1, (3, 2, 5, 4))
         weights = masked_softmax(scores, valid)
-        upstream = np.random.default_rng(seed + 50).normal(0, 1, scores.shape)
-        expect = masked_softmax_vjp(upstream, weights)
-        inner = np.sum(upstream * weights, axis=-1, keepdims=True)
-        np.testing.assert_allclose(masked_softmax_vjp(upstream, weights, inner=inner),
-                                   expect, rtol=1e-12, atol=1e-15)
-        # with the row term known, each block of keys stands on its own
+        expect = masked_softmax_vjp(d_c @ v.transpose(0, 1, 3, 2), weights)
+        d = np.vecdot(d_c, weights @ v)[..., None]
+        d_c_aug = np.concatenate([d_c, -d], axis=-1)
+        vt_aug = np.concatenate([v.transpose(0, 1, 3, 2), np.ones((3, 2, 1, 7))], axis=-2)
         for keys in (slice(0, 4), slice(4, 7)):
-            got = masked_softmax_vjp(upstream[..., keys], weights[..., keys],
-                                     inner=inner)
+            got = weights[..., keys] * (d_c_aug @ vt_aug[..., keys])
             np.testing.assert_allclose(got, expect[..., keys], rtol=1e-12, atol=1e-15)
 
 
@@ -212,19 +223,35 @@ class TestFiniteDiff:
 
 class TestGelu:
     def test_known_values(self):
-        np.testing.assert_allclose(gelu(np.zeros(3)), np.zeros(3), atol=0)
+        np.testing.assert_allclose(gelu(np.zeros(3))[0], np.zeros(3), atol=0)
         # gelu(x) -> x for large x, -> 0 for very negative x
-        np.testing.assert_allclose(gelu(np.array([10.0])), [10.0], atol=1e-8)
-        np.testing.assert_allclose(gelu(np.array([-10.0])), [0.0], atol=1e-8)
+        np.testing.assert_allclose(gelu(np.array([10.0]))[0], [10.0], atol=1e-8)
+        np.testing.assert_allclose(gelu(np.array([-10.0]))[0], [0.0], atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vjp_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 2, 9)
         upstream = rng.normal(0, 1, 9)
-        analytic = gelu_vjp(upstream, x)
-        fd = finite_diff_grad(lambda v: float(np.sum(gelu(v) * upstream)), x)
+        analytic = gelu_vjp(upstream, x, gelu(x)[1])
+        fd = finite_diff_grad(lambda v: float(np.sum(gelu(v)[0] * upstream)), x)
         assert relative_error(analytic, fd) < 1e-7
+
+    def test_cdf_reuse_is_bitwise(self):
+        # gelu and its vjp from a kept CDF equal the formulas that take erf
+        # in each pass, bit for bit, out to where the CDF saturates
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 3, (318, 128))
+        x[0, :4] = (-40.0, -30.0, 30.0, 40.0)
+        upstream = rng.normal(0, 1, x.shape)
+        g, cdf = gelu(x)
+        phi = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        np.testing.assert_array_equal(g, 0.5 * x * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
+        np.testing.assert_array_equal(cdf, phi)
+        # the rebuild that block backward uses in place of a cached gelu(x)
+        np.testing.assert_array_equal((0.5 * x) * (2.0 * cdf), g)
+        pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+        np.testing.assert_array_equal(gelu_vjp(upstream, x, cdf), upstream * (phi + x * pdf))
 
 
 def test_relative_error_zero_for_zero_pair():
