@@ -17,8 +17,8 @@ from .losses import (LossReport, LossWeights, loss_dev, loss_mse, loss_pearson,
 from .metrics import (EvalReport, auc_0_vs_nonzero, auc_q50, evaluate,
                       mann_whitney_auc, mi_genewise, pcc_genewise, pcc_spotwise)
 from .model import (ForwardOutput, Geometry, ModelConfig, backward,
-                    build_geometry, forward, hexmsa_block, init_params,
-                    load_checkpoint, save_checkpoint, window_attention)
+                    build_geometry, forward, init_params, load_checkpoint,
+                    save_checkpoint)
 from .numerics import finite_diff_grad, gelu, layer_norm, masked_softmax
 from .rope import (RopeConfig, apply_hex_rope, apply_rope_2d, axial_to_cube,
                    rope_angles)

@@ -206,6 +206,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hexwin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -253,8 +263,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient certification")
     p.add_argument("--seeds", type=_positive_int, default=1)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--h", type=_positive_float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=1e-4)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("render", help="write per-gene heatmap images")

@@ -45,10 +45,7 @@ def _check_matching(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 def loss_mse(y_hat: np.ndarray, y: np.ndarray) -> float:
     """Mean squared prediction error over all (spot, gene) entries."""
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_matching(y_hat, y, "loss_mse")
-    return float(np.mean((y_hat - y) ** 2))
+    return loss_mse_grad(y_hat, y)[0]
 
 
 def loss_mse_grad(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:

@@ -2,8 +2,7 @@
 mutual information, and rank AUCs against zero/nonzero and median labels.
 
 The AUC is the Mann-Whitney statistic with midrank tie handling, pooled over
-all (spot, gene) cells by default; a per-gene-averaged mode exists for
-sensitivity analysis. MI uses 16 quantile bins unless told otherwise, so
+all (spot, gene) cells. MI uses 16 quantile bins unless told otherwise, so
 absolute MI values are comparable only within this package.
 """
 
@@ -104,24 +103,16 @@ def mi_genewise(y_hat: np.ndarray, y: np.ndarray, bins: int = 16) -> float:
     return float(np.mean(vals))
 
 
-def auc_0_vs_nonzero(y_hat: np.ndarray, y: np.ndarray,
-                     per_gene: bool = False) -> float:
+def auc_0_vs_nonzero(y_hat: np.ndarray, y: np.ndarray) -> float:
     """AUC of predictions as scores for the label (truth > 0)."""
     y_hat, y = _as_matrix_pair(y_hat, y)
-    if per_gene:
-        return float(np.mean([mann_whitney_auc(y_hat[:, g], y[:, g] > 0.0)[0]
-                              for g in range(y.shape[1])]))
     return mann_whitney_auc(y_hat.ravel(), y.ravel() > 0.0)[0]
 
 
-def auc_q50(y_hat: np.ndarray, y: np.ndarray, per_gene: bool = False) -> float:
+def auc_q50(y_hat: np.ndarray, y: np.ndarray) -> float:
     """AUC for the label (truth > global median); median ties are negatives."""
     y_hat, y = _as_matrix_pair(y_hat, y)
-    med = float(np.median(y))
-    if per_gene:
-        return float(np.mean([mann_whitney_auc(y_hat[:, g], y[:, g] > med)[0]
-                              for g in range(y.shape[1])]))
-    return mann_whitney_auc(y_hat.ravel(), y.ravel() > med)[0]
+    return mann_whitney_auc(y_hat.ravel(), y.ravel() > float(np.median(y)))[0]
 
 
 def _as_matrix_pair(a, b):

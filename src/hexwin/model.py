@@ -23,10 +23,9 @@ import numpy as np
 
 from .errors import InputError, ShapeError
 from .hexgeom import LatticeScale, cells_for_points, estimate_scale
-from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp, \
-    masked_exp, masked_softmax
-# unused here; stays importable as hexwin.model.masked_softmax_vjp for perfbench's tracer
-from .numerics import masked_softmax_vjp  # noqa: F401
+from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp, masked_exp
+# unused here; stay importable from hexwin.model for perfbench's tracer
+from .numerics import masked_softmax, masked_softmax_vjp  # noqa: F401
 from .rope import RopeConfig, apply_hex_rope, apply_hex_rope_vjp, \
     apply_rope_2d, apply_rope_2d_vjp, axial_to_cube
 from .windowing import WindowPartition, partition, partition_square, shift_schedule
@@ -212,13 +211,6 @@ def _spot_offsets(cell_offsets, xy_offsets, cfg: ModelConfig) -> np.ndarray:
     return np.asarray(xy_offsets, dtype=np.float64)
 
 
-def _packing_from_partition(part: WindowPartition, cfg: ModelConfig) -> _Packing:
-    if len(part.dropped):
-        raise InputError("model forward requires a partition with no dropped spots")
-    return _compact_packing(part.window_of_spot, part.slot_of_spot, part.n_windows,
-                            _spot_offsets(part.cell_offsets, part.cart_offsets, cfg))
-
-
 def _global_packing(coords, cells, scale: LatticeScale, cfg: ModelConfig) -> _Packing:
     """All spots in one window, in row order."""
     n = len(coords)
@@ -236,9 +228,7 @@ class Geometry:
     partitions: list[list[WindowPartition | None]]
 
 
-def build_geometry(coords: np.ndarray, cfg: ModelConfig, *,
-                   scale: LatticeScale | None = None,
-                   strict: bool = True) -> Geometry:
+def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
     """Estimate the lattice scale and build every stage/block partition.
 
     Datasets too small for k-NN estimation fall back to unit spacing; with a
@@ -246,13 +236,12 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig, *,
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
-    if scale is None:
-        if n >= cfg.knn_k + 1:
-            scale = estimate_scale(coords, cfg.knn_k)
-        elif n >= 2:
-            scale = estimate_scale(coords, n - 1)
-        else:
-            scale = LatticeScale.from_spacing(1.0, coords[0])
+    if n >= cfg.knn_k + 1:
+        scale = estimate_scale(coords, cfg.knn_k)
+    elif n >= 2:
+        scale = estimate_scale(coords, n - 1)
+    else:
+        scale = LatticeScale.from_spacing(1.0, coords[0])
     cells = cells_for_points(coords, scale)
     schedule = shift_schedule(cfg.blocks)
     packings: list[list[_Packing]] = []
@@ -266,14 +255,15 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig, *,
             else:
                 if cfg.window == "hex":
                     part = partition(coords, cells, scale, cfg.radii[stage],
-                                     schedule[block], strict=strict,
-                                     stage=stage, block=block)
+                                     schedule[block], stage=stage, block=block)
                 else:
                     part = partition_square(coords, cells, scale,
                                             cfg.stage_sides()[stage],
-                                            schedule[block], strict=strict,
-                                            stage=stage, block=block)
-                row_pack.append(_packing_from_partition(part, cfg))
+                                            schedule[block], stage=stage, block=block)
+                # strict partitions place every spot
+                row_pack.append(_compact_packing(
+                    part.window_of_spot, part.slot_of_spot, part.n_windows,
+                    _spot_offsets(part.cell_offsets, part.cart_offsets, cfg)))
                 row_part.append(part)
         packings.append(row_pack)
         partitions.append(row_part)
@@ -576,51 +566,6 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     grads["embed.w"] += tokens.T @ d_h
     grads["embed.b"] += d_h.sum(axis=0)
     return grads
-
-
-def _one_window(h_window, occupancy, offsets, cfg: ModelConfig):
-    """Occupied slots of one window as token rows, with their packing.
-
-    Hex offsets may be axial (S, 2) or cube (S, 3); 2-d offsets are xy.
-    """
-    rows = np.flatnonzero(np.asarray(occupancy, dtype=bool))
-    off = np.asarray(offsets, dtype=np.float64)[rows]
-    if cfg.pe == "hexrope" and off.shape[-1] == 2:
-        off = axial_to_cube(off)
-    pack = _compact_packing(np.zeros(len(rows), dtype=np.int64), rows, 1, off)
-    return rows, np.asarray(h_window, dtype=np.float64)[rows], pack
-
-
-def window_attention(h_window: np.ndarray, occupancy: np.ndarray,
-                     offsets: np.ndarray, params: Params, prefix: str,
-                     cfg: ModelConfig):
-    """Attention core for one window: returns (context, attention weights).
-
-    The context is the per-slot concatenation of head outputs before the
-    output projection; unoccupied slots are zero, as are their attention
-    rows and columns.
-    """
-    s = len(h_window)
-    rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
-    _, (_, qa, kta, _, ctx_tok) = _attention_forward(tokens, pack, params, prefix, cfg,
-                                                     _Workspace())
-    ctx = np.zeros((s, cfg.dim))
-    ctx[rows] = ctx_tok
-    dh = cfg.head_dim
-    attn = masked_softmax(qa[..., :dh] @ kta[:, :, :dh], pack.occ[:, None, None, :], axis=-1)
-    weights = np.zeros((cfg.heads, s, s))
-    weights[:, rows[:, None], rows] = attn[0, :, :len(rows), :len(rows)]
-    return ctx, weights
-
-
-def hexmsa_block(h_window: np.ndarray, occupancy: np.ndarray,
-                 offsets: np.ndarray, params: Params, prefix: str,
-                 cfg: ModelConfig) -> np.ndarray:
-    """Full pre-norm block on one packed window; unoccupied slots emit zeros."""
-    rows, tokens, pack = _one_window(h_window, occupancy, offsets, cfg)
-    out = np.zeros((len(h_window), cfg.dim))
-    out[rows] = _block_forward(tokens, pack, params, prefix, cfg, _Workspace())[0]
-    return out
 
 
 CHECKPOINT_MAGIC = b"HEXWIN-CKPT-v1\n"

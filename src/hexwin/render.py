@@ -1,9 +1,9 @@
-"""Plain portable pixmap/graymap renderers for partitions and gene heatmaps.
+"""Plain portable pixmap renderers for partitions and gene heatmaps.
 
-Images are binary P6 (color) or P5 (gray) with no external imaging
-dependency. Spots are drawn as filled disks on a white canvas; partition
-images color spots by window via a fixed palette, heatmaps by a blue-red
-ramp over the per-gene min-max range.
+Images are binary P6 with no external imaging dependency. Spots are drawn
+as filled disks on a white canvas; partition images color spots by window
+via a fixed palette, heatmaps by a blue-red ramp over the per-gene min-max
+range.
 """
 
 from __future__ import annotations
@@ -29,25 +29,16 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
         fh.write(rgb.tobytes())
 
 
-def write_pgm(path: str, gray: np.ndarray) -> None:
-    gray = np.asarray(gray, dtype=np.uint8)
-    if gray.ndim != 2:
-        raise InputError("write_pgm expects an (H, W) uint8 array")
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{gray.shape[1]} {gray.shape[0]}\n255\n".encode())
-        fh.write(gray.tobytes())
-
-
 def read_ppm(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
-        if magic not in (b"P5", b"P6"):
+        if magic != b"P6":
             raise InputError(f"{path}: unsupported format {magic!r}")
         dims = fh.readline().split()
         fh.readline()  # maxval
         w, h = int(dims[0]), int(dims[1])
         data = np.frombuffer(fh.read(), dtype=np.uint8)
-    return data.reshape((h, w, 3) if magic == b"P6" else (h, w))
+    return data.reshape(h, w, 3)
 
 
 def draw_spots(coords: np.ndarray, colors: np.ndarray, width: int = 400,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .hexgeom import SQRT3
+from .hexgeom import SQRT3, hex_distance
 
 PATTERN_KINDS = ("boundary", "gradient", "sparse", "noise")
 
@@ -55,6 +55,8 @@ class SynthConfig:
                 raise InputError(f"unknown pattern kind {kind!r}")
         if self.token_rule not in ("informative", "pure-noise"):
             raise InputError("token_rule must be 'informative' or 'pure-noise'")
+        if self.seed < 0 or self.assay_seed < -1:
+            raise InputError("seed must be >= 0 and assay_seed >= -1")
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,7 @@ def generate(cfg: SynthConfig) -> SpotDataset:
         elif kind == "sparse":
             hot = rng.choice(n, size=min(3, n), replace=False)
             reach = max(1, cfg.radius // 4)
-            dq = cells[:, None, 0] - cells[None, hot, 0]
-            dr = cells[:, None, 1] - cells[None, hot, 1]
-            dist = np.maximum(np.maximum(abs(dq), abs(dr)), abs(dq + dr)).min(axis=1)
-            on = dist <= reach
+            on = hex_distance(cells[:, None], cells[hot]).min(axis=1) <= reach
             values = rng.normal(1.5, sigma, n)
             expression[:, g] = np.where(on, values, 0.0)
             patterns.append(GenePattern(kind, theta, high_region=on))

@@ -47,6 +47,8 @@ class TrainConfig:
             raise InputError("optimizer must be 'adam' or 'sgd'")
         if not 0.0 <= self.val_fraction < 1.0:
             raise InputError("val_fraction must lie in [0, 1)")
+        if self.eval_every < 1 or self.seed < 0:
+            raise InputError("eval_every must be >= 1 and seed >= 0")
 
 
 @dataclass

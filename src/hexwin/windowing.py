@@ -286,42 +286,57 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
 def check_partition(part: WindowPartition, cells: np.ndarray) -> None:
     """Re-assert the partition invariants; raises CoverageError on violation."""
     cells = np.asarray(cells, dtype=np.int64)
-    n = len(part.window_of_spot)
-    assigned = part.window_of_spot >= 0
-    if len(part.dropped) != int((~assigned).sum()):
+    win, slot = part.window_of_spot, part.slot_of_spot
+    assigned = win >= 0
+    if not np.array_equal(part.dropped, np.flatnonzero(~assigned)):
         raise CoverageError("dropped list inconsistent with assignments")
-    pairs = set()
-    for i in np.flatnonzero(assigned):
-        key = (int(part.window_of_spot[i]), int(part.slot_of_spot[i]))
-        if key in pairs:
-            raise CoverageError(f"duplicate (window, slot) {key}")
-        pairs.add(key)
-        if not part.occupancy[key]:
-            raise CoverageError(f"occupancy mask does not cover spot {i}")
-    if int(part.occupancy.sum()) != len(pairs):
+    idx = np.flatnonzero(assigned)
+    w, sl = win[idx], slot[idx]
+    m, s = part.occupancy.shape
+    bad = idx[(w >= m) | (sl < 0) | (sl >= s)]
+    if len(bad):
+        raise CoverageError(f"spot {bad[0]} has (window, slot) ({win[bad[0]]}, "
+                            f"{slot[bad[0]]}) outside the {m} x {s} occupancy mask")
+    _, first, inverse = np.unique(w * s + sl, return_index=True, return_inverse=True)
+    bad = idx[first[inverse] != np.arange(len(idx))]
+    if len(bad):
+        raise CoverageError(f"duplicate (window, slot) ({win[bad[0]]}, {slot[bad[0]]})")
+    bad = idx[~part.occupancy[w, sl]]
+    if len(bad):
+        raise CoverageError(f"occupancy mask does not cover spot {bad[0]}")
+    if int(part.occupancy.sum()) != len(idx):
         raise CoverageError("occupancy marks slots with no spot")
     if part.kind == "hex":
         off = part.cell_offsets[assigned]
         dist = hex_distance(off, np.zeros_like(off))
         if np.any(dist > part.size):
             raise CoverageError("slot offset exceeds window radius")
-    if n and not np.array_equal(
-            part.cell_offsets[assigned],
-            cells[assigned] - part.center_cells[part.window_of_spot[assigned]]):
+    if len(win) and not np.array_equal(
+            part.cell_offsets[assigned], cells[assigned] - part.center_cells[win[assigned]]):
         raise CoverageError("cell offsets inconsistent with window centers")
 
 
 def six_neighbor_pairs(cells: np.ndarray) -> np.ndarray:
-    """Index pairs of spots occupying adjacent lattice cells (each pair once)."""
-    cells = np.asarray(cells, dtype=np.int64)
-    where = {(int(q), int(r)): i for i, (q, r) in enumerate(cells)}
-    pairs = []
-    for i, (q, r) in enumerate(cells):
-        for dq, dr in ((1, 0), (0, 1), (-1, 1)):
-            j = where.get((int(q) + dq, int(r) + dr))
-            if j is not None:
-                pairs.append((i, j))
-    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    """Index pairs of spots occupying adjacent lattice cells (each pair once).
+
+    Pairs come in spot order, then direction order (1, 0), (0, 1), (-1, 1);
+    a cell that several spots share is found as its last spot.
+    """
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    if not len(cells):
+        return np.zeros((0, 2), dtype=np.int64)
+    # pack cells, shifted one past each edge, into sortable integer keys
+    shifted = cells - cells.min(axis=0) + 1
+    width = int(shifted[:, 1].max()) + 2
+    keys = shifted[:, 0] * width + shifted[:, 1]
+    uniq, last = np.unique(keys[::-1], return_index=True)
+    last = len(keys) - 1 - last
+    step = np.array([width, 1, 1 - width])          # (1, 0), (0, 1), (-1, 1)
+    want = keys[:, None] + step
+    pos = np.minimum(np.searchsorted(uniq, want), len(uniq) - 1)
+    found = uniq[pos] == want
+    i, d = np.nonzero(found)
+    return np.stack([i, last[pos[i, d]]], axis=1).astype(np.int64)
 
 
 def neighbor_coverage_rate(partitions: list[WindowPartition],

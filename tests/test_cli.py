@@ -212,9 +212,13 @@ class TestExitCodes:
         lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "dim": 8, "heads": 2}}),
         lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "dim": 6, "heads": 2,
                                                  "pe": "rope2d"}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "eval_every": 0}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "eval_every": -1}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "seed": -1}}),
     ], ids=["malformed-json", "zero-heads", "scalar-radii", "float-blocks",
             "unknown-model-key", "unknown-train-key", "unknown-weight-key",
-            "unknown-section", "hexrope-head-dim-4", "rope2d-head-dim-3"])
+            "unknown-section", "hexrope-head-dim-4", "rope2d-head-dim-3",
+            "zero-eval-every", "negative-eval-every", "negative-train-seed"])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        edit):
         path = tmp_path / "cfg.json"
@@ -226,10 +230,13 @@ class TestExitCodes:
         path.write_text(edit(cfg))
         assert_invalid_input(capsys, argv)
 
-    def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, "radus": 3})
+    @pytest.mark.parametrize("edit", [{"radus": 3}, {"seed": -1}, {"assay_seed": -2}],
+                             ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one"])
+    def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit):
+        cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, **edit})
         assert_invalid_input(capsys, ["generate", "--config", cfg,
                                       "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
 
     @staticmethod
     def edited_checkpoint(tmp_path, old, new):
@@ -311,6 +318,14 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: ") and ">= 1" in err[0]
         assert not (tmp_path / "imgs").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "0"),
+                                            ("--h", "nan"), ("--h", "-1")])
+    def test_non_positive_float_is_usage_error(self, capsys, flag, value):
+        capsys.readouterr()
+        assert main(["gradcheck", flag, value]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: "), err
 
     def test_duplicate_spot_id_is_usage_error(self, dataset_dir, tmp_path, capsys):
         path = dataset_dir / "spots.tsv"

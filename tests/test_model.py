@@ -8,9 +8,8 @@ import pytest
 from hexwin import model
 from hexwin.errors import InputError
 from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_geometry,
-                          forward, hexmsa_block, init_params, load_checkpoint,
-                          params_to_vector, save_checkpoint, vector_to_params,
-                          window_attention, zeros_like_params)
+                          forward, init_params, load_checkpoint, params_to_vector,
+                          save_checkpoint, vector_to_params, zeros_like_params)
 from hexwin.numerics import finite_diff_grad, relative_error
 from hexwin.rope import axial_to_cube
 from hexwin.synth import SynthConfig, generate
@@ -53,79 +52,83 @@ def worst_gradient_error(cfg, ds, params):
 
 
 class TestWindowAttention:
+    """Attention properties of the path training runs, on hand-built packings."""
+
+    @staticmethod
+    def attend(a, win, offsets, params, cfg=TINY):
+        """_attention_forward over windows `win` of rows `a`; returns (ctx, cache, pack)."""
+        win = np.asarray(win, dtype=np.int64)
+        pack = model._compact_packing(win, np.arange(len(win)), int(win.max()) + 1,
+                                      np.asarray(offsets, dtype=np.float64))
+        _, cache = model._attention_forward(a, pack, params, "s0b0", cfg,
+                                            model._Workspace())
+        return cache[4], cache, pack
+
+    @staticmethod
+    def cube_offsets(rng, n):
+        return axial_to_cube(rng.integers(-1, 2, (n, 2))).astype(float)
+
     def test_single_occupied_slot_returns_value_projection(self):
+        # window 1 holds one spot, padded to window 0's width of three slots
         params = generic_params(TINY)
         rng = np.random.default_rng(3)
-        h = rng.normal(0, 1, (7, 6))
-        occ = np.zeros(7, dtype=bool)
-        occ[2] = True
-        offsets = axial_to_cube(np.zeros((7, 2))).astype(float)
-        ctx, attn = window_attention(h, occ, offsets, params, "s0b0", TINY)
-        value = h[2] @ params["s0b0.attn.v.w"] + params["s0b0.attn.v.b"]
-        np.testing.assert_allclose(ctx[2], value, atol=1e-12)
-        np.testing.assert_allclose(ctx[occ == False], 0.0, atol=0)
+        a = rng.normal(0, 1, (4, 6))
+        ctx, _, pack = self.attend(a, [0, 0, 0, 1], self.cube_offsets(rng, 4), params)
+        assert pack.occ.shape == (2, 3) and pack.occ[1].sum() == 1
+        value = a[3] @ params["s0b0.attn.v.w"] + params["s0b0.attn.v.b"]
+        np.testing.assert_allclose(ctx[3], value, rtol=0, atol=1e-12)
 
     def test_identical_keys_average_values(self):
+        # zero key weights and zero offsets: every key in a window is the same
         params = generic_params(TINY)
         params["s0b0.attn.k.w"] = np.zeros_like(params["s0b0.attn.k.w"])
         rng = np.random.default_rng(4)
-        h = rng.normal(0, 1, (7, 6))
-        occ = np.zeros(7, dtype=bool)
-        occ[1] = occ[5] = True
-        offsets = np.zeros((7, 3))
-        ctx, attn = window_attention(h, occ, offsets, params, "s0b0", TINY)
-        values = h @ params["s0b0.attn.v.w"] + params["s0b0.attn.v.b"]
-        mean = 0.5 * (values[1] + values[5])
-        np.testing.assert_allclose(ctx[1], mean, atol=1e-12)
-        np.testing.assert_allclose(ctx[5], mean, atol=1e-12)
+        a = rng.normal(0, 1, (6, 6))
+        win = np.array([1, 0, 1, 0, 0, 1])
+        ctx, _, _ = self.attend(a, win, np.zeros((6, 3)), params)
+        values = a @ params["s0b0.attn.v.w"] + params["s0b0.attn.v.b"]
+        for w in (0, 1):
+            mean = values[win == w].mean(axis=0)
+            np.testing.assert_allclose(ctx[win == w], np.broadcast_to(mean, (3, 6)),
+                                       rtol=0, atol=1e-12)
 
     def test_slot_permutation_equivariance(self):
         params = generic_params(TINY)
         rng = np.random.default_rng(5)
-        s = 7
-        h = rng.normal(0, 1, (s, 6))
-        occ = rng.random(s) < 0.7
-        occ[0] = True
-        offsets = axial_to_cube(rng.integers(-1, 2, (s, 2))).astype(float)
-        ctx, _ = window_attention(h, occ, offsets, params, "s0b0", TINY)
-        perm = rng.permutation(s)
-        ctx_p, _ = window_attention(h[perm], occ[perm], offsets[perm], params,
-                                    "s0b0", TINY)
-        np.testing.assert_allclose(ctx_p, ctx[perm], atol=1e-12)
+        n = 9
+        a = rng.normal(0, 1, (n, 6))
+        win = np.array([0, 1, 2, 0, 1, 0, 0, 2, 1])
+        offsets = self.cube_offsets(rng, n)
+        ctx, _, _ = self.attend(a, win, offsets, params)
+        perm = rng.permutation(n)
+        ctx_p, _, _ = self.attend(a[perm], win[perm], offsets[perm], params)
+        np.testing.assert_allclose(ctx_p, ctx[perm], rtol=0, atol=1e-12)
 
     def test_attention_rows_sum_to_one_over_occupied(self):
+        # the cached [q | -LSE] and [K^T; 1] rebuild the weights backward uses
         params = generic_params(TINY)
         rng = np.random.default_rng(6)
-        h = rng.normal(0, 1, (7, 6))
-        occ = np.array([True, False, True, True, False, False, True])
-        offsets = np.zeros((7, 3))
-        _, attn = window_attention(h, occ, offsets, params, "s0b0", TINY)
-        np.testing.assert_allclose(attn[:, occ, :].sum(-1), 1.0, atol=1e-12)
-        assert np.all(attn[:, :, ~occ] == 0.0)
+        a = rng.normal(0, 1, (7, 6))
+        ctx, (_, qa, kta, va, _), pack = self.attend(
+            a, [0, 1, 0, 0, 1, 0, 2], self.cube_offsets(rng, 7), params)
+        weights = np.exp(qa @ kta) * pack.occ[:, None, None, :]
+        row_sums = weights.sum(-1).transpose(0, 2, 1)[pack.occ]    # (spots, heads)
+        np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=1e-12)
+        ctx_w = (weights @ va[..., :-1])[pack.win, :, pack.slot].reshape(7, 6)
+        np.testing.assert_allclose(ctx_w, ctx, rtol=0, atol=1e-12)
 
-    def test_sentinel_values_in_empty_slots_do_not_leak(self):
+    def test_poisoned_window_does_not_leak(self):
         params = generic_params(TINY)
         rng = np.random.default_rng(7)
-        h = rng.normal(0, 1, (7, 6))
-        occ = np.array([True, True, False, True, False, False, False])
-        offsets = axial_to_cube(rng.integers(-1, 2, (7, 2))).astype(float)
-        ctx, _ = window_attention(h, occ, offsets, params, "s0b0", TINY)
-        poisoned = h.copy()
-        poisoned[~occ] = 1e6
-        ctx_p, _ = window_attention(poisoned, occ, offsets, params, "s0b0", TINY)
-        np.testing.assert_allclose(ctx_p[occ], ctx[occ], atol=1e-9)
-        np.testing.assert_allclose(ctx_p[~occ], 0.0, atol=0)
-
-    def test_hexmsa_block_zeroes_unoccupied(self):
-        params = generic_params(TINY)
-        rng = np.random.default_rng(8)
-        h = rng.normal(0, 1, (7, 6))
-        occ = np.array([True, False, True, False, True, False, True])
-        offsets = np.zeros((7, 3))
-        out = hexmsa_block(h, occ, offsets, params, "s0b0", TINY)
-        assert out.shape == (7, 6)
-        np.testing.assert_allclose(out[~occ], 0.0, atol=0)
-        assert np.all(np.isfinite(out))
+        a = rng.normal(0, 1, (7, 6))
+        win = np.array([0, 1, 1, 0, 1, 1, 1])
+        offsets = self.cube_offsets(rng, 7)
+        ctx, _, _ = self.attend(a, win, offsets, params)
+        poisoned = a.copy()
+        poisoned[win == 1] = 1e6
+        # scores of 1e12 take the row-max fallback, so this is not bitwise
+        ctx_p, _, _ = self.attend(poisoned, win, offsets, params)
+        np.testing.assert_allclose(ctx_p[win == 0], ctx[win == 0], rtol=0, atol=1e-12)
 
 
 class TestForward:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -316,12 +318,59 @@ def test_check_partition_catches_tampering():
     pts = lattice_points(3)
     cells = cells_for_points(pts, UNIT)
     part = partition(pts, cells, UNIT, 1, 0)
+    check_partition(part, cells)
+    win, slot = part.window_of_spot, part.slot_of_spot
+    j, i = np.flatnonzero(win == np.bincount(win).argmax())[:2]   # share a window
+
+    def edited(array, index, value):
+        out = array.copy()
+        out[index] = value
+        return out
+
     hacked = part.occupancy.copy()
     hacked[0, 0] = ~hacked[0, 0]
-    import dataclasses
-    bad = dataclasses.replace(part, occupancy=hacked)
-    with pytest.raises(CoverageError):
-        check_partition(bad, cells)
+    unplaced = part.occupancy.copy()
+    unplaced[win[0], slot[0]] = False
+    cases = [
+        (dict(occupancy=hacked), "occupancy"),
+        # spot 0 unplaced consistently everywhere but in the dropped list
+        (dict(window_of_spot=edited(win, 0, -1), slot_of_spot=edited(slot, 0, -1),
+              occupancy=unplaced, dropped=np.array([1])), "dropped list"),
+        (dict(window_of_spot=edited(win, 0, part.n_windows)), "outside the"),
+        (dict(slot_of_spot=edited(slot, 0, part.n_slots)), "outside the"),
+        # slot - S wraps around to the same occupied mask column
+        (dict(slot_of_spot=edited(slot, 0, slot[0] - part.n_slots)), "spot 0 has"),
+        (dict(slot_of_spot=edited(slot, i, slot[j])),
+         rf"duplicate \(window, slot\) \({win[j]}, {slot[j]}\)"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(CoverageError, match=message):
+            check_partition(dataclasses.replace(part, **changes), cells)
+
+
+def dict_neighbor_pairs(cells):
+    """Oracle: one dict lookup per cell and direction; a shared cell maps to its last spot."""
+    where = {(int(q), int(r)): i for i, (q, r) in enumerate(cells)}
+    pairs = [(i, where[(int(q) + dq, int(r) + dr)])
+             for i, (q, r) in enumerate(cells)
+             for dq, dr in ((1, 0), (0, 1), (-1, 1))
+             if (int(q) + dq, int(r) + dr) in where]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def test_six_neighbor_pairs_match_dict_oracle():
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        pts = lattice_points(6, jitter=0.05, seed=seed)
+        pts = pts[rng.random(len(pts)) >= 0.1] + rng.normal(0, 50, 2)
+        cells = cells_for_points(pts, estimate_scale(pts, 6))
+        np.testing.assert_array_equal(six_neighbor_pairs(cells), dict_neighbor_pairs(cells))
+    # spots 0 and 3 share a cell; spot 4's lookup finds the last of them, spot 3
+    cells = np.array([[0, 0], [1, 0], [0, 1], [0, 0], [-1, 0], [-5, 9]])
+    got = six_neighbor_pairs(cells)
+    np.testing.assert_array_equal(got, dict_neighbor_pairs(cells))
+    np.testing.assert_array_equal(got, [[0, 1], [0, 2], [1, 2], [3, 1], [3, 2], [4, 3]])
+    assert six_neighbor_pairs(np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
 
 
 def test_slot_set_is_frozen():
