@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InputError, ShapeError
 from .hexgeom import LatticeScale, cells_for_points, estimate_scale
-from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp, masked_exp
+from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp
 # unused here; stay importable from hexwin.model for perfbench's tracer
 from .numerics import masked_softmax, masked_softmax_vjp  # noqa: F401
 from .rope import RopeConfig, apply_hex_rope, apply_hex_rope_vjp, \
@@ -52,10 +52,12 @@ class ModelConfig:
     knn_k: int = 6
 
     def __post_init__(self):
-        if min(self.dim, self.heads, self.stages, self.blocks, *self.radii,
-               *self.square_sides) < 1:
-            raise InputError("dim, heads, stages, blocks, radii and square "
-                             "sides must be >= 1")
+        if min(self.in_dim, self.genes, self.dim, self.heads, self.stages, self.blocks,
+               self.out_dim, self.knn_k, *self.radii, *self.square_sides) < 1:
+            raise InputError("in_dim, genes, dim, heads, stages, blocks, out_dim, "
+                             "knn_k, radii and square sides must be >= 1")
+        if min(self.t_dim, self.mlp_hidden) < 0 or not 0.0 < self.rope_base < math.inf:
+            raise InputError("t_dim and mlp_hidden must be >= 0 and rope_base finite and > 0")
         if self.dim % self.heads:
             raise InputError("dim must be divisible by heads")
         if len(self.radii) != self.stages - 1:
@@ -301,29 +303,25 @@ TILE_CELLS = 1 << 16
 
 # Largest bound on a block's |scores| for which forward takes exp(S) with no
 # row-max shift: e^600 times any spot count stays finite and e^-600 is a
-# normal float, so no row sum overflows or underflows. Above it a tile
-# shifts each row by its max (masked_exp).
+# normal float, so no row sum overflows or underflows. Above it forward first
+# finds each row's largest valid score over the same tiles and shifts by it.
 EXP_LIMIT = 600.0
 
 
-def _tiles(m: int, s: int, heads: int, cols: int) -> list[tuple[slice, slice, slice]]:
+def _tiles(m: int, s: int, heads: int) -> list[tuple[slice, slice, slice]]:
     """The (window, query-row, key) slices of every tile; the first is the largest.
 
     Whole windows are grouped while they fit in TILE_CELLS. A window too
-    large for one tile, such as the global one, is cut into blocks of at
-    most `cols` keys and as many query rows as fit (at least one of each).
+    large for one tile, such as the global one, is cut into square
+    (query x key) blocks, with as many query rows as the budget leaves (at
+    least one of each).
     """
     n_win = min(m, max(1, TILE_CELLS // (heads * s * s)))
-    cols = min(s, cols)
+    cols = min(s, max(1, math.isqrt(TILE_CELLS // heads)))
     rows = min(s, max(1, TILE_CELLS // (n_win * heads * cols)))
     return [(slice(w0, w0 + n_win), slice(r0, r0 + rows), slice(k0, k0 + cols))
             for w0 in range(0, m, n_win) for r0 in range(0, s, rows)
             for k0 in range(0, s, cols)]
-
-
-def _key_block(heads: int) -> int:
-    """Keys per backward tile: square (query x key) blocks fill TILE_CELLS."""
-    return max(1, math.isqrt(TILE_CELLS // heads))
 
 
 class _Workspace:
@@ -350,48 +348,63 @@ def _transposed(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 1, 3, 2))
 
 
+def _tile_scores(qa: np.ndarray, kta: np.ndarray, ws: slice, rs: slice, ks: slice,
+                 work: _Workspace) -> np.ndarray:
+    """[q | -c] [K^T; occ] on one tile: S - c on occupied keys, 0 on empty ones.
+
+    c is the per-row term in the extra query column, so exp of the result is
+    the tile's weights on occupied keys. On empty keys it is exactly 1, and
+    every matmul it enters meets a zero there: [V | occ] in forward and
+    [V^T; occ] in backward.
+    """
+    q_t, k_t = qa[ws, :, rs], kta[ws, :, :, ks]
+    return np.matmul(q_t, k_t, out=work.view("p", q_t.shape[:3] + k_t.shape[3:]))
+
+
 def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
                        prefix: str, cfg: ModelConfig, work: _Workspace):
     """Multi-head attention within each packed window; returns (out, cache).
 
     q/k/v are projected and rotated on the (N, dim) token rows and only then
     gathered into windows; queries carry the 1/sqrt(head_dim) score scale.
-    Scores exist one tile of whole query rows at a time and are not kept;
-    each query row's log-sum-exp is, so backward rebuilds any block of
-    weights in one pass (FlashAttention-2, Dao 2023). Every per-row term
-    rides in one extra matmul column: values carry a column of ones (zero on
-    empty slots) that sums each row of exp(S), queries carry -LSE against a
-    row of ones under the keys, so a tile's only elementwise pass is exp.
+    Scores exist one (window, query, key) tile at a time, the tiles backward
+    walks too, and are not kept; each query row's log-sum-exp is, so
+    backward rebuilds any tile of weights in one pass (FlashAttention-2,
+    Dao 2023). Every per-row term rides in one extra matmul column: queries
+    carry -c against the keys' occupancy row, and values carry an occupancy
+    column that sums each row of weights as the key blocks add up, so no tile
+    is masked. c is 0 when no score of the block can overflow exp, else each
+    row's largest valid score, found in a max-only pass over the tiles.
     """
     n, dh = len(a), cfg.head_dim
     q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
                .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
     q = _rope_apply(q, pack, cfg) * (1.0 / np.sqrt(dh))
     k = _rope_apply(k, pack, cfg)
-    # Cauchy-Schwarz: no score of the block exceeds beta in magnitude
-    beta = math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k)))
     m, s = pack.occ.shape
-    qa = _to_windows(q, pack)                      # [q | -LSE]
-    kta = np.zeros((m, cfg.heads, dh + 1, s))      # [K^T; 1]
+    qa = _to_windows(q, pack)                      # [q | -c], then [q | -LSE]
+    kta = np.zeros((m, cfg.heads, dh + 1, s))      # [K^T; occ]
     kta[pack.win, :, :dh, pack.slot] = k
-    kta[:, :, dh] = 1.0
-    va = _to_windows(v, pack)                      # [V | 1]
+    kta[:, :, dh] = pack.occ[:, None]
+    va = _to_windows(v, pack)                      # [V | occ]
     va[..., dh] = pack.occ[:, None]
-    ctx = np.empty_like(va)                        # [numerator | row sum]
-    for ws, rs, _ in _tiles(m, s, cfg.heads, s):
-        q_t = qa[ws, :, rs, :dh]
-        e = np.matmul(q_t, kta[ws, :, :dh], out=work.view("p", q_t.shape[:3] + (s,)))
+    ctx = np.zeros_like(va)                        # [numerator | row sum]
+    tiles = _tiles(m, s, cfg.heads)
+    # Cauchy-Schwarz: no score of the block exceeds this bound in magnitude
+    if math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k))) > EXP_LIMIT:
+        peak = np.full(qa.shape[:3], -np.inf)
+        for ws, rs, ks in tiles:
+            p = _tile_scores(qa, kta, ws, rs, ks, work)
+            np.copyto(p, -np.inf, where=~pack.occ[ws, None, None, ks])
+            np.maximum(peak[ws, :, rs], p.max(axis=-1), out=peak[ws, :, rs])
+        qa[..., dh] = -peak
+    for ws, rs, ks in tiles:
+        p = _tile_scores(qa, kta, ws, rs, ks, work)
+        np.exp(p, out=p)
         c = ctx[ws, :, rs]
-        if beta <= EXP_LIMIT:
-            np.matmul(np.exp(e, out=e), va[ws], out=c)
-        else:
-            e, total, lse = masked_exp(e, pack.occ[ws, None, None, :], axis=-1, out=e)
-            np.matmul(e, va[ws, :, :, :dh], out=c[..., :dh])
-            c[..., :dh] /= total
-            qa[ws, :, rs, dh] = -lse[..., 0]
-    if beta <= EXP_LIMIT:
-        qa[..., dh] = -np.log(ctx[..., dh])
-        ctx[..., :dh] /= ctx[..., dh:]
+        c += np.matmul(p, va[ws, :, ks], out=work.view("c", c.shape))
+    qa[..., dh] -= np.log(ctx[..., dh])
+    ctx[..., :dh] /= ctx[..., dh:]
     ctx_tok = ctx[pack.win, :, pack.slot, :dh].reshape(n, cfg.dim)
     out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
     return out, (a, qa, kta, va, ctx_tok)
@@ -402,12 +415,12 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
                         work: _Workspace) -> np.ndarray:
     """FlashAttention-2 backward over (window group, query block, key block) tiles.
 
-    A tile's weights are P = exp([q | -LSE] [K^T; 1]) = exp(S - LSE), and
-    dS = P * ([dCtx | -D] [V^T; 1]) = P * (dP - D) with the softmax vjp's row
-    term D = rowsum(dCtx * Ctx), taken once per block on the token rows. So a
-    tile makes two elementwise passes (exp and one multiply), plus the
-    masking of empty key slots in windowed tiles, and adds only into its own
-    rows of dQ and its own keys of dK and dV.
+    A tile's weights are P = exp([q | -LSE] [K^T; occ]) = exp(S - LSE), built
+    as in forward, and dS = P * ([dCtx | -D] [V^T; occ]) = P * (dP - D) with
+    the softmax vjp's row term D = rowsum(dCtx * Ctx), taken once per block
+    on the token rows; on empty keys dS is 0. So a tile makes two elementwise
+    passes (exp and one multiply) and adds only into its own rows of dQ and
+    its own keys of dK and dV.
     """
     a, qa, kta, va, ctx_tok = cache
     n, dh = len(a), cfg.head_dim
@@ -416,19 +429,15 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
     d_ctx_tok = (d_out @ params[f"{prefix}.attn.o.w"].T).reshape(n, cfg.heads, dh)
     dca = _to_windows(d_ctx_tok, pack)             # [dCtx | -D]
     dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx_tok, ctx_tok.reshape(n, cfg.heads, dh))
-    vta = _transposed(va)                          # [V^T; 1]
+    vta = _transposed(va)                          # [V^T; occ]
     kw = _transposed(kta[:, :, :dh])               # K: dQ's matmul is slower on a strided view
     m, s = pack.occ.shape
     d_qw, d_kw, d_vw = (np.zeros((m, cfg.heads, s, dh)) for _ in range(3))
-    for ws, rs, ks in _tiles(m, s, cfg.heads, _key_block(cfg.heads)):
+    for ws, rs, ks in _tiles(m, s, cfg.heads):
         q_t, k_t, d_c = qa[ws, :, rs, :dh], kw[ws, :, ks], dca[ws, :, rs, :dh]
-        shape = q_t.shape[:3] + k_t.shape[2:3]
-        p = np.matmul(qa[ws, :, rs], kta[ws, :, :, ks], out=work.view("p", shape))
-        valid = pack.occ[ws, None, None, ks]
-        if not valid.all():
-            np.copyto(p, -np.inf, where=~valid)
+        p = _tile_scores(qa, kta, ws, rs, ks, work)
         np.exp(p, out=p)
-        d_s = np.matmul(dca[ws, :, rs], vta[ws, :, :, ks], out=work.view("dp", shape))
+        d_s = np.matmul(dca[ws, :, rs], vta[ws, :, :, ks], out=work.view("dp", p.shape))
         d_s *= p
         # views of the gradients, so += adds in place with no write-back copy
         d_q_t, d_k_t, d_v_t = d_qw[ws, :, rs], d_kw[ws, :, ks], d_vw[ws, :, ks]

@@ -3,8 +3,8 @@ and the central finite-difference oracle used by every gradient test.
 
 Arrays are plain C-contiguous numpy float64; boolean arrays act as occupancy
 masks and must broadcast against what they mask. No function mutates its
-inputs, except that the masked softmax helpers and the softmax vjp write
-into an ``out`` array they are given.
+inputs, except that the masked softmax and its vjp write into an ``out``
+array they are given.
 Backward passes are hand-derived per operation (suffix ``_vjp``), not taped.
 """
 
@@ -21,17 +21,14 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def masked_exp(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
-               out: np.ndarray | None = None):
-    """Unnormalized masked softmax along ``axis``, with its row log-sum-exp.
+def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along ``axis`` restricted to entries where ``valid`` is True.
 
-    Returns ``(e, total, lse)``: ``e`` is ``exp(scores - peak)`` where
-    ``valid`` is True and exactly zero elsewhere, ``peak`` being the largest
-    valid score of the slice; ``total`` is the slice sum of ``e`` and
-    ``lse = peak + log(total)``, both kept as size-1 axes. A slice with no
-    valid entry gets ``e = 0``, ``total = 1`` and ``lse = 0``, so
-    ``e / total`` weighs it zero. ``e`` is computed in ``out`` when given (it
-    may be ``scores`` itself), otherwise in one fresh copy of ``scores``.
+    Invalid positions get exactly zero weight; slices with no valid entry
+    return all zeros instead of raising (empty window slots are routine).
+    The weights are computed in ``out`` when given (it may be ``scores``
+    itself), otherwise in one fresh copy of ``scores``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -57,20 +54,6 @@ def masked_exp(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
     np.exp(out, out=out)
     total = np.sum(out, axis=axis, keepdims=True)
     total[total == 0.0] = 1.0
-    peak += np.log(total)
-    return out, total, peak
-
-
-def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax along ``axis`` restricted to entries where ``valid`` is True.
-
-    Invalid positions get exactly zero weight; slices with no valid entry
-    return all zeros instead of raising (empty window slots are routine).
-    The weights are computed in ``out`` when given (it may be ``scores``
-    itself), otherwise in one fresh copy of ``scores``.
-    """
-    out, total, _ = masked_exp(scores, valid, axis=axis, out=out)
     out /= total
     return out
 

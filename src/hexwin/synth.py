@@ -50,13 +50,17 @@ class SynthConfig:
             raise InputError("jitter must lie in [0, 0.3) to keep cells unambiguous")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError("dropout must lie in [0, 1)")
-        for kind in self.patterns:
-            if kind not in PATTERN_KINDS:
-                raise InputError(f"unknown pattern kind {kind!r}")
+        if not self.patterns or not set(self.patterns) <= set(PATTERN_KINDS):
+            raise InputError(f"patterns must be one or more of {', '.join(PATTERN_KINDS)}, "
+                             f"got {list(self.patterns)}")
         if self.token_rule not in ("informative", "pure-noise"):
             raise InputError("token_rule must be 'informative' or 'pure-noise'")
         if self.seed < 0 or self.assay_seed < -1:
             raise InputError("seed must be >= 0 and assay_seed >= -1")
+        if self.token_dim < 1 or min(self.expression_noise, self.token_noise,
+                                     self.transcriptomic_dim, self.max_spots) < 0:
+            raise InputError("token_dim must be >= 1 and expression_noise, token_noise, "
+                             "transcriptomic_dim and max_spots >= 0")
 
 
 @dataclass(frozen=True)

@@ -215,10 +215,21 @@ class TestExitCodes:
         lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "eval_every": 0}}),
         lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "eval_every": -1}}),
         lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "seed": -1}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "out_dim": 0}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "t_dim": -1}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "mlp_hidden": -2}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "knn_k": 0}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "rope_base": 0}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "rope_base": -3}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "rope_base": float("inf")}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "rope_base": float("nan")}}),
     ], ids=["malformed-json", "zero-heads", "scalar-radii", "float-blocks",
             "unknown-model-key", "unknown-train-key", "unknown-weight-key",
             "unknown-section", "hexrope-head-dim-4", "rope2d-head-dim-3",
-            "zero-eval-every", "negative-eval-every", "negative-train-seed"])
+            "zero-eval-every", "negative-eval-every", "negative-train-seed",
+            "zero-out-dim", "negative-t-dim", "negative-mlp-hidden", "zero-knn-k",
+            "zero-rope-base", "negative-rope-base", "infinite-rope-base",
+            "nan-rope-base"])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        edit):
         path = tmp_path / "cfg.json"
@@ -230,8 +241,14 @@ class TestExitCodes:
         path.write_text(edit(cfg))
         assert_invalid_input(capsys, argv)
 
-    @pytest.mark.parametrize("edit", [{"radus": 3}, {"seed": -1}, {"assay_seed": -2}],
-                             ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one"])
+    @pytest.mark.parametrize("edit", [
+        {"radus": 3}, {"seed": -1}, {"assay_seed": -2}, {"expression_noise": -1},
+        {"token_noise": -0.5}, {"transcriptomic_dim": -1}, {"max_spots": -3},
+        {"token_dim": 0}, {"token_dim": -1}, {"patterns": []},
+    ], ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one",
+            "negative-expression-noise", "negative-token-noise",
+            "negative-transcriptomic-dim", "negative-max-spots", "zero-token-dim",
+            "negative-token-dim", "no-patterns"])
     def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, **edit})
         assert_invalid_input(capsys, ["generate", "--config", cfg,
@@ -253,6 +270,18 @@ class TestExitCodes:
     def test_zero_heads_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
                                                   capsys):
         ckpt = self.edited_checkpoint(tmp_path, b'"heads":1,', b'"heads":0,')
+        assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
+                                      "--checkpoint", ckpt])
+
+    @pytest.mark.parametrize("old,new", [(b'"in_dim":5,', b'"in_dim":0,'),
+                                         (b'"genes":3,', b'"genes":0,'),
+                                         (b'"out_dim":4,', b'"out_dim":0,'),
+                                         (b'"rope_base":10000.0,', b'"rope_base":0.0,')],
+                             ids=["zero-in-dim", "zero-genes", "zero-out-dim",
+                                  "zero-rope-base"])
+    def test_out_of_range_checkpoint_header_is_usage_error(self, dataset_dir, tmp_path,
+                                                           capsys, old, new):
+        ckpt = self.edited_checkpoint(tmp_path, old, new)
         assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
                                       "--checkpoint", ckpt])
 

@@ -1,9 +1,12 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexwin import model
 from hexwin.errors import InputError
@@ -49,6 +52,40 @@ def worst_gradient_error(cfg, ds, params):
 
     fd = vector_to_params(finite_diff_grad(scalar, params_to_vector(params)), params)
     return max(relative_error(grads[k], fd[k]) for k in params)
+
+
+def spy_tile_scores(monkeypatch):
+    """A list that gains one entry per score tile model._tile_scores builds."""
+    calls = []
+    real = model._tile_scores
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(model, "_tile_scores", spy)
+    return calls
+
+
+def spy_workspace(monkeypatch):
+    """Record (name, cells) of every _Workspace buffer a pass takes."""
+    views = []
+    real = model._Workspace.view
+
+    def spy(self, name, shape):
+        views.append((name, math.prod(shape)))
+        return real(self, name, shape)
+    monkeypatch.setattr(model._Workspace, "view", spy)
+    return views
+
+
+def forward_and_grads(cfg, ds, geo, params, seed=4):
+    rng = np.random.default_rng(seed)
+    d_y = rng.normal(0, 1, (ds.n_spots, cfg.genes))
+    d_dev = rng.normal(0, 1, (ds.n_spots, cfg.genes))
+    d_z = rng.normal(0, 1, (ds.n_spots, cfg.out_dim))
+    out = forward(ds.tokens, geo, params, cfg, train=True)
+    return out, backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
+                         d_z_extra=d_z)
 
 
 class TestWindowAttention:
@@ -105,7 +142,7 @@ class TestWindowAttention:
         np.testing.assert_allclose(ctx_p, ctx[perm], rtol=0, atol=1e-12)
 
     def test_attention_rows_sum_to_one_over_occupied(self):
-        # the cached [q | -LSE] and [K^T; 1] rebuild the weights backward uses
+        # the cached [q | -LSE] and [K^T; occ] rebuild the weights backward uses
         params = generic_params(TINY)
         rng = np.random.default_rng(6)
         a = rng.normal(0, 1, (7, 6))
@@ -289,11 +326,10 @@ class TestQueryTiles:
     TILE = 200      # score cells: every stage below splits into >= 3 tiles per pass
 
     @staticmethod
-    def tile_counts(pack, heads):
-        """(forward tiles, backward tiles) of one packing at the current budget."""
+    def tile_count(pack, heads):
+        """Tiles of one packing at the current budget, in forward and backward."""
         m, s = pack.occ.shape
-        return (len(model._tiles(m, s, heads, s)),
-                len(model._tiles(m, s, heads, model._key_block(heads))))
+        return len(model._tiles(m, s, heads))
 
     @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
                                            ("square", "rope2d"),
@@ -310,54 +346,46 @@ class TestQueryTiles:
         d_y = rng.normal(0, 1, (ds.n_spots, 3))
         d_dev = rng.normal(0, 1, (ds.n_spots, 3))
         d_z = rng.normal(0, 1, (ds.n_spots, 4))
-        views = []
-        real_view = model._Workspace.view
-
-        def spy_view(self, name, shape):
-            views.append((name, math.prod(shape)))
-            return real_view(self, name, shape)
-
-        def fail_exp(*args, **kwargs):
-            raise AssertionError("masked_exp called below EXP_LIMIT")
-
         # every score tile is a workspace buffer ("p" weights, "dp" their
-        # gradient); scores this small never take the shifted fallback
-        monkeypatch.setattr(model._Workspace, "view", spy_view)
-        monkeypatch.setattr(model, "masked_exp", fail_exp)
+        # gradient); scores this small never take the shifted pre-pass, so
+        # forward and backward each build every tile's weights once
+        views = spy_workspace(monkeypatch)
+        scored = spy_tile_scores(monkeypatch)
         packs = [pack for row in geo.packings for pack in row]
         results = []
         for tile in (self.TILE, 1 << 40):
             monkeypatch.setattr(model, "TILE_CELLS", tile)
-            for pack in packs:
-                fwd, bwd = self.tile_counts(pack, cfg.heads)
-                assert min(fwd, bwd) >= 3 if tile == self.TILE else fwd == bwd == 1
+            counts = [self.tile_count(pack, cfg.heads) for pack in packs]
+            assert min(counts) >= 3 if tile == self.TILE else max(counts) == 1
             if tile == self.TILE:
-                # backward cuts the global window along its keys as well
+                # the global window is cut along its keys as well
                 m, s = packs[-1].occ.shape
-                tiles = model._tiles(m, s, cfg.heads, model._key_block(cfg.heads))
-                assert tiles[0][2].stop < s
+                assert model._tiles(m, s, cfg.heads)[0][2].stop < s
             views.clear()
+            scored.clear()
             out = forward(ds.tokens, geo, params, cfg, train=True)
             fwd_views = list(views)
+            assert len(scored) == sum(counts)
             views.clear()
             grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
                              d_z_extra=d_z)
+            assert len(scored) == 2 * sum(counts)
             for calls, names in ((fwd_views, {"p"}), (views, {"p", "dp"})):
                 cells = [size for name, size in calls if name in ("p", "dp")]
-                assert {name for name, _ in calls} - {"dh"} == names
+                assert {name for name, _ in calls} - {"dh", "c"} == names
                 assert max(cells) <= tile
             for block_cache, pack in zip(out.caches[-1], packs, strict=True):
-                # inputs, [q | -LSE], [K^T; 1] and [V | 1] windows and the
-                # context: no score or weight tensor is kept
+                # inputs, [q | -LSE], [K^T; occ] and [V | occ] windows and
+                # the context: no score or weight tensor is kept
                 m, s = pack.occ.shape
                 dh = cfg.head_dim
                 assert [a.shape for a in block_cache[1]] == [
                     (ds.n_spots, cfg.dim), (m, cfg.heads, s, dh + 1),
                     (m, cfg.heads, dh + 1, s), (m, cfg.heads, s, dh + 1),
                     (ds.n_spots, cfg.dim)]
-                np.testing.assert_array_equal(block_cache[1][2][:, :, dh], 1.0)
-                np.testing.assert_array_equal(block_cache[1][3][..., dh],
-                                              np.broadcast_to(pack.occ[:, None], (m, cfg.heads, s)))
+                occ = np.broadcast_to(pack.occ[:, None], (m, cfg.heads, s))
+                np.testing.assert_array_equal(block_cache[1][2][:, :, dh], occ)
+                np.testing.assert_array_equal(block_cache[1][3][..., dh], occ)
             results.append((out, grads))
         (out, grads), (ref, ref_grads) = results
         for name in ("z", "y_hat", "y_dev_hat"):
@@ -367,43 +395,59 @@ class TestQueryTiles:
             np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
                                        atol=1e-12, err_msg=k)
 
+    def test_budget_below_one_global_row(self, monkeypatch):
+        # one global query row alone (heads x N scores) overshoots this
+        # budget; every score buffer of forward and backward still fits
+        cfg = dataclasses.replace(TINY, dim=12, heads=2)
+        ds = tiny_dataset(seed=16, n=37)
+        params = generic_params(cfg, seed=16)
+        geo = build_geometry(ds.coords, cfg)
+        ref, ref_grads = forward_and_grads(cfg, ds, geo, params)
+        tile = cfg.heads * ds.n_spots // 3
+        monkeypatch.setattr(model, "TILE_CELLS", tile)
+        views = spy_workspace(monkeypatch)
+        out, grads = forward_and_grads(cfg, ds, geo, params)
+        cells = [size for name, size in views if name in ("p", "dp")]
+        assert cells and max(cells) <= tile
+        for name in ("z", "y_hat", "y_dev_hat"):
+            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-12)
+        for k in params:
+            np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
+                                       atol=1e-12, err_msg=k)
+
+    @settings(max_examples=300)
+    @given(m=st.integers(1, 6), s=st.integers(1, 40), heads=st.integers(1, 4),
+           budget=st.integers(1, 3000))
+    def test_tiles_cover_every_cell_once(self, m, s, heads, budget):
+        with mock.patch.object(model, "TILE_CELLS", budget):
+            tiles = model._tiles(m, s, heads)
+        hits = np.zeros((m, s, s), dtype=np.int64)
+        cells = []
+        for ws, rs, ks in tiles:
+            hits[ws, rs, ks] += 1
+            cells.append(heads * hits[ws, rs, ks].size)
+        np.testing.assert_array_equal(hits, 1)
+        assert cells[0] == max(cells)
+        if budget >= heads:
+            assert max(cells) <= budget
+
     def test_tiled_gradient_vs_finite_differences(self, monkeypatch):
         ds = tiny_dataset(seed=9, n=12)
         geo = build_geometry(ds.coords, TINY)
-        # backward tiles of one query row by one key; one global query row forward
+        # tiles of one query row by one key
         monkeypatch.setattr(model, "TILE_CELLS", 1)
         for row in geo.packings:
             for pack in row:
                 m, s = pack.occ.shape
-                first = model._tiles(m, s, TINY.heads, model._key_block(TINY.heads))[0]
+                first = model._tiles(m, s, TINY.heads)[0]
                 assert [sl.stop for sl in first] == [1, 1, 1]
-                assert min(self.tile_counts(pack, TINY.heads)) >= 3
+                assert self.tile_count(pack, TINY.heads) >= 3
         assert worst_gradient_error(TINY, ds, generic_params(TINY, seed=9)) < 1e-4
-
-
-def forward_and_grads(cfg, ds, geo, params, seed=4):
-    rng = np.random.default_rng(seed)
-    d_y = rng.normal(0, 1, (ds.n_spots, cfg.genes))
-    d_dev = rng.normal(0, 1, (ds.n_spots, cfg.genes))
-    d_z = rng.normal(0, 1, (ds.n_spots, cfg.out_dim))
-    out = forward(ds.tokens, geo, params, cfg, train=True)
-    return out, backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
-                         d_z_extra=d_z)
 
 
 class TestExpBound:
     """Blocks whose score bound exceeds EXP_LIMIT take the row-max shift."""
-
-    @staticmethod
-    def count_masked_exp(monkeypatch):
-        calls = []
-        real = model.masked_exp
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-        monkeypatch.setattr(model, "masked_exp", spy)
-        return calls
 
     @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
                                            ("square", "rope2d"),
@@ -416,12 +460,15 @@ class TestExpBound:
                                   patterns=("boundary", "gradient", "noise")))
         params = generic_params(cfg, seed=14)
         geo = build_geometry(ds.coords, cfg)
-        calls = self.count_masked_exp(monkeypatch)
+        n_tiles = sum(len(model._tiles(*pack.occ.shape, cfg.heads))
+                      for row in geo.packings for pack in row)
+        scored = spy_tile_scores(monkeypatch)
         out, grads = forward_and_grads(cfg, ds, geo, params)
-        assert not calls
+        assert len(scored) == 2 * n_tiles        # forward and backward
+        scored.clear()
         monkeypatch.setattr(model, "EXP_LIMIT", 0.0)
         ref, ref_grads = forward_and_grads(cfg, ds, geo, params)
-        assert calls
+        assert len(scored) == 3 * n_tiles        # and the forward's max pre-pass
         for name in ("z", "y_hat", "y_dev_hat"):
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=1e-12)
@@ -527,10 +574,14 @@ class TestCheckpoint:
 
 @pytest.mark.parametrize("field", [dict(dim=0), dict(heads=0), dict(stages=0, radii=()),
                                    dict(blocks=0), dict(radii=(1, 0, 4)),
-                                   dict(window="square", square_sides=(2, 0, 8))])
+                                   dict(window="square", square_sides=(2, 0, 8)),
+                                   dict(in_dim=0), dict(genes=0), dict(out_dim=0),
+                                   dict(t_dim=-1), dict(mlp_hidden=-2), dict(knn_k=0),
+                                   dict(rope_base=0.0), dict(rope_base=-3.0),
+                                   dict(rope_base=math.inf), dict(rope_base=math.nan)])
 def test_config_rejects_zero_sizes(field):
     with pytest.raises(InputError):
-        ModelConfig(in_dim=5, genes=3, **field)
+        ModelConfig(**{"in_dim": 5, "genes": 3, **field})
 
 
 def test_vector_round_trip():

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, logsumexp
 
 from hexwin.errors import NumericError, ShapeError
 from hexwin.numerics import (finite_diff_grad, gelu, gelu_vjp, layer_norm,
-                             layer_norm_fwd, layer_norm_vjp, masked_exp,
-                             masked_softmax, masked_softmax_vjp, relative_error)
+                             layer_norm_fwd, layer_norm_vjp, masked_softmax,
+                             masked_softmax_vjp, relative_error)
 
 
 class TestMaskedSoftmax:
@@ -102,19 +102,24 @@ class TestLogSumExp:
         valid[1] = True
         return scores, valid
 
+    @staticmethod
+    def lse(scores, valid):
+        """Log-sum-exp of each slice's valid scores; 0 in window 0, which has none."""
+        out = np.zeros(scores.shape[:-1] + (1,))
+        out[1:] = logsumexp(np.where(valid, scores, -np.inf)[1:], axis=-1, keepdims=True)
+        return out
+
     @pytest.mark.parametrize("seed", range(3))
-    def test_masked_exp_parts(self, seed):
+    def test_softmax_is_exp_of_shift_by_lse(self, seed):
+        # masked_softmax shifts each slice by its largest valid score, so
+        # scores far past exp's range still give exp(S - LSE) on valid entries
         scores, valid = self.case(seed)
-        e, total, lse = masked_exp(scores, valid)
-        np.testing.assert_allclose(e / total, masked_softmax(scores, valid),
-                                   rtol=0, atol=1e-15)
-        filled = np.where(valid, scores, -np.inf)
-        expect = np.log(np.sum(np.exp(filled[1:]), axis=-1, keepdims=True))
-        np.testing.assert_allclose(lse[1:], expect, rtol=1e-13)
+        scores = 200.0 * scores
+        expect = np.exp(np.where(valid, scores - self.lse(scores, valid), -np.inf))
+        got = masked_softmax(scores, valid)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-300)
         # a slice with no valid entry weighs zero, not NaN
-        np.testing.assert_array_equal(e[0], 0.0)
-        np.testing.assert_array_equal(total[0], 1.0)
-        np.testing.assert_array_equal(lse[0], 0.0)
+        np.testing.assert_array_equal(got[0], 0.0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_weights_from_lse_on_key_blocks(self, seed):
@@ -126,8 +131,7 @@ class TestLogSumExp:
         q, k = rng.normal(0, 1, (3, 2, 5, 4)), rng.normal(0, 1, (3, 2, 7, 4))
         scores = q @ k.transpose(0, 1, 3, 2)
         expect = masked_softmax(scores, valid)
-        _, _, lse = masked_exp(scores, valid)
-        q_aug = np.concatenate([q, -lse], axis=-1)
+        q_aug = np.concatenate([q, -self.lse(scores, valid)], axis=-1)
         kt_aug = np.concatenate([k.transpose(0, 1, 3, 2), np.ones((3, 2, 1, 7))], axis=-2)
         for keys in (slice(0, 3), slice(3, 7)):
             block = q_aug @ kt_aug[..., keys]
