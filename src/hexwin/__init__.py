@@ -9,7 +9,7 @@ generator for desk-scale verification.
 
 from .errors import (CoverageError, DegenerateInputError, InputError,
                      NumericError, ShapeError, SlotCollisionError)
-from .hexgeom import (HexCoord, LatticeScale, axial_to_cartesian,
+from .hexgeom import (LatticeScale, axial_to_cartesian,
                       cartesian_to_axial_frac, cells_for_points, cube_round,
                       estimate_scale, hex_distance)
 from .losses import (LossReport, LossWeights, loss_dev, loss_mse, loss_pearson,
@@ -19,7 +19,7 @@ from .metrics import (EvalReport, auc_0_vs_nonzero, auc_q50, evaluate,
 from .model import (ForwardOutput, Geometry, ModelConfig, backward,
                     build_geometry, forward, init_params, load_checkpoint,
                     save_checkpoint)
-from .numerics import finite_diff_grad, gelu, layer_norm, masked_softmax
+from .numerics import finite_diff_grad, gelu, masked_softmax
 from .rope import (RopeConfig, apply_hex_rope, apply_rope_2d, axial_to_cube,
                    rope_angles)
 from .synth import (SpotDataset, SynthConfig, generate, load_dataset,

@@ -13,24 +13,12 @@ live in the last axis of shape (..., 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
 
 SQRT3 = np.sqrt(3.0)
-
-
-class HexCoord(NamedTuple):
-    """Integer axial lattice cell."""
-
-    q: int
-    r: int
-
-    @property
-    def cube(self) -> tuple[int, int, int]:
-        return (self.q, self.r, -self.q - self.r)
 
 
 @dataclass(frozen=True)

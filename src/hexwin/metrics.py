@@ -141,7 +141,8 @@ class EvalReport:
 
 def evaluate(y_hat: np.ndarray, y: np.ndarray, gene_names=None,
              bins: int = 16) -> EvalReport:
-    """Full metric sweep with a per-gene breakdown."""
+    """Full metric sweep with a per-gene breakdown; pcc_s is nan below 2 genes
+    and mi_f below `bins` spots."""
     y_hat, y = _as_matrix_pair(y_hat, y)
     n, g = y.shape
     names = list(gene_names) if gene_names is not None else [f"g{i:03d}" for i in range(g)]
@@ -157,7 +158,8 @@ def evaluate(y_hat: np.ndarray, y: np.ndarray, gene_names=None,
     per_a5 = np.array([mann_whitney_auc(y_hat[:, j], y[:, j] > med)[0]
                        for j in range(g)])
     mi_f = float(np.nanmean(per_mi)) if n >= bins else float("nan")
-    return EvalReport(pcc_f=float(per_pcc.mean()), pcc_s=pcc_spotwise(y_hat, y),
+    pcc_s = pcc_spotwise(y_hat, y) if g >= 2 else float("nan")
+    return EvalReport(pcc_f=float(per_pcc.mean()), pcc_s=pcc_s,
                       mi_f=mi_f, auc_0vnz=auc0, auc_q50=auc5,
                       auc_0vnz_degenerate=deg0, auc_q50_degenerate=deg5,
                       gene_names=names, per_gene_pcc=per_pcc, per_gene_mi=per_mi,

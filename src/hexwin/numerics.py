@@ -72,15 +72,10 @@ def masked_softmax_vjp(grad_out: np.ndarray, weights: np.ndarray, axis: int = -1
     return out
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = 1e-5) -> np.ndarray:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    out, _ = layer_norm_fwd(x, gain, bias, eps)
-    return out
-
-
 def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                    eps: float = 1e-5):
+    """Normalize the last axis to zero mean / unit variance, then scale and
+    shift; returns (out, cache for layer_norm_vjp)."""
     x = np.asarray(x, dtype=np.float64)
     gain = np.asarray(gain, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
@@ -98,7 +93,7 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
 
 
 def layer_norm_vjp(grad_out, cache):
-    """Gradients of layer_norm: returns (d_x, d_gain, d_bias)."""
+    """Gradients of layer_norm_fwd: returns (d_x, d_gain, d_bias)."""
     xhat, inv, gain = cache
     lead = tuple(range(grad_out.ndim - 1))
     d_gain = np.sum(grad_out * xhat, axis=lead)

@@ -244,16 +244,19 @@ def load_dataset(indir: str) -> SpotDataset:
         expression = np.array([[float(v) for v in r[3:]] for r in rows[1:]])
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
-    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-    if len(bad):
-        raise InputError(f"{path}: spot {spot_ids[bad[0]]!r} has non-finite coordinates")
     tokens = _read_matrix(os.path.join(indir, "tokens"))
     tpath = os.path.join(indir, "transcriptomic.bin")
     transcriptomic = (_read_matrix(os.path.join(indir, "transcriptomic"))
                       if os.path.exists(tpath) else None)
-    return SpotDataset(coords=coords, tokens=tokens, expression=expression,
-                       transcriptomic=transcriptomic, spot_ids=spot_ids,
-                       gene_names=gene_names)
+    ds = SpotDataset(coords=coords, tokens=tokens, expression=expression,
+                     transcriptomic=transcriptomic, spot_ids=spot_ids,
+                     gene_names=gene_names)
+    for where, arr in ((path, np.hstack([coords, expression])),
+                       (os.path.join(indir, "tokens.bin"), tokens), (tpath, transcriptomic)):
+        bad = [] if arr is None else np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if len(bad):
+            raise InputError(f"{where}: spot {spot_ids[bad[0]]!r} has a non-finite value")
+    return ds
 
 
 def _write_matrix(stem: str, arr: np.ndarray) -> None:

@@ -103,13 +103,19 @@ class WindowPartition:
 _NEAREST_AND_RING = np.array([(-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)])
 
 
-def _check_spots(coords, cells) -> tuple[np.ndarray, np.ndarray]:
+def _check_args(coords, cells, size: int, shift: int,
+                what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The argument check both window kinds share."""
     coords = np.asarray(coords, dtype=np.float64)
     cells = np.asarray(cells, dtype=np.int64)
     if coords.shape != (len(cells), 2) or cells.shape[1:] != (2,):
         raise InputError("coords and cells must both have shape (N, 2)")
     if not np.isfinite(coords).all():
         raise InputError("spot coordinates must be finite")
+    if size < 1:
+        raise InputError(f"{what} must be >= 1")
+    if shift not in (0, 1, 2):
+        raise InputError("shift must be 0, 1 or 2")
     return coords, cells
 
 
@@ -120,13 +126,14 @@ def _center_positions(ids, scale: LatticeScale, radius: int, shift: int) -> np.n
             + shift_delta(scale, radius, shift))
 
 
-def _two_nearest_centers(coords: np.ndarray, scale: LatticeScale, radius: int,
-                         shift: int) -> np.ndarray:
-    """(N, 2, 2) lattice ids (alpha, beta) of each spot's nearest and
-    second-nearest shifted center; distance ties go to the lower id.
+def _nearest_centers(coords: np.ndarray, scale: LatticeScale, radius: int,
+                     shift: int) -> np.ndarray:
+    """(N, 2) lattice ids (alpha, beta) of each spot's nearest shifted center;
+    distance ties go to the lower id.
 
     Cube rounding the fractional (alpha, beta) finds the nearest center of the
-    hexagonal center lattice; the second-nearest is one of its six neighbours.
+    hexagonal center lattice up to rounding error, so the exact distances to
+    it and its six neighbours decide.
     """
     e1, e2 = center_basis(scale, radius)
     basis_inv = np.linalg.inv(np.stack([e1, e2], axis=1))
@@ -134,72 +141,49 @@ def _two_nearest_centers(coords: np.ndarray, scale: LatticeScale, radius: int,
     cand = cube_round(frac)[:, None, :] + _NEAREST_AND_RING
     d2 = ((coords[:, None, :] - _center_positions(cand, scale, radius, shift)) ** 2
           ).sum(axis=-1)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :2]
-    return np.take_along_axis(cand, order[..., None], axis=1)
+    return cand[np.arange(len(cand)), d2.argmin(axis=1)]
 
 
-def _resolve_collisions(cand_win, cand_slot, keep_metric, n_slots, strict):
-    """Place each spot at its first (window, slot) candidate; on collision keep
-    the closer spot and move the other to its next free candidate, else drop it.
+def _resolve_collisions(win, slot, n_slots, keep_metric, strict):
+    """Keep in each (window, slot) the spot with the smallest keep_metric
+    (ties: lower index) and drop the others; strict mode raises instead.
 
-    cand_win, cand_slot: (N, C) candidates in order of preference; slot -1
-    marks a window that cannot hold the spot. keep_metric: (N,) distance of
-    each spot to its claimed cell/subcell center.
-    Returns (window_of_spot, slot_of_spot, dropped list).
+    keep_metric: (N,) distance of each spot to its cell or subcell center.
+    Returns (window_of_spot, slot_of_spot, dropped), with -1 for dropped spots.
     """
-    win, slot = cand_win[:, 0].copy(), cand_slot[:, 0].copy()
-    if len(np.unique(win * n_slots + slot)) == len(win):
-        return win, slot, []
-    taken: dict[tuple[int, int], int] = {}
-    dropped: list[int] = []
-    for i in range(len(win)):
-        key = (int(win[i]), int(slot[i]))
-        holder = taken.get(key)
-        if holder is None:
-            taken[key] = i
-            continue
-        if strict:
-            raise SlotCollisionError(
-                f"spots {holder} and {i} both map to window {key[0]} slot {key[1]}")
-        if keep_metric[i] >= keep_metric[holder]:
-            loser = i
-        else:  # evict the current holder, keep i
-            loser = holder
-            taken[key] = i
-        win[loser], slot[loser] = -1, -1
-        for w2, s2 in zip(cand_win[loser, 1:].tolist(), cand_slot[loser, 1:].tolist()):
-            if s2 >= 0 and (w2, s2) not in taken:
-                taken[(w2, s2)] = loser
-                win[loser], slot[loser] = w2, s2
-                break
-        else:
-            dropped.append(loser)
-    return win, slot, dropped
+    key = win * n_slots + slot
+    order = np.lexsort((keep_metric, key))
+    lose = order[1:][key[order[1:]] == key[order[:-1]]]
+    if not len(lose):
+        return win, slot, lose
+    if strict:  # name the first spot, in index order, whose (window, slot) is taken
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        i = int(np.flatnonzero(first[inverse] != np.arange(len(key)))[0])
+        raise SlotCollisionError(f"spots {first[inverse[i]]} and {i} both map to "
+                                 f"window {win[i]} slot {slot[i]}")
+    win, slot = win.copy(), slot.copy()
+    win[lose] = slot[lose] = -1
+    return win, slot, np.sort(lose)
 
 
 def _finish_partition(kind, size, shift, stage, block, coords, cells, scale,
-                      win, slot, n_slots, centers, center_cells,
-                      dropped) -> WindowPartition:
-    """Drop empty windows, renumber survivors in original center order and
-    attach each spot's cell and Cartesian offsets from its window center."""
-    kept, new_win = np.unique(win, return_inverse=True)
-    if len(kept) and kept[0] < 0:  # dropped spots (-1) sort first and stay -1
-        kept, new_win = kept[1:], new_win - 1
-    new_win = new_win.astype(np.int64)
-    valid = new_win >= 0
-    occupancy = np.zeros((len(kept), n_slots), dtype=bool)
-    occupancy[new_win[valid], slot[valid]] = True
-    kept_centers, kept_cells = centers[kept], center_cells[kept]
+                      win, slot, n_slots, centers, center_cells, keep_metric,
+                      strict) -> WindowPartition:
+    """Resolve slot collisions, then attach each placed spot's cell and
+    Cartesian offsets from its window center. Every window keeps a spot."""
+    win, slot, dropped = _resolve_collisions(win, slot, n_slots, keep_metric, strict)
+    valid = win >= 0
+    occupancy = np.zeros((len(centers), n_slots), dtype=bool)
+    occupancy[win[valid], slot[valid]] = True
     cell_offsets = np.zeros((len(coords), 2), dtype=np.int64)
     cart_offsets = np.zeros((len(coords), 2), dtype=np.float64)
-    cell_offsets[valid] = cells[valid] - kept_cells[new_win[valid]]
-    cart_offsets[valid] = (coords[valid] - kept_centers[new_win[valid]]) / scale.d_med
+    cell_offsets[valid] = cells[valid] - center_cells[win[valid]]
+    cart_offsets[valid] = (coords[valid] - centers[win[valid]]) / scale.d_med
     return WindowPartition(kind=kind, size=size, shift_id=shift, stage=stage,
-                           block=block, window_of_spot=new_win, slot_of_spot=slot,
-                           occupancy=occupancy, centers=kept_centers,
-                           center_cells=kept_cells, cell_offsets=cell_offsets,
-                           cart_offsets=cart_offsets,
-                           dropped=np.array(sorted(dropped), dtype=np.int64))
+                           block=block, window_of_spot=win, slot_of_spot=slot,
+                           occupancy=occupancy, centers=centers,
+                           center_cells=center_cells, cell_offsets=cell_offsets,
+                           cart_offsets=cart_offsets, dropped=dropped)
 
 
 def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
@@ -210,39 +194,28 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     Every spot joins its nearest shifted center (ties: lowest lattice id)
     and occupies the slot matching its cell offset from the center cell. A
     spot whose offset exceeds the radius is a coverage-contract violation.
-    Two spots in one cell collide: strict mode raises, lenient mode keeps
-    the spot nearer the cell center and reroutes the other to its
-    second-nearest window or drops it.
+    Two spots in one cell of one window collide: strict mode raises, lenient
+    mode keeps the spot nearer the cell center (ties: lower index) and drops
+    the other.
     """
-    coords, cells = _check_spots(coords, cells)
-    if radius < 1:
-        raise InputError("window radius must be >= 1")
-    ids, cand_win = np.unique(_two_nearest_centers(coords, scale, radius, shift)
-                              .reshape(-1, 2), axis=0, return_inverse=True)
-    cand_win = cand_win.reshape(-1, 2)
+    coords, cells = _check_args(coords, cells, radius, shift, "window radius")
+    ids, win = np.unique(_nearest_centers(coords, scale, radius, shift), axis=0,
+                         return_inverse=True)
     centers = _center_positions(ids, scale, radius, shift)
     center_cells = cells_for_points(centers, scale)
-
-    width = 2 * radius + 1
+    off = cells - center_cells[win]
+    dist = hex_distance(off, np.zeros(2, dtype=np.int64))
+    if np.any(dist > radius):
+        i = int(np.argmax(dist > radius))
+        raise CoverageError(f"spot {i} sits {int(dist[i])} cells from its nearest center "
+                            f"(radius {radius}); coverage contract violated")
     offsets = build_slot_set(radius).offsets
-    slot_table = np.full((width, width), -1, dtype=np.int64)
+    slot_table = np.full((2 * radius + 1, 2 * radius + 1), -1, dtype=np.int64)
     slot_table[offsets[:, 0] + radius, offsets[:, 1] + radius] = np.arange(len(offsets))
-    off = cells[:, None, :] - center_cells[cand_win]
-    inside = np.abs(off).max(axis=-1) <= radius
-    box = np.clip(off + radius, 0, width - 1)
-    cand_slot = np.where(inside, slot_table[box[..., 0], box[..., 1]], -1)
-    if np.any(cand_slot[:, 0] < 0):
-        i = int(np.flatnonzero(cand_slot[:, 0] < 0)[0])
-        raise CoverageError(
-            f"spot {i} sits {int(hex_distance(off[i, 0], np.zeros(2, dtype=np.int64)))} "
-            f"cells from its nearest center (radius {radius}); coverage contract violated")
-
-    cell_pos = axial_to_cartesian(cells, scale)
-    keep_metric = np.linalg.norm(coords - cell_pos, axis=1)
-    win, slot, dropped = _resolve_collisions(cand_win, cand_slot, keep_metric,
-                                             len(offsets), strict)
+    keep_metric = np.linalg.norm(coords - axial_to_cartesian(cells, scale), axis=1)
     return _finish_partition("hex", radius, shift, stage, block, coords, cells, scale,
-                             win, slot, len(offsets), centers, center_cells, dropped)
+                             win, slot_table[off[:, 0] + radius, off[:, 1] + radius],
+                             len(offsets), centers, center_cells, keep_metric, strict)
 
 
 def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
@@ -252,35 +225,23 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
 
     Tiles have edge side * d_med; each tile is subdivided into a
     (2*side) x (2*side) grid of half-spacing subcells acting as slots.
-    Tiles do not overlap, so a spot's own tile is its only window: lenient
-    mode keeps the spot nearer the subcell center and drops the other.
+    Two spots in one subcell collide: strict mode raises, lenient mode keeps
+    the spot nearer the subcell center (ties: lower index) and drops the other.
     """
-    coords, cells = _check_spots(coords, cells)
-    if side < 1:
-        raise InputError("square window side must be >= 1")
+    coords, cells = _check_args(coords, cells, side, shift, "square window side")
     tile = side * scale.d_med
-    deltas = (np.zeros(2), np.array([tile / 2.0, 0.0]), np.array([0.0, tile / 2.0]))
-    if shift not in (0, 1, 2):
-        raise InputError("shift must be 0, 1 or 2")
-    delta = deltas[shift]
+    delta = (np.zeros(2), np.array([tile / 2.0, 0.0]), np.array([0.0, tile / 2.0]))[shift]
     grid = 2 * side
     u = (coords - scale.anchor - delta) / tile
     tiles = np.floor(u).astype(np.int64)
-    frac = u - tiles
-    sub = np.minimum((frac * grid).astype(np.int64), grid - 1)
-    slots = sub[:, 1] * grid + sub[:, 0]
-
-    uniq, win0 = np.unique(tiles, axis=0, return_inverse=True)
+    sub = np.minimum(((u - tiles) * grid).astype(np.int64), grid - 1)
+    uniq, win = np.unique(tiles, axis=0, return_inverse=True)
     centers = scale.anchor + delta + (uniq + 0.5) * tile
-    center_cells = cells_for_points(centers, scale)
-
     subcell_center = (tiles + (sub + 0.5) / grid) * tile + scale.anchor + delta
     keep_metric = np.linalg.norm(coords - subcell_center, axis=1)
-    win, slot, dropped = _resolve_collisions(win0.reshape(-1, 1), slots[:, None],
-                                             keep_metric, grid * grid, strict)
-    return _finish_partition("square", side, shift, stage, block, coords, cells,
-                             scale, win, slot, grid * grid, centers, center_cells,
-                             dropped)
+    return _finish_partition("square", side, shift, stage, block, coords, cells, scale,
+                             win, sub[:, 1] * grid + sub[:, 0], grid * grid, centers,
+                             cells_for_points(centers, scale), keep_metric, strict)
 
 
 def check_partition(part: WindowPartition, cells: np.ndarray) -> None:

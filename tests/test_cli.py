@@ -6,7 +6,7 @@ import pytest
 from hexwin.cli import main
 from hexwin.model import ModelConfig, init_params, save_checkpoint
 from hexwin.render import read_ppm
-from hexwin.synth import SpotDataset, save_dataset
+from hexwin.synth import SpotDataset, load_dataset, save_dataset
 
 
 def write_config(path, synth=None, model=None, train=None):
@@ -152,6 +152,20 @@ class TestTrainEvalRender:
         colors = {tuple(c) for c in rgb.reshape(-1, 3)}
         assert len(colors) == 2  # background plus one spot color
 
+    def test_one_gene_slide_runs_end_to_end(self, tmp_path):
+        data, run = tmp_path / "data", tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           synth={**SMALL_SYNTH, "patterns": ["boundary"]}, model=SMALL_MODEL,
+                           train={"steps": 2, "lr": 0.005, "seed": 1, "eval_every": 1})
+        assert main(["generate", "--config", cfg, "--out", str(data)]) == 0
+        assert main(["train", "--dataset", str(data), "--config", cfg,
+                     "--out", str(run)]) == 0
+        assert "pcc_s\tnan\n" in (run / "evals.txt").read_text()
+        report = tmp_path / "report.txt"
+        assert main(["eval", "--dataset", str(data), "--checkpoint",
+                     str(run / "checkpoint.bin"), "--out", str(report)]) == 0
+        assert "pcc_s\tnan\n" in report.read_text()
+
     def test_loss_off_flag(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "mc.json", model=SMALL_MODEL,
                            train={"steps": 2, "lr": 0.005, "seed": 1})
@@ -174,11 +188,12 @@ class TestExitCodes:
         assert main(["partition", "--dataset", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.tsv")]) == 2
 
-    def test_numeric_failure_is_exit_three(self, dataset_dir, tmp_path):
-        # corrupt a token so training aborts on a non-finite loss
-        tokens = np.fromfile(dataset_dir / "tokens.bin", dtype="<f8")
-        tokens[0] = np.nan
-        tokens.tofile(dataset_dir / "tokens.bin")
+    def test_numeric_failure_is_exit_three(self, dataset_dir, tmp_path, monkeypatch):
+        # a token corrupted past the loader's finiteness check makes training
+        # abort on a non-finite loss
+        ds = load_dataset(str(dataset_dir))
+        ds.tokens[0, 0] = np.nan
+        monkeypatch.setattr("hexwin.cli.load_dataset", lambda path: ds)
         cfg = write_config(tmp_path / "mc.json", model=SMALL_MODEL,
                            train={"steps": 1, "lr": 0.005, "seed": 1})
         assert main(["train", "--dataset", str(dataset_dir), "--config", cfg,
@@ -307,12 +322,31 @@ class TestExitCodes:
                 [line.split("\t")[0], "nan"] + line.split("\t")[2:])
                 for i, line in enumerate((d / "spots.tsv").read_text()
                                          .splitlines()))),
-    ], ids=["tokens-shape", "ragged-header-row", "missing-fields", "nan-x"])
+        lambda d: (d / "spots.tsv").write_text(
+            "\n".join(line if i != 2 else "\t".join(line.split("\t")[:-1] + ["nan"])
+                      for i, line in enumerate((d / "spots.tsv").read_text()
+                                               .splitlines()))),
+        lambda d: np.concatenate([np.fromfile(d / "tokens.bin", dtype="<f8")[:-1], [np.inf]])
+        .tofile(d / "tokens.bin"),
+    ], ids=["tokens-shape", "ragged-header-row", "missing-fields", "nan-x",
+            "nan-expression", "inf-token"])
     def test_bad_dataset_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                         edit):
         edit(dataset_dir)
         assert_invalid_input(capsys, ["partition", "--dataset", str(dataset_dir),
                                       "--out", str(tmp_path / "p.tsv")])
+
+    @pytest.mark.parametrize("name,row", [("spots.tsv", 1), ("tokens.bin", 36),
+                                          ("transcriptomic.bin", 0)])
+    def test_non_finite_data_names_file_and_spot(self, dataset_dir, tmp_path, capsys,
+                                                 name, row):
+        ds = load_dataset(str(dataset_dir))
+        {"spots.tsv": ds.expression, "tokens.bin": ds.tokens,
+         "transcriptomic.bin": ds.transcriptomic}[name][row, -1] = np.nan
+        save_dataset(ds, str(dataset_dir))
+        line = assert_invalid_input(capsys, ["partition", "--dataset", str(dataset_dir),
+                                             "--out", str(tmp_path / "p.tsv")])
+        assert str(dataset_dir / name) in line and repr(ds.spot_ids[row]) in line
 
     def test_render_pred_without_checkpoint_is_usage_error(self, dataset_dir,
                                                            tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hexwin.errors import DegenerateInputError, InputError
-from hexwin.hexgeom import (SQRT3, HexCoord, LatticeScale, _knn_distances,
+from hexwin.hexgeom import (SQRT3, LatticeScale, _knn_distances,
                             axial_to_cartesian, cartesian_to_axial_frac,
                             cells_for_points, cube_round, estimate_scale,
                             hex_distance)
@@ -200,11 +200,6 @@ class TestHexDistance:
         assert np.all((dab == 0) == np.all(a == b, axis=1))
         np.testing.assert_array_equal(dab, hex_distance(b, a))
         assert np.all(hex_distance(a, c) <= dab + hex_distance(b, c))
-
-
-def test_hexcoord_cube_constraint():
-    c = HexCoord(4, -7)
-    assert sum(c.cube) == 0
 
 
 def test_lattice_scale_validation():

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erf, logsumexp
 
 from hexwin.errors import NumericError, ShapeError
-from hexwin.numerics import (finite_diff_grad, gelu, gelu_vjp, layer_norm,
+from hexwin.numerics import (finite_diff_grad, gelu, gelu_vjp,
                              layer_norm_fwd, layer_norm_vjp, masked_softmax,
                              masked_softmax_vjp, relative_error)
 
@@ -161,15 +161,15 @@ class TestLogSumExp:
 
 class TestLayerNorm:
     def test_constant_vector(self):
-        out = layer_norm(np.ones(3), np.ones(3), np.zeros(3), 1e-5)
+        out = layer_norm_fwd(np.ones(3), np.ones(3), np.zeros(3), 1e-5)[0]
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
 
     def test_already_normalized(self):
-        out = layer_norm(np.array([-1.0, 1.0]), np.ones(2), np.zeros(2), 0.0)
+        out = layer_norm_fwd(np.array([-1.0, 1.0]), np.ones(2), np.zeros(2), 0.0)[0]
         np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-12)
 
     def test_normalize_then_affine(self):
-        out = layer_norm(np.array([0.0, 2.0]), np.full(2, 2.0), np.ones(2), 0.0)
+        out = layer_norm_fwd(np.array([0.0, 2.0]), np.full(2, 2.0), np.ones(2), 0.0)[0]
         np.testing.assert_allclose(out, [-1.0, 3.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -178,12 +178,12 @@ class TestLayerNorm:
         x = rng.normal(0, 1, 16)
         a, b = float(rng.uniform(0.2, 5.0)), float(rng.normal(0, 3))
         g, z = np.ones(16), np.zeros(16)
-        np.testing.assert_allclose(layer_norm(x, g, z, 0.0),
-                                   layer_norm(a * x + b, g, z, 0.0), atol=1e-9)
+        np.testing.assert_allclose(layer_norm_fwd(x, g, z, 0.0)[0],
+                                   layer_norm_fwd(a * x + b, g, z, 0.0)[0], atol=1e-9)
 
     def test_zero_length_axis(self):
         with pytest.raises(ShapeError):
-            layer_norm(np.zeros((3, 0)), np.zeros(0), np.zeros(0))
+            layer_norm_fwd(np.zeros((3, 0)), np.zeros(0), np.zeros(0))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_vjp_matches_finite_differences(self, seed):
@@ -196,11 +196,11 @@ class TestLayerNorm:
         out, cache = layer_norm_fwd(x, gain, bias)
         d_x, d_gain, d_bias = layer_norm_vjp(upstream, cache)
         fd_x = finite_diff_grad(
-            lambda v: float(np.sum(layer_norm(v, gain, bias) * upstream)), x)
+            lambda v: float(np.sum(layer_norm_fwd(v, gain, bias)[0] * upstream)), x)
         fd_g = finite_diff_grad(
-            lambda v: float(np.sum(layer_norm(x, v, bias) * upstream)), gain)
+            lambda v: float(np.sum(layer_norm_fwd(x, v, bias)[0] * upstream)), gain)
         fd_b = finite_diff_grad(
-            lambda v: float(np.sum(layer_norm(x, gain, v) * upstream)), bias)
+            lambda v: float(np.sum(layer_norm_fwd(x, gain, v)[0] * upstream)), bias)
         assert relative_error(d_x, fd_x) < 1e-7
         assert relative_error(d_gain, fd_g) < 1e-7
         assert relative_error(d_bias, fd_b) < 1e-7

@@ -1,7 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexwin.errors import CoverageError, InputError, SlotCollisionError
 from hexwin.hexgeom import (SQRT3, LatticeScale, axial_to_cartesian,
@@ -121,6 +124,13 @@ class TestCenters:
             partition(pts, cells_for_points(pts, UNIT), UNIT, 0, 0)
 
     @pytest.mark.parametrize("builder", [partition, partition_square])
+    @pytest.mark.parametrize("size,shift", [(0, 0), (1, 3), (1, -1)])
+    def test_bad_size_or_shift_rejected(self, builder, size, shift):
+        pts = lattice_points(2)
+        with pytest.raises(InputError):
+            builder(pts, cells_for_points(pts, UNIT), UNIT, size, shift)
+
+    @pytest.mark.parametrize("builder", [partition, partition_square])
     def test_non_finite_coordinates_rejected(self, builder):
         pts = lattice_points(2)
         cells = cells_for_points(pts, UNIT)
@@ -206,22 +216,21 @@ class TestPartition:
         with pytest.raises(SlotCollisionError):
             partition(pts, cells, scale, 1, 0, strict=True)
 
-    def test_lenient_collision_reroutes_or_drops(self):
+    def test_lenient_collision_drops_loser(self):
         pts = np.array([[0.0, 0.0], [0.05, 0.0], [SQRT3, 0.0], [2 * SQRT3, 0.0],
                         [0.5 * SQRT3, 1.5], [-0.5 * SQRT3, 1.5]])
         scale = LatticeScale.from_spacing(SQRT3, (0.0, 0.0))
         cells = cells_for_points(pts, scale)
         part = partition(pts, cells, scale, 1, 0, strict=False)
-        placed = int((part.window_of_spot >= 0).sum())
-        assert placed + len(part.dropped) == len(pts)
-        assert placed >= len(pts) - 1
         check_partition(part, cells)
-        # spot 0 sits on its cell center and keeps the slot; spot 1 moves to
-        # its second-nearest window, where its cell is still within radius
-        centers, first, second = brute_force_centers(pts, scale, 1, 0)
-        assert len(part.dropped) == 0
-        np.testing.assert_array_equal(part.centers[part.window_of_spot[:2]],
-                                      [centers[first[0]], centers[second[1]]])
+        # spot 0 sits on its cell center and keeps the slot; spot 1 is dropped
+        # rather than sent to another window, and the rest stay where they are
+        centers, first, _ = brute_force_centers(pts, scale, 1, 0)
+        np.testing.assert_array_equal(part.dropped, [1])
+        assert part.window_of_spot[1] == -1 and part.slot_of_spot[1] == -1
+        kept = [0, 2, 3, 4, 5]
+        np.testing.assert_array_equal(part.centers[part.window_of_spot[kept]],
+                                      centers[first[kept]])
 
     def test_determinism(self):
         pts = lattice_points(6, jitter=0.05, seed=9)
@@ -378,3 +387,74 @@ def test_slot_set_is_frozen():
     assert isinstance(ss, SlotSet)
     with pytest.raises(ValueError):
         ss.offsets[0, 0] = 5
+
+
+def oracle_assignment(pts, cells, scale, kind, size, shift):
+    """Per spot, one at a time: its (window, slot) key, its window center and
+    its distance to its cell (hex) or subcell (square) center."""
+    if kind == "hex":
+        centers, first, _ = brute_force_centers(pts, scale, size, shift)
+        offsets = cells - cells_for_points(centers[first], scale)
+        keys = [(int(first[i]), *map(int, offsets[i])) for i in range(len(pts))]
+        metric = np.linalg.norm(pts - axial_to_cartesian(cells, scale), axis=1)
+        return keys, centers[first], metric
+    # the same float operations, in the same order, as partition_square
+    tile, grid = size * scale.d_med, 2 * size
+    (ax, ay), (dx, dy) = scale.anchor, [(0.0, 0.0), (tile / 2.0, 0.0), (0.0, tile / 2.0)][shift]
+    keys, centers, metric = [], [], []
+    for x, y in pts:
+        u, v = (x - ax - dx) / tile, (y - ay - dy) / tile
+        tu, tv = math.floor(u), math.floor(v)
+        su, sv = min(int((u - tu) * grid), grid - 1), min(int((v - tv) * grid), grid - 1)
+        keys.append((tu, tv, su, sv))
+        centers.append((ax + dx + (tu + 0.5) * tile, ay + dy + (tv + 0.5) * tile))
+        cx = (tu + (su + 0.5) / grid) * tile + ax + dx
+        cy = (tv + (sv + 0.5) / grid) * tile + ay + dy
+        metric.append(math.sqrt((x - cx) ** 2 + (y - cy) ** 2))
+    return keys, np.array(centers), np.array(metric)
+
+
+@settings(max_examples=150)
+@given(radius=st.integers(1, 6), jitter=st.sampled_from([0.0, 0.03, 0.1]),
+       spacing=st.floats(0.01, 500.0), origin=st.tuples(st.floats(-1e4, 1e4),
+                                                         st.floats(-1e4, 1e4)),
+       kind=st.sampled_from(["hex", "square"]), size=st.integers(1, 4),
+       shift=st.integers(0, 2), copies=st.integers(0, 4), seed=st.integers(0, 2**16))
+def test_partition_properties_on_random_lattices(radius, jitter, spacing, origin, kind,
+                                                 size, shift, copies, seed):
+    """Both window kinds on jittered, scaled and translated lattices, with
+    exact and nudged copies of some spots injected in shuffled order: lenient
+    mode keeps exactly the spot a dict oracle keeps in each (window, slot)
+    (nearest its cell or subcell center, ties to the lower index) and drops
+    the rest; strict mode raises iff the oracle drops a spot."""
+    rng = np.random.default_rng(seed)
+    pts = lattice_points(radius, jitter=jitter, seed=seed) * spacing + np.array(origin)
+    scale = estimate_scale(pts, 6)
+    picks = rng.integers(0, len(pts), 2 * copies)
+    nudge = rng.normal(0.0, 0.02 * scale.d_med, (copies, 2))
+    pts = np.concatenate([pts, pts[picks[:copies]], pts[picks[copies:]] + nudge])
+    pts = pts[rng.permutation(len(pts))]
+    cells = cells_for_points(pts, scale)
+    build = partition if kind == "hex" else partition_square
+
+    part = build(pts, cells, scale, size, shift, strict=False)
+    check_partition(part, cells)
+    if kind == "hex":
+        assert hex_distance(part.cell_offsets, np.zeros(2, dtype=int)).max() <= size
+    keys, centers, metric = oracle_assignment(pts, cells, scale, kind, size, shift)
+    keep = {}
+    for i, key in enumerate(keys):
+        if key not in keep or metric[i] < metric[keep[key]]:
+            keep[key] = i
+    kept = sorted(keep.values())
+    np.testing.assert_array_equal(part.dropped, sorted(set(range(len(pts))) - set(kept)))
+    np.testing.assert_array_equal(part.centers[part.window_of_spot[kept]], centers[kept])
+    if kind == "hex" and len(np.unique(cells, axis=0)) == len(pts):
+        assert len(part.dropped) == 0
+    if len(part.dropped):
+        with pytest.raises(SlotCollisionError):
+            build(pts, cells, scale, size, shift)
+    else:
+        strict = build(pts, cells, scale, size, shift)
+        np.testing.assert_array_equal(strict.window_of_spot, part.window_of_spot)
+        np.testing.assert_array_equal(strict.slot_of_spot, part.slot_of_spot)
