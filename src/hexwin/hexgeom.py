@@ -53,26 +53,41 @@ def _lower_median(values: np.ndarray) -> float:
     return float(values[(len(values) - 1) // 2])
 
 
-def _knn_distances(points: np.ndarray, k: int, chunk: int = 256) -> np.ndarray:
+def _k_smallest_sq(points: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                   own: np.ndarray, k: int) -> np.ndarray:
+    """Sorted k smallest dx*dx + dy*dy from points[rows] to points[cols] but own."""
+    d2 = ((points[rows, None, 0] - points[cols, 0]) ** 2
+          + (points[rows, None, 1] - points[cols, 1]) ** 2)
+    d2[np.arange(len(rows)), own] = np.inf
+    return np.sort(np.partition(d2, k - 1, axis=1)[:, :k], axis=1)
+
+
+def _knn_distances(points: np.ndarray, k: int, chunk: int = 64) -> np.ndarray:
     """(N, k) Euclidean distances from each point to its k nearest others.
 
-    Squared distances are dx*dx + dy*dy, formed one chunk of rows at a time
-    in O(chunk * N) memory.
+    Chunks of rows in x order are searched against the points within ~3
+    spacings in x; a row whose k-th distance could reach past that band is
+    redone against all points, so the result is the all-pairs one bit for bit.
     """
     n = len(points)
-    x, y = points[:, 0], points[:, 1]
+    order = np.argsort(points[:, 0], kind="stable")
+    xs = points[order, 0]
+    edge = np.concatenate([[-np.inf], xs, [np.inf]])     # edge[i + 1] = xs[i]
+    reach = 3.0 * np.sqrt(np.prod(np.ptp(points, axis=0)) / n)    # ~3 spacings if spots fill their box
     out = np.empty((n, k))
     for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        d2 = x[start:stop, None] - x
-        d2 *= d2
-        dy = y[start:stop, None] - y
-        dy *= dy
-        d2 += dy
-        rows = np.arange(stop - start)
-        d2[rows, start + rows] = np.inf
-        part = np.partition(d2, k - 1, axis=1)[:, :k]
-        out[start:stop] = np.sqrt(np.sort(part, axis=1))
+        rows, own = order[start:start + chunk], np.arange(start, min(n, start + chunk))
+        x = points[rows, 0]
+        lo = min(np.searchsorted(xs, x[0] - reach), start)
+        hi = max(np.searchsorted(xs, x[-1] + reach, side="right"), own[-1] + 1)
+        if hi - lo <= k:
+            lo, hi = 0, n
+        near = _k_smallest_sq(points, rows, order[lo:hi], own - lo, k)
+        # no point outside the band is nearer a row in x than the band's edges
+        redo = ~(near[:, -1] <= np.minimum(x - edge[lo], edge[hi + 1] - x) ** 2)
+        if redo.any():
+            near[redo] = _k_smallest_sq(points, rows[redo], order, own[redo], k)
+        out[rows] = np.sqrt(near)
     return out
 
 

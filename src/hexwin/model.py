@@ -26,8 +26,8 @@ from .hexgeom import LatticeScale, cells_for_points, estimate_scale
 from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp
 # unused here; stay importable from hexwin.model for perfbench's tracer
 from .numerics import masked_softmax, masked_softmax_vjp  # noqa: F401
-from .rope import RopeConfig, apply_hex_rope, apply_hex_rope_vjp, \
-    apply_rope_2d, apply_rope_2d_vjp, axial_to_cube
+from .rope import apply_hex_rope, apply_hex_rope_vjp, apply_rope_2d, apply_rope_2d_vjp  # noqa: F401
+from .rope import RopeConfig, axial_to_cube, rotate, rotations
 from .windowing import WindowPartition, partition, partition_square, shift_schedule
 
 Params = dict[str, np.ndarray]
@@ -169,15 +169,20 @@ def params_to_vector(params: Params) -> np.ndarray:
     return np.concatenate([v.ravel() for v in params.values()])
 
 
-def vector_to_params(vec: np.ndarray, template: Params) -> Params:
+def param_views(vec: np.ndarray, template: Params) -> Params:
+    """template's names and shapes over consecutive slices of vec, as views."""
     out: Params = {}
     pos = 0
     for k, v in template.items():
-        out[k] = vec[pos:pos + v.size].reshape(v.shape).copy()
+        out[k] = vec[pos:pos + v.size].reshape(v.shape)
         pos += v.size
     if pos != vec.size:
         raise ShapeError("parameter vector length mismatch")
     return out
+
+
+def vector_to_params(vec: np.ndarray, template: Params) -> Params:
+    return {k: v.copy() for k, v in param_views(vec, template).items()}
 
 
 @dataclass(frozen=True)
@@ -213,13 +218,6 @@ def _spot_offsets(cell_offsets, xy_offsets, cfg: ModelConfig) -> np.ndarray:
     return np.asarray(xy_offsets, dtype=np.float64)
 
 
-def _global_packing(coords, cells, scale: LatticeScale, cfg: ModelConfig) -> _Packing:
-    """All spots in one window, in row order."""
-    n = len(coords)
-    off = _spot_offsets(cells, (coords - scale.anchor) / scale.d_med, cfg)
-    return _compact_packing(np.zeros(n, dtype=np.int64), np.arange(n), 1, off)
-
-
 @dataclass(frozen=True)
 class Geometry:
     """Precomputed per-(stage, block) packings for one slide."""
@@ -246,21 +244,23 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
         scale = LatticeScale.from_spacing(1.0, coords[0])
     cells = cells_for_points(coords, scale)
     schedule = shift_schedule(cfg.blocks)
+    # every global block takes all spots as one window, in row order
+    global_pack = _compact_packing(np.zeros(n, dtype=np.int64), np.arange(n), 1,
+                                   _spot_offsets(cells, (coords - scale.anchor) / scale.d_med, cfg))
     packings: list[list[_Packing]] = []
     partitions: list[list[WindowPartition | None]] = []
     for stage in range(cfg.stages):
         row_pack, row_part = [], []
         for block in range(cfg.blocks):
             if stage == cfg.stages - 1:
-                row_pack.append(_global_packing(coords, cells, scale, cfg))
+                row_pack.append(global_pack)
                 row_part.append(None)
             else:
                 if cfg.window == "hex":
                     part = partition(coords, cells, scale, cfg.radii[stage],
                                      schedule[block], stage=stage, block=block)
                 else:
-                    part = partition_square(coords, cells, scale,
-                                            cfg.stage_sides()[stage],
+                    part = partition_square(coords, cells, scale, cfg.stage_sides()[stage],
                                             schedule[block], stage=stage, block=block)
                 # strict partitions place every spot
                 row_pack.append(_compact_packing(
@@ -269,17 +269,7 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
                 row_part.append(part)
         packings.append(row_pack)
         partitions.append(row_part)
-    return Geometry(scale=scale, cells=cells, packings=packings,
-                    partitions=partitions)
-
-
-def _rope_apply(x, pack: _Packing, cfg: ModelConfig, inverse: bool = False):
-    """Rotate (N, H, dh) token rows by each spot's own offset."""
-    if cfg.pe == "hexrope":
-        fn = apply_hex_rope_vjp if inverse else apply_hex_rope
-    else:
-        fn = apply_rope_2d_vjp if inverse else apply_rope_2d
-    return fn(x, pack.off[:, None], cfg.rope_config())
+    return Geometry(scale=scale, cells=cells, packings=packings, partitions=partitions)
 
 
 def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
@@ -379,8 +369,9 @@ def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
     n, dh = len(a), cfg.head_dim
     q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
                .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
-    q = _rope_apply(q, pack, cfg) * (1.0 / np.sqrt(dh))
-    k = _rope_apply(k, pack, cfg)
+    rot = rotations(pack.off, cfg.rope_config())[:, None]
+    q = rotate(q, rot) * (1.0 / np.sqrt(dh))
+    k = rotate(k, rot)
     m, s = pack.occ.shape
     qa = _to_windows(q, pack)                      # [q | -c], then [q | -LSE]
     kta = np.zeros((m, cfg.heads, dh + 1, s))      # [K^T; occ]
@@ -446,8 +437,9 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
         d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
         d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
     inv = 1.0 / np.sqrt(dh)
-    d_q = _rope_apply(d_qw[pack.win, :, pack.slot] * inv, pack, cfg, inverse=True)
-    d_k = _rope_apply(d_kw[pack.win, :, pack.slot], pack, cfg, inverse=True)
+    rot = rotations(pack.off, cfg.rope_config())[:, None]
+    d_q = rotate(d_qw[pack.win, :, pack.slot] * inv, rot, inverse=True)
+    d_k = rotate(d_kw[pack.win, :, pack.slot], rot, inverse=True)
     d_v = d_vw[pack.win, :, pack.slot]
     d_a = np.zeros_like(a)
     for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)):

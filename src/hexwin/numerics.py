@@ -84,11 +84,9 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
     if gain.shape != (x.shape[-1],) or bias.shape != (x.shape[-1],):
         raise ShapeError(f"gain/bias must have shape ({x.shape[-1]},), "
                          f"got {gain.shape} and {bias.shape}")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = np.mean((x - mean) ** 2, axis=-1, keepdims=True)
-    denom = np.sqrt(var + eps)
-    inv = np.where(denom > 0.0, 1.0 / np.where(denom == 0.0, 1.0, denom), 0.0)
-    xhat = (x - mean) * inv
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(centered ** 2, axis=-1, keepdims=True) + eps)
+    xhat = centered * inv
     return xhat * gain + bias, (xhat, inv, gain)
 
 

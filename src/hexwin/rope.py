@@ -5,7 +5,8 @@ Head channels are split as evenly as possible across the three cube axes
 theta_k = offset * base^(-2k/D_c). Channels left over when the head dim is
 not divisible by the axis count pass through unrotated. Rotations are
 isometries, and because angles are linear in the offsets, query/key dot
-products depend only on offset differences.
+products depend only on offset differences. A rotation is one complex
+multiply: pair (x, y) read as x + iy, times e^(i theta).
 
 A two-axis variant with real-valued (x, y) offsets serves as the Cartesian
 ablation; offsets there are expected in units of the lattice spacing.
@@ -46,9 +47,7 @@ class RopeConfig:
 
 def rope_frequencies(cfg: RopeConfig) -> np.ndarray:
     """omega_k = base^(-2k/D_c) for k = 0 .. D_c/2 - 1."""
-    half = cfg.per_axis // 2
-    k = np.arange(half, dtype=np.float64)
-    return cfg.base ** (-2.0 * k / cfg.per_axis) if half else np.zeros(0)
+    return cfg.base ** (-2.0 * np.arange(cfg.per_axis // 2) / cfg.per_axis)
 
 
 def rope_angles(cfg: RopeConfig, delta) -> np.ndarray:
@@ -57,61 +56,57 @@ def rope_angles(cfg: RopeConfig, delta) -> np.ndarray:
     return delta[..., None] * rope_frequencies(cfg)
 
 
-def _rotate(h: np.ndarray, axis_offsets: np.ndarray, cfg: RopeConfig) -> np.ndarray:
+def rotations(offsets, cfg: RopeConfig) -> np.ndarray:
+    """(..., n_axes * D_c / 2) complex e^(i theta) per rotated pair, axis block by block."""
+    offsets = np.asarray(offsets, dtype=np.float64)
+    if offsets.shape[-1] != cfg.n_axes:
+        raise ShapeError(f"offsets last axis must be {cfg.n_axes}")
+    theta = rope_angles(cfg, offsets).reshape(
+        offsets.shape[:-1] + (cfg.n_axes * cfg.per_axis // 2,))
+    return np.cos(theta) + 1j * np.sin(theta)
+
+
+def rotate(h: np.ndarray, rot: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """h with its leading channel pairs, as complex numbers, times rot (conj if inverse)."""
+    out = np.array(h, dtype=np.float64, order="C")
+    pairs = out[..., :2 * rot.shape[-1]].view(np.complex128)
+    pairs *= np.conj(rot) if inverse else rot
+    return out
+
+
+def _rope(h, offsets, cfg: RopeConfig, n_axes: int, inverse: bool) -> np.ndarray:
+    if cfg.n_axes != n_axes:
+        raise InputError(f"{'hex' if n_axes == 3 else '2d'} rope needs a {n_axes}-axis config")
+    h = np.asarray(h, dtype=np.float64)
     if h.shape[-1] != cfg.head_dim:
         raise ShapeError(f"feature dim {h.shape[-1]} != head_dim {cfg.head_dim}")
-    if axis_offsets.shape[-1] != cfg.n_axes:
-        raise ShapeError(f"offsets last axis must be {cfg.n_axes}")
-    out = np.array(h, dtype=np.float64, copy=True)
-    dc = cfg.per_axis
-    if dc == 0:
-        return out
-    freq = rope_frequencies(cfg)
-    for a in range(cfg.n_axes):
-        theta = axis_offsets[..., a, None] * freq
-        cos = np.cos(theta)
-        sin = np.sin(theta)
-        block = h[..., a * dc:(a + 1) * dc]
-        x = block[..., 0::2]
-        y = block[..., 1::2]
-        out[..., a * dc:(a + 1) * dc:2] = x * cos - y * sin
-        out[..., a * dc + 1:(a + 1) * dc:2] = x * sin + y * cos
-    return out
+    rot = rotations(offsets, cfg)
+    if n_axes == 3 and np.any(np.abs(np.sum(offsets, axis=-1)) > 1e-9):
+        raise InputError("cube offsets must satisfy du + dv + dw = 0")
+    return rotate(h, rot, inverse)
 
 
 def apply_hex_rope(h: np.ndarray, cube_offsets: np.ndarray,
                    cfg: RopeConfig) -> np.ndarray:
     """Rotate per-head features by their integer cube offsets (du, dv, dw)."""
-    h = np.asarray(h, dtype=np.float64)
-    cube_offsets = np.asarray(cube_offsets, dtype=np.float64)
-    if cfg.n_axes != 3:
-        raise InputError("hex rope needs a 3-axis config")
-    if cube_offsets.shape[-1] != 3:
-        raise ShapeError("cube offsets must have a last axis of 3")
-    if np.any(np.abs(cube_offsets.sum(axis=-1)) > 1e-9):
-        raise InputError("cube offsets must satisfy du + dv + dw = 0")
-    return _rotate(h, cube_offsets, cfg)
+    return _rope(h, cube_offsets, cfg, 3, inverse=False)
 
 
 def apply_hex_rope_vjp(grad: np.ndarray, cube_offsets: np.ndarray,
                        cfg: RopeConfig) -> np.ndarray:
-    """Gradient through the rotation: rotate back by the negated offsets."""
-    return apply_hex_rope(grad, -np.asarray(cube_offsets, dtype=np.float64), cfg)
+    """Gradient through the rotation: rotate back by the same offsets."""
+    return _rope(grad, cube_offsets, cfg, 3, inverse=True)
 
 
 def apply_rope_2d(h: np.ndarray, xy_offsets: np.ndarray,
                   cfg: RopeConfig) -> np.ndarray:
     """Two-axis Cartesian variant with real-valued offsets."""
-    h = np.asarray(h, dtype=np.float64)
-    xy_offsets = np.asarray(xy_offsets, dtype=np.float64)
-    if cfg.n_axes != 2:
-        raise InputError("2d rope needs a 2-axis config")
-    return _rotate(h, xy_offsets, cfg)
+    return _rope(h, xy_offsets, cfg, 2, inverse=False)
 
 
 def apply_rope_2d_vjp(grad: np.ndarray, xy_offsets: np.ndarray,
                       cfg: RopeConfig) -> np.ndarray:
-    return apply_rope_2d(grad, -np.asarray(xy_offsets, dtype=np.float64), cfg)
+    return _rope(grad, xy_offsets, cfg, 2, inverse=True)
 
 
 def axial_to_cube(offsets: np.ndarray) -> np.ndarray:

@@ -103,11 +103,12 @@ class SpotDataset:
 
 def hex_patch_cells(radius: int) -> np.ndarray:
     """Axial cells of a radius-R patch, center first (anchor stays central)."""
-    cells = [(q, r) for q in range(-radius, radius + 1)
-             for r in range(-radius, radius + 1)
-             if max(abs(q), abs(r), abs(q + r)) <= radius]
-    cells.sort(key=lambda c: (max(abs(c[0]), abs(c[1]), abs(c[0] + c[1])), c))
-    return np.array(cells, dtype=np.int64).reshape(-1, 2)
+    side = np.arange(-radius, radius + 1, dtype=np.int64)
+    q, r = np.repeat(side, len(side)), np.tile(side, len(side))
+    ring = np.maximum(np.maximum(abs(q), abs(r)), abs(q + r))
+    order = np.lexsort((r, q, ring))
+    order = order[ring[order] <= radius]
+    return np.stack([q[order], r[order]], axis=1)
 
 
 def _lattice_positions(cells: np.ndarray, spacing: float) -> np.ndarray:

@@ -18,8 +18,8 @@ from .losses import (LossReport, LossWeights, loss_dev_grad, loss_mse_grad,
                      loss_pearson_grad, loss_tfa_grads, loss_total)
 from .metrics import EvalReport, evaluate
 from .model import (ForwardOutput, Geometry, ModelConfig, Params, backward,
-                    build_geometry, forward, init_params, params_to_vector,
-                    vector_to_params, zeros_like_params)
+                    build_geometry, forward, init_params, param_views,
+                    params_to_vector, vector_to_params)
 from .numerics import finite_diff_grad, relative_error
 from .synth import SpotDataset
 
@@ -139,6 +139,24 @@ def _loss_and_grads(tokens, ds, rows, geometry, params, cfg, tcfg):
     return report, grads, out.y_hat
 
 
+def _update(flat, grad, moments1, moments2, step: int, tcfg: TrainConfig) -> None:
+    """One SGD or Adam step on the flat parameters, in place; grad is overwritten.
+    Per element: p - lr * g, or p - lr * m_hat / (sqrt(v_hat) + eps)."""
+    if tcfg.optimizer == "sgd":
+        flat -= np.multiply(grad, tcfg.lr, out=grad)
+        return
+    b1, b2 = tcfg.adam_beta1, tcfg.adam_beta2
+    scratch = np.multiply(grad, 1.0 - b1)
+    moments1 *= b1
+    moments1 += scratch
+    moments2 *= b2
+    moments2 += np.multiply(np.square(grad, out=grad), 1.0 - b2, out=grad)
+    denom = np.sqrt(np.divide(moments2, 1.0 - b2 ** step, out=grad), out=grad)
+    denom += tcfg.adam_eps
+    np.multiply(np.divide(moments1, 1.0 - b1 ** step, out=scratch), tcfg.lr, out=scratch)
+    flat -= np.divide(scratch, denom, out=scratch)
+
+
 def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
     """Optimize the model on one slide; returns best and final parameters."""
     geometry = build_geometry(ds.coords, cfg)
@@ -147,10 +165,11 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
     if len(train_idx) < 2:
         raise InputError("need at least 2 training spots")
 
-    moments1 = zeros_like_params(params)
-    moments2 = zeros_like_params(params)
+    flat = params_to_vector(params)       # params[k] are views of it
+    params = param_views(flat, params)
+    best_flat = flat.copy()
+    moments1, moments2 = np.zeros_like(flat), np.zeros_like(flat)
     best_total = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
     best_step = 0
     best_val = -np.inf
     evals_since_improve = 0
@@ -170,20 +189,10 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
         log_lines.append(format_log_line(step, report))
         if report.total < best_total:
             best_total = report.total
-            best_params = {k: v.copy() for k, v in params.items()}
+            np.copyto(best_flat, flat)
             best_step = step
 
-        if tcfg.optimizer == "sgd":
-            for k in params:
-                params[k] = params[k] - tcfg.lr * grads[k]
-        else:
-            b1, b2 = tcfg.adam_beta1, tcfg.adam_beta2
-            for k in params:
-                moments1[k] = b1 * moments1[k] + (1.0 - b1) * grads[k]
-                moments2[k] = b2 * moments2[k] + (1.0 - b2) * grads[k] ** 2
-                m_hat = moments1[k] / (1.0 - b1 ** step)
-                v_hat = moments2[k] / (1.0 - b2 ** step)
-                params[k] = params[k] - tcfg.lr * m_hat / (np.sqrt(v_hat) + tcfg.adam_eps)
+        _update(flat, params_to_vector(grads), moments1, moments2, step, tcfg)
         steps_run = step
 
         if len(val_idx) and step % tcfg.eval_every == 0:
@@ -198,7 +207,7 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
                 if evals_since_improve >= tcfg.patience:
                     break
 
-    return TrainResult(params=best_params, final_params=params,
+    return TrainResult(params=param_views(best_flat, params), final_params=params,
                        best_step=best_step, steps_run=steps_run,
                        log_lines=log_lines, eval_log=eval_log,
                        train_idx=train_idx, val_idx=val_idx, geometry=geometry)
@@ -238,8 +247,7 @@ def grad_check(ds: SpotDataset, cfg: ModelConfig, h: float = 1e-5,
         report, *_ = objective(out, ds, rows, p, cfg, tcfg)
         return report.total
 
-    fd_vec = finite_diff_grad(total_loss, params_to_vector(params), h)
-    fd = vector_to_params(fd_vec, params)
+    fd = param_views(finite_diff_grad(total_loss, params_to_vector(params), h), params)
     per_group = {k: relative_error(grads[k], fd[k]) for k in params}
     return {
         "n_params": n_params,

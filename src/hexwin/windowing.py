@@ -119,6 +119,13 @@ def _check_args(coords, cells, size: int, shift: int,
     return coords, cells
 
 
+def _unique_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(ids, axis=0, return_inverse=True) on 1-D keys of column ranks."""
+    r0, r1 = (np.unique(col, return_inverse=True)[1] for col in ids.T)
+    _, first, inverse = np.unique(r0 * len(ids) + r1, return_index=True, return_inverse=True)
+    return ids[first], inverse
+
+
 def _center_positions(ids, scale: LatticeScale, radius: int, shift: int) -> np.ndarray:
     """Cartesian positions of shifted coarse-lattice centers with ids (alpha, beta)."""
     e1, e2 = center_basis(scale, radius)
@@ -199,8 +206,7 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     the other.
     """
     coords, cells = _check_args(coords, cells, radius, shift, "window radius")
-    ids, win = np.unique(_nearest_centers(coords, scale, radius, shift), axis=0,
-                         return_inverse=True)
+    ids, win = _unique_rows(_nearest_centers(coords, scale, radius, shift))
     centers = _center_positions(ids, scale, radius, shift)
     center_cells = cells_for_points(centers, scale)
     off = cells - center_cells[win]
@@ -235,7 +241,7 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     u = (coords - scale.anchor - delta) / tile
     tiles = np.floor(u).astype(np.int64)
     sub = np.minimum(((u - tiles) * grid).astype(np.int64), grid - 1)
-    uniq, win = np.unique(tiles, axis=0, return_inverse=True)
+    uniq, win = _unique_rows(tiles)
     centers = scale.anchor + delta + (uniq + 0.5) * tile
     subcell_center = (tiles + (sub + 0.5) / grid) * tile + scale.anchor + delta
     keep_metric = np.linalg.norm(coords - subcell_center, axis=1)

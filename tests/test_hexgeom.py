@@ -67,6 +67,22 @@ class TestEstimateScale:
         expect = np.sqrt(np.sort(np.partition(d2, 5, axis=1)[:, :6], axis=1))
         np.testing.assert_array_equal(_knn_distances(pts, 6, chunk=chunk), expect)
 
+    @pytest.mark.parametrize("cloud", ["vertical-line", "horizontal-line", "far-clusters",
+                                       "duplicates"])
+    @pytest.mark.parametrize("chunk", [64, 5])
+    def test_knn_band_search_equals_broadcast_formula(self, cloud, chunk):
+        # shapes where an x band holds too few or the wrong neighbours
+        rng = np.random.default_rng(4)
+        ring = axial_to_cartesian(hex_disk(6), LatticeScale.from_spacing(1.0, [0.0, 0.0]))
+        pts = {"vertical-line": np.c_[np.zeros(150), rng.permutation(150) * 1.0],
+               "horizontal-line": np.c_[rng.permutation(150) * 1.0, np.zeros(150)],
+               "far-clusters": np.r_[ring, ring + [1e6, 3.0]],
+               "duplicates": np.r_[ring, ring[::3]]}[cloud]
+        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        expect = np.sqrt(np.sort(np.partition(d2, 5, axis=1)[:, :6], axis=1))
+        np.testing.assert_array_equal(_knn_distances(pts, 6, chunk=chunk), expect)
+
     def test_coincident_points_degenerate(self):
         pts = np.zeros((4, 2))
         with pytest.raises(DegenerateInputError):

@@ -263,6 +263,17 @@ class TestBackward:
         params = generic_params(cfg, seed=9)
         assert worst_gradient_error(cfg, ds, params) < 1e-4
 
+    @pytest.mark.parametrize("pe", ["hexrope", "rope2d"])
+    def test_odd_head_dim_vs_finite_differences(self, pe):
+        # head dim 9: rope turns a prefix of 6 (hexrope) or 8 (rope2d)
+        # channels and passes the rest through
+        cfg = ModelConfig(in_dim=5, genes=3, dim=9, heads=1, stages=2, blocks=1,
+                          radii=(1,), out_dim=4, t_dim=3, pe=pe)
+        assert cfg.head_dim == 9
+        ds = tiny_dataset(seed=10, n=12)
+        params = generic_params(cfg, seed=10)
+        assert worst_gradient_error(cfg, ds, params) < 1e-4
+
 
 class TestCompactPacking:
     @staticmethod

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hexwin.errors import InputError
+from hexwin.errors import InputError, ShapeError
 from hexwin.rope import (RopeConfig, apply_hex_rope, apply_hex_rope_vjp,
                          apply_rope_2d, apply_rope_2d_vjp, axial_to_cube,
-                         rope_angles, rope_frequencies)
+                         rope_angles, rope_frequencies, rotate, rotations)
 
 HEX6 = RopeConfig(head_dim=6, n_axes=3)
 
@@ -177,3 +177,65 @@ def test_axial_to_cube_sums_to_zero():
     qr = rng.integers(-9, 10, (50, 2))
     cube = axial_to_cube(qr)
     assert np.all(cube.sum(axis=-1) == 0)
+
+
+def per_axis_rotation(h, offsets, cfg):
+    """Reference: each axis block's pairs turned with real cos/sin arithmetic."""
+    out = h.copy()
+    dc = cfg.per_axis
+    for a in range(cfg.n_axes):
+        theta = offsets[..., a, None] * rope_frequencies(cfg)
+        cos, sin = np.cos(theta), np.sin(theta)
+        x, y = h[..., a * dc:(a + 1) * dc:2], h[..., a * dc + 1:(a + 1) * dc:2]
+        out[..., a * dc:(a + 1) * dc:2] = x * cos - y * sin
+        out[..., a * dc + 1:(a + 1) * dc:2] = x * sin + y * cos
+    return out
+
+
+class TestComplexRotation:
+    """rotate/rotations against the per-axis formula, at even, odd and
+    remainder-carrying head dims."""
+
+    @staticmethod
+    def case(head_dim, n_axes, seed=0):
+        cfg = RopeConfig(head_dim=head_dim, n_axes=n_axes)
+        rng = np.random.default_rng(seed + 10 * head_dim + n_axes)
+        h = rng.normal(0, 3, (40, 2, head_dim))
+        if n_axes == 3:
+            off = random_cube_offsets(rng, (40, 1))
+        else:
+            off = rng.normal(0, 4, (40, 1, 2))
+        return cfg, h, off
+
+    @pytest.mark.parametrize("n_axes", (2, 3))
+    @pytest.mark.parametrize("head_dim", (6, 8, 9, 12))
+    def test_matches_per_axis_formula(self, head_dim, n_axes):
+        # numpy may fuse the complex multiply into FMAs: ~1 ulp apart
+        cfg, h, off = self.case(head_dim, n_axes)
+        rot = rotations(off, cfg)
+        assert rot.shape == (40, 1, n_axes * cfg.per_axis // 2)
+        tol = 1e-15 * np.abs(h).max()
+        assert np.abs(rotate(h, rot) - per_axis_rotation(h, off, cfg)).max() <= tol
+        assert np.abs(rotate(h, rot, inverse=True)
+                      - per_axis_rotation(h, -off, cfg)).max() <= tol
+
+    @pytest.mark.parametrize("n_axes", (2, 3))
+    @pytest.mark.parametrize("head_dim", (6, 8, 9, 12))
+    def test_exact_identities(self, head_dim, n_axes):
+        cfg, h, off = self.case(head_dim, n_axes, seed=1)
+        rotated = n_axes * cfg.per_axis
+        out = rotate(h, rotations(off, cfg))
+        np.testing.assert_array_equal(out[..., rotated:], h[..., rotated:])
+        for inverse in (False, True):
+            np.testing.assert_array_equal(
+                rotate(h, rotations(np.zeros_like(off), cfg), inverse), h)
+        np.testing.assert_allclose(rotate(out, rotations(off, cfg), inverse=True), h,
+                                   rtol=0, atol=1e-14 * np.abs(h).max())
+
+    def test_input_left_untouched_and_offsets_checked(self):
+        cfg, h, off = self.case(9, 3)
+        before = h.copy()
+        rotate(h, rotations(off, cfg))
+        np.testing.assert_array_equal(h, before)
+        with pytest.raises(ShapeError):
+            rotations(off[..., :2], cfg)

@@ -168,3 +168,14 @@ def test_hex_patch_cells_center_first():
     np.testing.assert_array_equal(cells[0], [0, 0])
     dist = hex_distance(cells, np.zeros_like(cells))
     assert np.all(np.diff(dist) >= 0)
+
+
+@pytest.mark.parametrize("radius", range(13))
+def test_hex_patch_cells_matches_sorted_enumeration(radius):
+    cells = [(q, r) for q in range(-radius, radius + 1)
+             for r in range(-radius, radius + 1)
+             if max(abs(q), abs(r), abs(q + r)) <= radius]
+    cells.sort(key=lambda c: (max(abs(c[0]), abs(c[1]), abs(c[0] + c[1])), c))
+    got = hex_patch_cells(radius)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.array(cells).reshape(-1, 2))

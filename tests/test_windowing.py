@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hexwin.errors import CoverageError, InputError, SlotCollisionError
 from hexwin.hexgeom import (SQRT3, LatticeScale, axial_to_cartesian,
                             cells_for_points, estimate_scale, hex_distance)
-from hexwin.windowing import (SlotSet, build_slot_set, center_basis,
+from hexwin.windowing import (SlotSet, _unique_rows, build_slot_set, center_basis,
                               check_partition, format_partition_records,
                               neighbor_coverage_rate, partition,
                               partition_square, shift_delta, shift_schedule,
@@ -458,3 +458,15 @@ def test_partition_properties_on_random_lattices(radius, jitter, spacing, origin
         strict = build(pts, cells, scale, size, shift)
         np.testing.assert_array_equal(strict.window_of_spot, part.window_of_spot)
         np.testing.assert_array_equal(strict.slot_of_spot, part.slot_of_spot)
+
+
+@pytest.mark.parametrize("spread", [3, 1 << 40])
+def test_unique_rows_matches_numpy_unique_rows(spread):
+    # lexicographic window numbering, as np.unique(axis=0) gives it
+    rng = np.random.default_rng(spread % 97)
+    for n in (0, 1, 2, 50, 400):
+        ids = rng.integers(-spread, spread + 1, (n, 2))
+        uniq, inverse = _unique_rows(ids)
+        want, want_inverse = np.unique(ids, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(uniq, want.reshape(-1, 2))
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
