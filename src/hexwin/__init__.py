@@ -12,10 +12,8 @@ from .errors import (CoverageError, DegenerateInputError, InputError,
 from .hexgeom import (LatticeScale, axial_to_cartesian,
                       cartesian_to_axial_frac, cells_for_points, cube_round,
                       estimate_scale, hex_distance)
-from .losses import (LossReport, LossWeights, loss_dev, loss_mse, loss_pearson,
-                     loss_tfa, loss_total)
-from .metrics import (EvalReport, auc_0_vs_nonzero, auc_q50, evaluate,
-                      mann_whitney_auc, mi_genewise, pcc_genewise, pcc_spotwise)
+from .losses import LossReport, LossWeights, loss_total
+from .metrics import EvalReport, evaluate, mann_whitney_auc, pcc_spotwise
 from .model import (ForwardOutput, Geometry, ModelConfig, backward,
                     build_geometry, forward, init_params, load_checkpoint,
                     save_checkpoint)
@@ -25,8 +23,8 @@ from .rope import (RopeConfig, apply_hex_rope, apply_rope_2d, axial_to_cube,
 from .synth import (SpotDataset, SynthConfig, generate, load_dataset,
                     mock_transcriptomic, save_dataset)
 from .trainer import TrainConfig, TrainResult, grad_check, train
-from .windowing import (SlotSet, WindowPartition, build_slot_set,
-                        check_partition, neighbor_coverage_rate, partition,
-                        partition_square, shift_schedule)
+from .windowing import (WindowPartition, build_slot_set, check_partition,
+                        neighbor_coverage_rate, partition, partition_square,
+                        shift_schedule)
 
 __version__ = "0.1.0"

@@ -123,7 +123,12 @@ def cmd_partition(args) -> int:
 def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     raw = _load_config(args.config)
-    mcfg = _model_config(raw.get("model", {}), ds.tokens.shape[1], ds.n_genes, args)
+    t_width = 0 if ds.transcriptomic is None else ds.transcriptomic.shape[1]
+    mcfg = _model_config({"t_dim": t_width, **raw.get("model", {})},
+                         ds.tokens.shape[1], ds.n_genes, args)
+    if mcfg.t_dim not in (0, t_width):
+        raise InputError(f"model.t_dim {mcfg.t_dim} differs from the dataset's "
+                         f"transcriptomic width {t_width}")
     tcfg = _train_config(raw.get("train", {}), args)
     result = train(ds, mcfg, tcfg)
     os.makedirs(args.out, exist_ok=True)

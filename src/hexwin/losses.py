@@ -3,8 +3,8 @@
 Conventions shared with every derived test oracle: standard deviations are
 population (divide by N); a gene column with zero variance in either
 argument contributes Pearson correlation 0; the cosine of a zero vector is
-0. Each loss has a companion returning analytic input gradients, certified
-against the central finite-difference oracle.
+0. Each loss function returns its value with its analytic input gradients,
+certified against the central finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ class LossWeights:
     dev: float = 0.1
 
     def __post_init__(self):
-        if min(self.mse, self.pearson, self.tfa, self.dev) < 0.0:
-            raise InputError("loss weights must be nonnegative")
+        if not all(0.0 <= w < np.inf for w in (self.mse, self.pearson, self.tfa, self.dev)):
+            raise InputError("loss weights must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -43,31 +43,23 @@ def _check_matching(a: np.ndarray, b: np.ndarray, op: str) -> None:
                          f"got {a.shape} and {b.shape}")
 
 
-def loss_mse(y_hat: np.ndarray, y: np.ndarray) -> float:
-    """Mean squared prediction error over all (spot, gene) entries."""
-    return loss_mse_grad(y_hat, y)[0]
-
-
 def loss_mse_grad(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared prediction error over all (spot, gene) entries; returns (loss, d_y_hat)."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _check_matching(y_hat, y, "loss_mse")
+    _check_matching(y_hat, y, "loss_mse_grad")
     diff = y_hat - y
     return float(np.mean(diff ** 2)), 2.0 * diff / diff.size
 
 
-def loss_pearson(y_hat: np.ndarray, y: np.ndarray) -> float:
-    """1 - mean over genes of the across-spot Pearson correlation."""
-    return loss_pearson_grad(y_hat, y)[0]
-
-
 def loss_pearson_grad(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """1 - mean over genes of the across-spot Pearson correlation; returns (loss, d_y_hat)."""
     y_hat = np.asarray(y_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _check_matching(y_hat, y, "loss_pearson")
+    _check_matching(y_hat, y, "loss_pearson_grad")
     n, g = y_hat.shape
     if n < 2:
-        raise InputError("loss_pearson requires at least 2 spots")
+        raise InputError("loss_pearson_grad requires at least 2 spots")
     u = y_hat - y_hat.mean(axis=0)
     v = y - y.mean(axis=0)
     su = np.sqrt((u ** 2).sum(axis=0))
@@ -81,18 +73,13 @@ def loss_pearson_grad(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarr
     return loss, -grad / g
 
 
-def loss_tfa(z: np.ndarray, t: np.ndarray, proj_w: np.ndarray,
-             proj_b: np.ndarray) -> float:
-    """Mean (1 - cosine) between projected embeddings p(z_i) and targets t_i."""
-    return loss_tfa_grads(z, t, proj_w, proj_b)[0]
-
-
 def loss_tfa_grads(z, t, proj_w, proj_b):
-    """Returns (loss, d_z, d_proj_w, d_proj_b)."""
+    """Mean (1 - cosine) between projected embeddings p(z_i) and targets t_i;
+    returns (loss, d_z, d_proj_w, d_proj_b)."""
     z = np.asarray(z, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if z.ndim != 2 or t.ndim != 2 or len(z) != len(t):
-        raise ShapeError("loss_tfa needs (N, D_out) embeddings and (N, D_t) targets")
+        raise ShapeError("loss_tfa_grads needs (N, D_out) embeddings and (N, D_t) targets")
     if proj_w.shape != (z.shape[1], t.shape[1]) or proj_b.shape != (t.shape[1],):
         raise ShapeError("projection parameter shapes do not match z and t")
     n = len(z)
@@ -110,22 +97,19 @@ def loss_tfa_grads(z, t, proj_w, proj_b):
     return loss, d_p @ proj_w.T, z.T @ d_p, d_p.sum(axis=0)
 
 
-def loss_dev(y_dev_hat: np.ndarray, y: np.ndarray, eps: float = 1e-8) -> float:
-    """Squared error between gene-standardized deviations of truth and prediction.
+def loss_dev_grad(y_dev_hat, y, eps: float = 1e-8):
+    """Squared error between gene-standardized deviations of truth and prediction;
+    returns (loss, d_y_dev_hat).
 
     Ground-truth deviations are the gene columns of y minus their means; both
     deviation matrices are standardized per gene by (population std + eps).
     """
-    return loss_dev_grad(y_dev_hat, y, eps)[0]
-
-
-def loss_dev_grad(y_dev_hat, y, eps: float = 1e-8):
     y_dev_hat = np.asarray(y_dev_hat, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _check_matching(y_dev_hat, y, "loss_dev")
+    _check_matching(y_dev_hat, y, "loss_dev_grad")
     n, g = y.shape
     if n < 2:
-        raise InputError("loss_dev requires at least 2 spots")
+        raise InputError("loss_dev_grad requires at least 2 spots")
     t_dev = y - y.mean(axis=0)
     t_std = np.sqrt(np.mean(t_dev ** 2, axis=0))
     t_tilde = t_dev / (t_std + eps)

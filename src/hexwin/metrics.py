@@ -58,14 +58,6 @@ def _column_pcc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(ok, (u * v).sum(axis=0) / np.where(ok, su * sv, 1.0), 0.0)
 
 
-def pcc_genewise(y_hat: np.ndarray, y: np.ndarray) -> float:
-    """Mean over genes of the correlation across spots."""
-    y_hat, y = _as_matrix_pair(y_hat, y)
-    if len(y) < 2:
-        raise InputError("pcc_genewise requires at least 2 spots")
-    return float(_column_pcc(y_hat, y).mean())
-
-
 def pcc_spotwise(y_hat: np.ndarray, y: np.ndarray) -> float:
     """Mean over spots of the correlation across genes."""
     y_hat, y = _as_matrix_pair(y_hat, y)
@@ -90,31 +82,6 @@ def _discrete_mi(bi: np.ndarray, bj: np.ndarray, bins: int) -> float:
     return float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
 
 
-def mi_genewise(y_hat: np.ndarray, y: np.ndarray, bins: int = 16) -> float:
-    """Mean over genes of the discrete MI (natural log) of quantile-binned values."""
-    y_hat, y = _as_matrix_pair(y_hat, y)
-    if bins < 2:
-        raise InputError("bins must be >= 2")
-    if len(y) < bins:
-        raise InputError(f"need at least bins={bins} spots, got {len(y)}")
-    vals = [_discrete_mi(quantile_bins(y_hat[:, g], bins),
-                         quantile_bins(y[:, g], bins), bins)
-            for g in range(y.shape[1])]
-    return float(np.mean(vals))
-
-
-def auc_0_vs_nonzero(y_hat: np.ndarray, y: np.ndarray) -> float:
-    """AUC of predictions as scores for the label (truth > 0)."""
-    y_hat, y = _as_matrix_pair(y_hat, y)
-    return mann_whitney_auc(y_hat.ravel(), y.ravel() > 0.0)[0]
-
-
-def auc_q50(y_hat: np.ndarray, y: np.ndarray) -> float:
-    """AUC for the label (truth > global median); median ties are negatives."""
-    y_hat, y = _as_matrix_pair(y_hat, y)
-    return mann_whitney_auc(y_hat.ravel(), y.ravel() > float(np.median(y)))[0]
-
-
 def _as_matrix_pair(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -125,11 +92,11 @@ def _as_matrix_pair(a, b):
 
 @dataclass(frozen=True)
 class EvalReport:
-    pcc_f: float
-    pcc_s: float
-    mi_f: float
-    auc_0vnz: float
-    auc_q50: float
+    pcc_f: float                 # mean over genes of the across-spot correlation
+    pcc_s: float                 # mean over spots of the across-gene correlation
+    mi_f: float                  # mean over genes of quantile-binned MI (nats)
+    auc_0vnz: float              # pooled over all cells, label truth > 0
+    auc_q50: float               # label truth > global median; median ties are negatives
     auc_0vnz_degenerate: bool
     auc_q50_degenerate: bool
     gene_names: list[str] = field(default_factory=list)

@@ -103,8 +103,8 @@ _JSON_SCALARS = {"int": int, "float": (int, float), "str": str, "bool": bool}
 def config_from_dict(cls, section, name: str, **overrides):
     """Build config dataclass cls from one JSON object plus overrides.
 
-    Lists become tuples for tuple-valued fields. Unknown keys, values of the
-    wrong JSON type and values cls rejects all raise InputError.
+    Lists become tuples for tuple-valued fields. Unknown keys, wrong JSON types
+    (also of tuple elements), non-finite floats and values cls rejects raise InputError.
     """
     if not isinstance(section, dict):
         raise InputError(f"{name} config must be a JSON object")
@@ -117,31 +117,30 @@ def config_from_dict(cls, section, name: str, **overrides):
               else v for k, v in section.items()}
     values.update(overrides)
     for key, value in values.items():
-        want = _JSON_SCALARS.get(known[key].type)
-        if want and (not isinstance(value, want)
-                     or isinstance(value, bool) != (want is bool)):
-            raise InputError(f"{name}.{key} must be {known[key].type}, got {value!r}")
+        kind = known[key].type
+        want = _JSON_SCALARS.get(kind.removeprefix("tuple[").removesuffix(", ...]"))
+        items = value if kind.startswith("tuple[") and isinstance(value, tuple) else (value,)
+        if want and any(not isinstance(v, want) or isinstance(v, bool) != (want is bool)
+                        for v in items):
+            raise InputError(f"{name}.{key} must be {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"{name}.{key} must be finite, got {value!r}")
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{name} config: {exc}") from None
 
 
-def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
-    """Uniform(+-1/sqrt(fan_in)) weights, zero biases, unit norm gains."""
-    rng = np.random.default_rng(seed)
-    params: Params = {}
+def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in init_params order; weights are (fan_in, fan_out)."""
+    d, layout = cfg.dim, []
 
     def linear(name: str, fan_in: int, fan_out: int):
-        bound = 1.0 / np.sqrt(fan_in)
-        params[f"{name}.w"] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        params[f"{name}.b"] = np.zeros(fan_out)
+        layout.extend([(f"{name}.w", (fan_in, fan_out)), (f"{name}.b", (fan_out,))])
 
     def norm(name: str, width: int):
-        params[f"{name}.g"] = np.ones(width)
-        params[f"{name}.b"] = np.zeros(width)
+        layout.extend([(f"{name}.g", (width,)), (f"{name}.b", (width,))])
 
-    d = cfg.dim
     linear("embed", cfg.in_dim, d)
     for s in range(cfg.stages):
         for b in range(cfg.blocks):
@@ -158,6 +157,17 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
     linear("dev", cfg.out_dim, cfg.genes)
     if cfg.t_dim:
         linear("tfa", cfg.out_dim, cfg.t_dim)
+    return layout
+
+
+def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
+    """Uniform(+-1/sqrt(fan_in)) weights, zero biases, unit norm gains."""
+    rng = np.random.default_rng(seed)
+    params: Params = {}
+    for name, shape in param_layout(cfg):
+        bound = 1.0 / np.sqrt(shape[0])
+        params[name] = (rng.uniform(-bound, bound, size=shape) if name.endswith(".w")
+                        else np.full(shape, 1.0 if name.endswith(".g") else 0.0))
     return params
 
 
@@ -179,10 +189,6 @@ def param_views(vec: np.ndarray, template: Params) -> Params:
     if pos != vec.size:
         raise ShapeError("parameter vector length mismatch")
     return out
-
-
-def vector_to_params(vec: np.ndarray, template: Params) -> Params:
-    return {k: v.copy() for k, v in param_views(vec, template).items()}
 
 
 @dataclass(frozen=True)
@@ -604,11 +610,15 @@ def load_checkpoint(path: str) -> tuple[Params, ModelConfig]:
         cfg = config_from_dict(ModelConfig, header["config"], "model")
         specs = [(str(t["name"]), tuple(int(d) for d in t["shape"]))
                  for t in header["tensors"]]
-        if head_len < 0 or any(d < 0 for _, shape in specs for d in shape):
+        if head_len < 0:
             raise ValueError("negative length")
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed checkpoint header: "
                          f"{type(exc).__name__}: {exc}") from None
+    layout = param_layout(cfg)
+    if specs != layout:
+        got, want = next(p for p in zip(specs + ["nothing"], layout + ["nothing"]) if p[0] != p[1])
+        raise InputError(f"{path}: header lists {got} where its config has {want}")
     pos = nl + 1 + head_len
     counts = [int(np.prod(shape)) for _, shape in specs]
     if len(rest) != pos + 8 * sum(counts):
@@ -617,6 +627,8 @@ def load_checkpoint(path: str) -> tuple[Params, ModelConfig]:
     params: Params = {}
     for (name, shape), count in zip(specs, counts):
         arr = np.frombuffer(rest, dtype="<f8", count=count, offset=pos)
+        if not np.isfinite(arr).all():
+            raise InputError(f"{path}: tensor {name} holds non-finite values")
         params[name] = arr.reshape(shape).astype(np.float64)
         pos += count * 8
     return params, cfg

@@ -3,9 +3,8 @@ and the central finite-difference oracle used by every gradient test.
 
 Arrays are plain C-contiguous numpy float64; boolean arrays act as occupancy
 masks and must broadcast against what they mask. No function mutates its
-inputs, except that the masked softmax and its vjp write into an ``out``
-array they are given.
-Backward passes are hand-derived per operation (suffix ``_vjp``), not taped.
+inputs. Backward passes are hand-derived per operation (suffix ``_vjp``),
+not taped.
 """
 
 from __future__ import annotations
@@ -21,14 +20,11 @@ INV_SQRT2 = 1.0 / np.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax along ``axis`` restricted to entries where ``valid`` is True.
 
     Invalid positions get exactly zero weight; slices with no valid entry
     return all zeros instead of raising (empty window slots are routine).
-    The weights are computed in ``out`` when given (it may be ``scores``
-    itself), otherwise in one fresh copy of ``scores``.
     """
     scores = np.asarray(scores, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
@@ -40,14 +36,7 @@ def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
     if shape != scores.shape:
         raise ShapeError(f"mask shape {valid.shape} broadcasts to {shape}, "
                          f"not to scores shape {scores.shape}")
-    if out is None:
-        out = scores.copy()
-    elif out.shape != scores.shape or out.dtype != np.float64:
-        raise ShapeError(f"out must be float64 {scores.shape}, got {out.dtype} {out.shape}")
-    elif out is not scores:
-        np.copyto(out, scores)
-    if not valid.all():
-        np.copyto(out, -np.inf, where=~valid)
+    out = np.where(valid, scores, -np.inf)
     peak = np.max(out, axis=axis, keepdims=True)
     np.copyto(peak, 0.0, where=~np.isfinite(peak))
     out -= peak
@@ -58,18 +47,14 @@ def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1,
     return out
 
 
-def masked_softmax_vjp(grad_out: np.ndarray, weights: np.ndarray, axis: int = -1,
-                       out: np.ndarray | None = None) -> np.ndarray:
+def masked_softmax_vjp(grad_out: np.ndarray, weights: np.ndarray, axis: int = -1) -> np.ndarray:
     """Gradient of masked_softmax w.r.t. scores, given its output ``weights``.
 
     Invalid positions already carry zero weight, so they receive zero
-    gradient without special casing. The result is written to ``out`` when
-    given (it may be ``grad_out`` itself).
+    gradient without special casing.
     """
     inner = np.expand_dims(np.vecdot(grad_out, weights, axis=axis), axis)
-    out = np.subtract(grad_out, inner, out=out)
-    out *= weights
-    return out
+    return (grad_out - inner) * weights
 
 
 def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

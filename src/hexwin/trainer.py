@@ -19,7 +19,7 @@ from .losses import (LossReport, LossWeights, loss_dev_grad, loss_mse_grad,
 from .metrics import EvalReport, evaluate
 from .model import (ForwardOutput, Geometry, ModelConfig, Params, backward,
                     build_geometry, forward, init_params, param_views,
-                    params_to_vector, vector_to_params)
+                    params_to_vector)
 from .numerics import finite_diff_grad, relative_error
 from .synth import SpotDataset
 
@@ -41,14 +41,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise InputError("steps must be >= 1")
-        if self.lr < 0.0:
-            raise InputError("learning rate must be nonnegative")
+        if not 0.0 <= self.lr < np.inf:
+            raise InputError("learning rate must be finite and nonnegative")
         if self.optimizer not in ("adam", "sgd"):
             raise InputError("optimizer must be 'adam' or 'sgd'")
         if not 0.0 <= self.val_fraction < 1.0:
             raise InputError("val_fraction must lie in [0, 1)")
         if self.eval_every < 1 or self.seed < 0:
             raise InputError("eval_every must be >= 1 and seed >= 0")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0
+                and self.adam_eps > 0.0):
+            raise InputError("adam_beta1 and adam_beta2 must lie in [0, 1) and adam_eps be > 0")
 
 
 @dataclass
@@ -193,6 +196,7 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
             best_step = step
 
         _update(flat, params_to_vector(grads), moments1, moments2, step, tcfg)
+        del grads  # not held through the next step's forward and backward
         steps_run = step
 
         if len(val_idx) and step % tcfg.eval_every == 0:
@@ -242,7 +246,7 @@ def grad_check(ds: SpotDataset, cfg: ModelConfig, h: float = 1e-5,
     _, grads, _ = _loss_and_grads(ds.tokens, ds, rows, geometry, params, cfg, tcfg)
 
     def total_loss(vec: np.ndarray) -> float:
-        p = vector_to_params(vec, params)
+        p = param_views(vec, params)
         out = forward(ds.tokens, geometry, p, cfg, train=True)
         report, *_ = objective(out, ds, rows, p, cfg, tcfg)
         return report.total

@@ -22,19 +22,9 @@ from .hexgeom import (SQRT3, LatticeScale, axial_to_cartesian, cells_for_points,
                       cube_round, hex_distance)
 
 
-@dataclass(frozen=True)
-class SlotSet:
-    """Fixed per-window slot layout: all cell offsets within hex radius K."""
-
-    radius: int
-    offsets: np.ndarray  # (S, 2) int, lexicographically ordered
-
-    def __len__(self) -> int:
-        return len(self.offsets)
-
-
-def build_slot_set(radius: int) -> SlotSet:
-    """Enumerate the 3K^2 + 3K + 1 offsets with max(|dq|,|dr|,|dq+dr|) <= K."""
+def build_slot_set(radius: int) -> np.ndarray:
+    """The (S, 2) read-only int array of the 3K^2 + 3K + 1 cell offsets with
+    max(|dq|,|dr|,|dq+dr|) <= K, in lexicographic order: one window's slots."""
     if radius < 0:
         raise InputError("slot radius must be >= 0")
     offsets = [(dq, dr)
@@ -43,7 +33,7 @@ def build_slot_set(radius: int) -> SlotSet:
                if max(abs(dq), abs(dr), abs(dq + dr)) <= radius]
     arr = np.array(sorted(offsets), dtype=np.int64).reshape(-1, 2)
     arr.setflags(write=False)
-    return SlotSet(radius=radius, offsets=arr)
+    return arr
 
 
 def center_basis(scale: LatticeScale, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +205,7 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
         i = int(np.argmax(dist > radius))
         raise CoverageError(f"spot {i} sits {int(dist[i])} cells from its nearest center "
                             f"(radius {radius}); coverage contract violated")
-    offsets = build_slot_set(radius).offsets
+    offsets = build_slot_set(radius)
     slot_table = np.full((2 * radius + 1, 2 * radius + 1), -1, dtype=np.int64)
     slot_table[offsets[:, 0] + radius, offsets[:, 1] + radius] = np.arange(len(offsets))
     keep_metric = np.linalg.norm(coords - axial_to_cartesian(cells, scale), axis=1)

@@ -14,8 +14,8 @@ import pytest
 from hexwin.hexgeom import (SQRT3, LatticeScale, axial_to_cartesian,
                             cells_for_points, cube_round, estimate_scale,
                             hex_distance)
-from hexwin.losses import (LossWeights, loss_dev, loss_pearson, loss_total)
-from hexwin.metrics import mann_whitney_auc, pcc_genewise
+from hexwin.losses import LossWeights, loss_dev_grad, loss_pearson_grad, loss_total
+from hexwin.metrics import evaluate, mann_whitney_auc
 from hexwin.model import (ModelConfig, build_geometry, forward, init_params,
                           load_checkpoint)
 from hexwin.rope import RopeConfig, apply_hex_rope, axial_to_cube
@@ -122,7 +122,7 @@ def test_criterion_2_slot_set_cardinality():
         enum = {(dq, dr) for dq in range(-k, k + 1) for dr in range(-k, k + 1)
                 if max(abs(dq), abs(dr), abs(dq + dr)) <= k}
         assert len(ss) == len(enum) == 3 * k * k + 3 * k + 1
-        assert {tuple(o) for o in ss.offsets} == enum
+        assert {tuple(o) for o in ss} == enum
     print(PASS.format(2, "slot-set size 3K^2+3K+1 vs enumeration, K = 0..8"))
 
 
@@ -205,14 +205,14 @@ def test_criterion_5_gradient_certification():
 def test_criterion_6_loss_constants():
     rng = np.random.default_rng(10)
     y = rng.normal(0, 1, (12, 5))
-    assert loss_pearson(y, y) == pytest.approx(0.0, abs=1e-12)
-    assert loss_pearson(-y, y) == pytest.approx(2.0, abs=1e-12)
+    assert loss_pearson_grad(y, y)[0] == pytest.approx(0.0, abs=1e-12)
+    assert loss_pearson_grad(-y, y)[0] == pytest.approx(2.0, abs=1e-12)
     for _ in range(20):
         a = rng.normal(0, 1, (9, 4))
         b = rng.normal(0, 1, (9, 4))
-        assert 0.0 <= loss_pearson(a, b) <= 2.0
+        assert 0.0 <= loss_pearson_grad(a, b)[0] <= 2.0
     dev = y - y.mean(axis=0)
-    assert loss_dev(dev, y) == pytest.approx(0.0, abs=1e-12)
+    assert loss_dev_grad(dev, y)[0] == pytest.approx(0.0, abs=1e-12)
     assert loss_total(1.0, 1.0, 1.0, 1.0).total == pytest.approx(1.201, abs=1e-12)
     print(PASS.format(6, "loss endpoints exact: pearson {0,2}, matched "
                          "deviations 0, weighted-sum example 1.201"))
@@ -236,7 +236,7 @@ def test_criterion_7_metric_oracles():
         monotone, _ = mann_whitney_auc(np.exp(scores / 3.0) * 2 + 1, labels)
         assert monotone == pytest.approx(auc, abs=1e-12)
     y = rng.normal(0, 1, (30, 8))
-    assert pcc_genewise(y, y) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(y, y).pcc_f == pytest.approx(1.0, abs=1e-12)
     print(PASS.format(7, "Mann-Whitney AUC == pair counting (100 instances), "
                          "monotone invariance, identity PCC == 1"))
 
@@ -251,7 +251,7 @@ def test_criterion_8_learnability(learn_run):
     test_ds = learn_dataset(8)
     geo = build_geometry(test_ds.coords, LEARN_MODEL)
     out = forward(test_ds.tokens, geo, result.params, LEARN_MODEL, train=False)
-    pcc = pcc_genewise(out.y_hat, test_ds.expression)
+    pcc = evaluate(out.y_hat, test_ds.expression).pcc_f
     assert pcc > 0.5
 
     ratios = []
@@ -272,7 +272,7 @@ def test_criterion_8_learnability(learn_run):
     noise_geo = build_geometry(noise_test.coords, LEARN_MODEL)
     noise_out = forward(noise_test.tokens, noise_geo, noise_result.params,
                         LEARN_MODEL, train=False)
-    noise_pcc = pcc_genewise(noise_out.y_hat, noise_test.expression)
+    noise_pcc = evaluate(noise_out.y_hat, noise_test.expression).pcc_f
     assert abs(noise_pcc) < 0.1
 
     elapsed = time.time() - start + fixture_seconds

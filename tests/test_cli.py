@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hexwin.cli import main
-from hexwin.model import ModelConfig, init_params, save_checkpoint
+from hexwin.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from hexwin.render import read_ppm
 from hexwin.synth import SpotDataset, load_dataset, save_dataset
 
@@ -166,6 +166,17 @@ class TestTrainEvalRender:
                      str(run / "checkpoint.bin"), "--out", str(report)]) == 0
         assert "pcc_s\tnan\n" in report.read_text()
 
+    def test_t_dim_follows_dataset(self, tmp_path):
+        # no config: in_dim, genes and t_dim all come from the dataset
+        data, run = tmp_path / "data", tmp_path / "run"
+        cfg = write_config(tmp_path / "c.json",
+                           synth={**SMALL_SYNTH, "transcriptomic_dim": 2})
+        assert main(["generate", "--config", cfg, "--out", str(data)]) == 0
+        assert main(["train", "--dataset", str(data), "--steps", "1",
+                     "--out", str(run)]) == 0
+        params, mcfg = load_checkpoint(str(run / "checkpoint.bin"))
+        assert mcfg.t_dim == 2 and params["tfa.w"].shape == (mcfg.out_dim, 2)
+
     def test_loss_off_flag(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "mc.json", model=SMALL_MODEL,
                            train={"steps": 2, "lr": 0.005, "seed": 1})
@@ -238,13 +249,21 @@ class TestExitCodes:
         lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "rope_base": -3}}),
         lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "rope_base": float("inf")}}),
         lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "rope_base": float("nan")}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "radii": [1.5]}}),
+        lambda cfg: json.dumps({**cfg, "model": {**SMALL_MODEL, "square_sides": [2.5]}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1,
+                                                 "weights": {"dev": float("inf")}}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "adam_beta2": 1.0}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "adam_beta1": 1.5}}),
+        lambda cfg: json.dumps({**cfg, "train": {"steps": 1, "adam_eps": 0.0}}),
     ], ids=["malformed-json", "zero-heads", "scalar-radii", "float-blocks",
             "unknown-model-key", "unknown-train-key", "unknown-weight-key",
             "unknown-section", "hexrope-head-dim-4", "rope2d-head-dim-3",
             "zero-eval-every", "negative-eval-every", "negative-train-seed",
             "zero-out-dim", "negative-t-dim", "negative-mlp-hidden", "zero-knn-k",
             "zero-rope-base", "negative-rope-base", "infinite-rope-base",
-            "nan-rope-base"])
+            "nan-rope-base", "float-radius", "float-square-side", "infinite-weight",
+            "adam-beta2-one", "adam-beta1-above-one", "zero-adam-eps"])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                        edit):
         path = tmp_path / "cfg.json"
@@ -256,14 +275,30 @@ class TestExitCodes:
         path.write_text(edit(cfg))
         assert_invalid_input(capsys, argv)
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, dataset_dir, tmp_path,
+                                                     capsys, lr):
+        cfg = write_config(tmp_path / "mc.json", model=SMALL_MODEL, train={"steps": 2})
+        line = assert_invalid_input(capsys, ["train", "--dataset", str(dataset_dir),
+                                             "--config", cfg, "--lr", lr,
+                                             "--out", str(tmp_path / "run")])
+        assert "train.lr must be finite" in line
+
+    def test_t_dim_mismatch_names_both_widths(self, dataset_dir, tmp_path, capsys):
+        cfg = write_config(tmp_path / "mc.json", model={**SMALL_MODEL, "t_dim": 5})
+        line = assert_invalid_input(capsys, ["train", "--dataset", str(dataset_dir),
+                                             "--config", cfg, "--out", str(tmp_path / "run")])
+        assert "t_dim 5" in line and "width 3" in line
+
     @pytest.mark.parametrize("edit", [
         {"radus": 3}, {"seed": -1}, {"assay_seed": -2}, {"expression_noise": -1},
         {"token_noise": -0.5}, {"transcriptomic_dim": -1}, {"max_spots": -3},
         {"token_dim": 0}, {"token_dim": -1}, {"patterns": []},
+        {"boundary_high": float("nan")},
     ], ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one",
             "negative-expression-noise", "negative-token-noise",
             "negative-transcriptomic-dim", "negative-max-spots", "zero-token-dim",
-            "negative-token-dim", "no-patterns"])
+            "negative-token-dim", "no-patterns", "nan-boundary-high"])
     def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit):
         cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, **edit})
         assert_invalid_input(capsys, ["generate", "--config", cfg,
@@ -299,6 +334,28 @@ class TestExitCodes:
         ckpt = self.edited_checkpoint(tmp_path, old, new)
         assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
                                       "--checkpoint", ckpt])
+
+    @pytest.mark.parametrize("edit", [
+        lambda head, data: head["tensors"][0].update(name="embedding.w"),
+        lambda head, data: head["tensors"][0]["shape"].reverse(),
+        lambda head, data: head["config"].update(dim=64),
+        lambda head, data: (head["tensors"].append({"name": "extra", "shape": [1]}),
+                            data.extend(bytes(8))),
+        lambda head, data: data.__setitem__(slice(-8, None), np.float64(np.nan).tobytes()),
+    ], ids=["renamed-tensor", "reversed-shape", "config-dim", "extra-tensor", "nan-weight"])
+    def test_checkpoint_off_its_config_layout_is_usage_error(self, dataset_dir, tmp_path,
+                                                             capsys, edit):
+        cfg = ModelConfig(in_dim=5, genes=3, **{k: tuple(v) if k == "radii" else v
+                                                for k, v in SMALL_MODEL.items()})
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(str(ckpt), init_params(cfg, 0), cfg)
+        magic, length, rest = ckpt.read_bytes().split(b"\n", 2)
+        head, data = json.loads(rest[:int(length)]), bytearray(rest[int(length):])
+        edit(head, data)
+        text = json.dumps(head).encode()
+        ckpt.write_bytes(b"%s\n%d\n%s%s" % (magic, len(text), text, data))
+        assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
+                                      "--checkpoint", str(ckpt)])
 
     def test_unrotatable_head_dim_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
                                                             capsys):

@@ -2,61 +2,59 @@ import numpy as np
 import pytest
 
 from hexwin.errors import InputError, ShapeError
-from hexwin.losses import (LossReport, LossWeights, loss_dev, loss_dev_grad,
-                           loss_mse, loss_mse_grad, loss_pearson,
-                           loss_pearson_grad, loss_tfa, loss_tfa_grads,
-                           loss_total)
+from hexwin.losses import (LossReport, LossWeights, loss_dev_grad, loss_mse_grad,
+                           loss_pearson_grad, loss_tfa_grads, loss_total)
 from hexwin.numerics import finite_diff_grad, relative_error
 
 
 class TestMse:
     def test_perfect_prediction(self):
         y = np.arange(6.0).reshape(2, 3)
-        assert loss_mse(y, y) == 0.0
+        assert loss_mse_grad(y, y)[0] == 0.0
 
     def test_single_entry(self):
-        assert loss_mse(np.array([[2.0]]), np.array([[0.0]])) == 4.0
+        assert loss_mse_grad(np.array([[2.0]]), np.array([[0.0]]))[0] == 4.0
 
     def test_hand_expanded_sum(self):
         y_hat = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert loss_mse(y_hat, np.zeros((2, 2))) == 0.5
+        assert loss_mse_grad(y_hat, np.zeros((2, 2)))[0] == 0.5
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            loss_mse(np.zeros((2, 2)), np.zeros((2, 3)))
+            loss_mse_grad(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestPearson:
     def test_perfect_prediction(self):
         rng = np.random.default_rng(0)
         y = rng.normal(0, 1, (8, 3))
-        assert loss_pearson(y, y) == pytest.approx(0.0, abs=1e-12)
+        assert loss_pearson_grad(y, y)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_anticorrelated(self):
         rng = np.random.default_rng(1)
         y = rng.normal(0, 1, (8, 3))
-        assert loss_pearson(-y, y) == pytest.approx(2.0, abs=1e-12)
+        assert loss_pearson_grad(-y, y)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_variance_convention(self):
         y = np.stack([np.arange(5.0), np.arange(5.0)], axis=1)
         y_hat = y.copy()
         y_hat[:, 1] = 3.0  # constant prediction column -> PCC 0
-        assert loss_pearson(y_hat, y) == pytest.approx(0.5, abs=1e-12)
+        assert loss_pearson_grad(y_hat, y)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_requires_two_spots(self):
         with pytest.raises(InputError):
-            loss_pearson(np.zeros((1, 3)), np.zeros((1, 3)))
+            loss_pearson_grad(np.zeros((1, 3)), np.zeros((1, 3)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_range_and_affine_invariance(self, seed):
         rng = np.random.default_rng(seed)
         y = rng.normal(0, 1, (12, 4))
         y_hat = rng.normal(0, 1, (12, 4))
-        val = loss_pearson(y_hat, y)
+        val = loss_pearson_grad(y_hat, y)[0]
         assert 0.0 <= val <= 2.0
         a = float(rng.uniform(0.1, 4.0))
         b = float(rng.normal(0, 2))
-        assert loss_pearson(a * y_hat + b, y) == pytest.approx(val, abs=1e-9)
+        assert loss_pearson_grad(a * y_hat + b, y)[0] == pytest.approx(val, abs=1e-9)
 
 
 class TestTfa:
@@ -66,24 +64,24 @@ class TestTfa:
     def test_aligned(self):
         t = np.array([[1.0, 0.0], [0.5, 0.5]])
         w, b = self._identity_proj(2)
-        assert loss_tfa(t, t, w, b) == pytest.approx(0.0, abs=1e-12)
+        assert loss_tfa_grads(t, t, w, b)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_antialigned(self):
         t = np.array([[1.0, 0.0], [0.5, 0.5]])
         w, b = self._identity_proj(2)
-        assert loss_tfa(-t, t, w, b) == pytest.approx(2.0, abs=1e-12)
+        assert loss_tfa_grads(-t, t, w, b)[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_orthogonal(self):
         z = np.array([[1.0, 0.0]])
         t = np.array([[0.0, 1.0]])
         w, b = self._identity_proj(2)
-        assert loss_tfa(z, t, w, b) == pytest.approx(1.0, abs=1e-12)
+        assert loss_tfa_grads(z, t, w, b)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_vector_contributes_one(self):
         z = np.zeros((1, 2))
         t = np.array([[0.0, 1.0]])
         w, b = self._identity_proj(2)
-        assert loss_tfa(z, t, w, b) == pytest.approx(1.0, abs=1e-12)
+        assert loss_tfa_grads(z, t, w, b)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDev:
@@ -91,7 +89,7 @@ class TestDev:
         rng = np.random.default_rng(0)
         y = rng.normal(0, 2, (9, 4))
         dev = y - y.mean(axis=0)
-        assert loss_dev(dev, y) == pytest.approx(0.0, abs=1e-12)
+        assert loss_dev_grad(dev, y)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_truth_column(self):
         y = np.full((4, 1), 3.0)
@@ -100,12 +98,12 @@ class TestDev:
         # standardized predictions squared
         sigma = float(np.sqrt(np.mean((p - p.mean()) ** 2)))
         expect = float(np.mean((p / (sigma + 1e-8)) ** 2))
-        assert loss_dev(p, y) == pytest.approx(expect, abs=1e-12)
+        assert loss_dev_grad(p, y)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_two_spot_hand_case(self):
         y = np.array([[0.0], [2.0]])
         p = np.array([[-1.0], [1.0]])
-        assert loss_dev(p, y) == pytest.approx(0.0, abs=1e-12)
+        assert loss_dev_grad(p, y)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_centering_invariance(self):
         rng = np.random.default_rng(2)
@@ -113,8 +111,8 @@ class TestDev:
         p = rng.normal(0, 1, (7, 3))
         c = rng.normal(0, 5, (1, 3))
         centered = lambda m: m - m.mean(axis=0)
-        assert loss_dev(centered(p + c), y) == pytest.approx(
-            loss_dev(centered(p), y), abs=1e-9)
+        assert loss_dev_grad(centered(p + c), y)[0] == pytest.approx(
+            loss_dev_grad(centered(p), y)[0], abs=1e-9)
 
 
 class TestTotal:
@@ -149,7 +147,7 @@ class TestGradients:
         y = rng.normal(0, 1, (6, 3))
         y_hat = rng.normal(0, 1, (6, 3))
         _, grad = loss_mse_grad(y_hat, y)
-        fd = finite_diff_grad(lambda v: loss_mse(v, y), y_hat)
+        fd = finite_diff_grad(lambda v: loss_mse_grad(v, y)[0], y_hat)
         assert relative_error(grad, fd) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
@@ -158,7 +156,7 @@ class TestGradients:
         y = rng.normal(0, 1, (7, 4))
         y_hat = rng.normal(0, 1, (7, 4))
         _, grad = loss_pearson_grad(y_hat, y)
-        fd = finite_diff_grad(lambda v: loss_pearson(v, y), y_hat)
+        fd = finite_diff_grad(lambda v: loss_pearson_grad(v, y)[0], y_hat)
         assert relative_error(grad, fd) < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
@@ -169,9 +167,9 @@ class TestGradients:
         w = rng.normal(0, 0.5, (5, 3))
         b = rng.normal(0, 0.5, 3)
         _, d_z, d_w, d_b = loss_tfa_grads(z, t, w, b)
-        fd_z = finite_diff_grad(lambda v: loss_tfa(v, t, w, b), z)
-        fd_w = finite_diff_grad(lambda v: loss_tfa(z, t, v, b), w)
-        fd_b = finite_diff_grad(lambda v: loss_tfa(z, t, w, v), b)
+        fd_z = finite_diff_grad(lambda v: loss_tfa_grads(v, t, w, b)[0], z)
+        fd_w = finite_diff_grad(lambda v: loss_tfa_grads(z, t, v, b)[0], w)
+        fd_b = finite_diff_grad(lambda v: loss_tfa_grads(z, t, w, v)[0], b)
         assert relative_error(d_z, fd_z) < 1e-4
         assert relative_error(d_w, fd_w) < 1e-4
         assert relative_error(d_b, fd_b) < 1e-4
@@ -182,5 +180,5 @@ class TestGradients:
         y = rng.normal(0, 1.5, (8, 4))
         p = rng.normal(0, 1, (8, 4))
         _, grad = loss_dev_grad(p, y)
-        fd = finite_diff_grad(lambda v: loss_dev(v, y), p)
+        fd = finite_diff_grad(lambda v: loss_dev_grad(v, y)[0], p)
         assert relative_error(grad, fd) < 1e-4

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hexwin.errors import InputError
-from hexwin.metrics import (auc_0_vs_nonzero, auc_q50, evaluate,
-                            format_eval_report, mann_whitney_auc, mi_genewise,
-                            midranks, pcc_genewise, pcc_spotwise, quantile_bins)
+from hexwin.metrics import (evaluate, format_eval_report, mann_whitney_auc,
+                            midranks, pcc_spotwise, quantile_bins)
 
 
 def pair_counting_auc(scores, labels):
@@ -73,30 +72,28 @@ class TestPcc:
     def test_identity_is_one(self):
         rng = np.random.default_rng(0)
         y = rng.normal(0, 1, (10, 5))
-        assert pcc_genewise(y, y) == pytest.approx(1.0, abs=1e-12)
+        assert evaluate(y, y).pcc_f == pytest.approx(1.0, abs=1e-12)
 
     def test_negation_is_minus_one(self):
         rng = np.random.default_rng(1)
         y = rng.normal(0, 1, (10, 5))
-        assert pcc_genewise(-y, y) == pytest.approx(-1.0, abs=1e-12)
+        assert evaluate(-y, y).pcc_f == pytest.approx(-1.0, abs=1e-12)
 
     def test_half_correlated_half_zero(self):
         y = np.stack([np.array([1.0, -1.0, 1.0, -1.0]),
                       np.array([1.0, -1.0, 1.0, -1.0])], axis=1)
         y_hat = y.copy()
         y_hat[:, 1] = np.array([1.0, 1.0, -1.0, -1.0])  # orthogonal, PCC 0
-        assert pcc_genewise(y_hat, y) == pytest.approx(0.5, abs=1e-12)
+        assert evaluate(y_hat, y).pcc_f == pytest.approx(0.5, abs=1e-12)
 
     def test_spotwise_mirrors_genewise(self):
         rng = np.random.default_rng(2)
         y = rng.normal(0, 1, (6, 9))
         y_hat = rng.normal(0, 1, (6, 9))
         assert pcc_spotwise(y_hat, y) == pytest.approx(
-            pcc_genewise(y_hat.T, y.T), abs=1e-12)
+            evaluate(y_hat.T, y.T).pcc_f, abs=1e-12)
 
     def test_preconditions(self):
-        with pytest.raises(InputError):
-            pcc_genewise(np.zeros((1, 3)), np.zeros((1, 3)))
         with pytest.raises(InputError):
             pcc_spotwise(np.zeros((3, 1)), np.zeros((3, 1)))
 
@@ -105,28 +102,29 @@ class TestMutualInformation:
     def test_identical_distinct_values(self):
         rng = np.random.default_rng(0)
         y = rng.normal(0, 1, (64, 3))
-        assert mi_genewise(y, y, bins=4) == pytest.approx(np.log(4), abs=1e-12)
+        assert evaluate(y, y, bins=4).mi_f == pytest.approx(np.log(4), abs=1e-12)
 
     def test_independent_shuffle_near_zero(self):
         rng = np.random.default_rng(7)
         y = rng.normal(0, 1, (4096, 2))
         y_hat = y[rng.permutation(4096)]
-        assert mi_genewise(y_hat, y, bins=16) < 0.05
+        assert evaluate(y_hat, y, bins=16).mi_f < 0.05
 
     def test_constant_predictions(self):
         y = np.random.default_rng(1).normal(0, 1, (32, 2))
-        assert mi_genewise(np.ones_like(y), y, bins=4) == 0.0
+        assert evaluate(np.ones_like(y), y, bins=4).mi_f == 0.0
 
     def test_symmetric_in_arguments(self):
         rng = np.random.default_rng(3)
         a = rng.normal(0, 1, (128, 4))
         b = rng.normal(0, 1, (128, 4)) + 0.5 * a
-        assert mi_genewise(a, b, bins=8) == pytest.approx(
-            mi_genewise(b, a, bins=8), abs=1e-12)
+        assert evaluate(a, b, bins=8).mi_f == pytest.approx(
+            evaluate(b, a, bins=8).mi_f, abs=1e-12)
 
     def test_requires_enough_spots(self):
-        with pytest.raises(InputError):
-            mi_genewise(np.zeros((3, 2)), np.zeros((3, 2)), bins=4)
+        # fewer spots than bins: no MI is defined, and evaluate reports nan
+        rep = evaluate(np.zeros((3, 2)), np.zeros((3, 2)), bins=4)
+        assert np.isnan(rep.mi_f) and np.isnan(rep.per_gene_mi).all()
 
     def test_quantile_bins_balanced_on_distinct(self):
         x = np.random.default_rng(0).permutation(32).astype(float)
@@ -138,20 +136,20 @@ class TestAucVariants:
     def test_zero_vs_nonzero(self):
         y = np.array([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
         y_hat = np.array([[0.1, 5.0], [0.2, 6.0], [0.3, 7.0]])
-        assert auc_0_vs_nonzero(y_hat, y) == 1.0
+        assert evaluate(y_hat, y).auc_0vnz == 1.0
 
     def test_q50_median_ties_are_negative(self):
         y = np.array([[1.0, 1.0], [1.0, 2.0]])  # median 1.0; only 2.0 is above
         y_hat = np.array([[0.0, 0.0], [0.0, 9.0]])
-        assert auc_q50(y_hat, y) == 1.0
+        assert evaluate(y_hat, y).auc_q50 == 1.0
 
     def test_per_gene_mode_runs(self):
         rng = np.random.default_rng(4)
         y = np.abs(rng.normal(0, 1, (30, 3)))
         y[rng.random((30, 3)) < 0.3] = 0.0
         y_hat = y + rng.normal(0, 0.1, (30, 3))
-        pooled = auc_0_vs_nonzero(y_hat, y)
-        per_gene = evaluate(y_hat, y).per_gene_auc_0vnz.mean()
+        rep = evaluate(y_hat, y)
+        pooled, per_gene = rep.auc_0vnz, rep.per_gene_auc_0vnz.mean()
         assert 0.5 < pooled <= 1.0 and 0.5 < per_gene <= 1.0
 
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from hexwin import model
 from hexwin.errors import InputError
 from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_geometry,
-                          forward, init_params, load_checkpoint, params_to_vector,
-                          save_checkpoint, vector_to_params, zeros_like_params)
+                          forward, init_params, load_checkpoint, param_views,
+                          params_to_vector, save_checkpoint, zeros_like_params)
 from hexwin.numerics import finite_diff_grad, relative_error
 from hexwin.rope import axial_to_cube
 from hexwin.synth import SynthConfig, generate
@@ -45,12 +45,12 @@ def worst_gradient_error(cfg, ds, params):
                      d_z_extra=d_z)
 
     def scalar(vec):
-        p = vector_to_params(vec, params)
+        p = param_views(vec, params)
         o = forward(ds.tokens, geo, p, cfg, train=True)
         return float(np.sum(o.y_hat * d_y) + np.sum(o.y_dev_hat * d_dev)
                      + np.sum(o.z * d_z))
 
-    fd = vector_to_params(finite_diff_grad(scalar, params_to_vector(params)), params)
+    fd = param_views(finite_diff_grad(scalar, params_to_vector(params)), params)
     return max(relative_error(grads[k], fd[k]) for k in params)
 
 
@@ -598,7 +598,7 @@ def test_config_rejects_zero_sizes(field):
 def test_vector_round_trip():
     params = init_params(TINY, 0)
     vec = params_to_vector(params)
-    back = vector_to_params(vec, params)
+    back = param_views(vec, params)
     for k in params:
         np.testing.assert_array_equal(back[k], params[k])
     assert vec.size == sum(v.size for v in params.values())

@@ -50,27 +50,6 @@ class TestMaskedSoftmax:
         np.testing.assert_allclose(masked_softmax(scores, valid), shifted,
                                    atol=1e-12)
 
-    @pytest.mark.parametrize("alias", [True, False], ids=["in-place", "buffer"])
-    def test_out_matches_pure_call(self, alias):
-        rng = np.random.default_rng(11)
-        scores = rng.normal(0, 4, (3, 2, 5, 7))
-        valid = rng.random((3, 1, 1, 7)) < 0.6
-        valid[0] = False                       # every slice of window 0 is empty
-        valid[1] = True
-        expect = masked_softmax(scores, valid)
-        kept = scores.copy()
-        out = scores if alias else np.full_like(scores, np.nan)
-        got = masked_softmax(scores, valid, out=out)
-        assert got is out
-        np.testing.assert_array_equal(got, expect)
-        np.testing.assert_array_equal(got[0], 0.0)
-        if not alias:
-            np.testing.assert_array_equal(scores, kept)
-
-    def test_out_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            masked_softmax(np.zeros((2, 3)), np.ones(3, dtype=bool), out=np.zeros(3))
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             masked_softmax(np.zeros(3), np.ones(4, dtype=bool))

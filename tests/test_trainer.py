@@ -152,19 +152,18 @@ class TestGradCheck:
         corrupted = {k: v.copy() for k, v in grads.items()}
         corrupted["embed.w"] *= 1.01
 
-        from hexwin.model import params_to_vector, vector_to_params
+        from hexwin.model import param_views, params_to_vector
         from hexwin.numerics import finite_diff_grad
         from hexwin.trainer import objective
         from hexwin.model import forward
 
         def total(vec):
-            p = vector_to_params(vec, params)
+            p = param_views(vec, params)
             out = forward(ds.tokens, geometry, p, cfg, train=True)
             rep, *_ = objective(out, ds, rows, p, cfg, tcfg)
             return rep.total
 
-        fd = vector_to_params(finite_diff_grad(total, params_to_vector(params)),
-                              params)
+        fd = param_views(finite_diff_grad(total, params_to_vector(params)), params)
         clean = relative_error(grads["embed.w"], fd["embed.w"])
         broken = relative_error(corrupted["embed.w"], fd["embed.w"])
         assert clean < 1e-4 < broken

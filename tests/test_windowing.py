@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hexwin.errors import CoverageError, InputError, SlotCollisionError
 from hexwin.hexgeom import (SQRT3, LatticeScale, axial_to_cartesian,
                             cells_for_points, estimate_scale, hex_distance)
-from hexwin.windowing import (SlotSet, _unique_rows, build_slot_set, center_basis,
+from hexwin.windowing import (_unique_rows, build_slot_set, center_basis,
                               check_partition, format_partition_records,
                               neighbor_coverage_rate, partition,
                               partition_square, shift_delta, shift_schedule,
@@ -70,7 +70,7 @@ class TestSlotSet:
     def test_radius_zero(self):
         ss = build_slot_set(0)
         assert len(ss) == 1
-        np.testing.assert_array_equal(ss.offsets, [[0, 0]])
+        np.testing.assert_array_equal(ss, [[0, 0]])
 
     def test_radius_one_has_seven(self):
         assert len(build_slot_set(1)) == 7
@@ -85,10 +85,10 @@ class TestSlotSet:
         disk = {(int(q), int(r)) for q, r in hex_disk(6 * max(k, 1))
                 if hex_distance(np.array([q, r]), np.zeros(2, dtype=int)) <= k}
         assert len(ss) == 3 * k * k + 3 * k + 1
-        assert {tuple(o) for o in ss.offsets} == disk
+        assert {tuple(o) for o in ss} == disk
 
     def test_deterministic_lexicographic_order(self):
-        off = build_slot_set(2).offsets
+        off = build_slot_set(2)
         assert sorted(map(tuple, off)) == list(map(tuple, off))
 
     def test_negative_radius(self):
@@ -384,9 +384,8 @@ def test_six_neighbor_pairs_match_dict_oracle():
 
 def test_slot_set_is_frozen():
     ss = build_slot_set(1)
-    assert isinstance(ss, SlotSet)
     with pytest.raises(ValueError):
-        ss.offsets[0, 0] = 5
+        ss[0, 0] = 5
 
 
 def oracle_assignment(pts, cells, scale, kind, size, shift):
