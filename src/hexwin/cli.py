@@ -99,7 +99,7 @@ def cmd_generate(args) -> int:
 
 def cmd_partition(args) -> int:
     ds = load_dataset(args.dataset)
-    scale = estimate_scale(ds.coords, args.knn_k)
+    scale = estimate_scale(ds.coords)
     cells = cells_for_points(ds.coords, scale)
     if args.square_side:
         part = partition_square(ds.coords, cells, scale, args.square_side,
@@ -237,7 +237,6 @@ def build_parser() -> _Parser:
     p.add_argument("--square-side", type=int, default=0,
                    help="use a square tiling with this side instead of hex")
     p.add_argument("--shift", type=int, default=0, choices=(0, 1, 2))
-    p.add_argument("--knn-k", type=int, default=6)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--verify", action="store_true",
                    help="re-assert the slot-distance and partition invariants")

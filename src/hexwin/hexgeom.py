@@ -23,28 +23,26 @@ SQRT3 = np.sqrt(3.0)
 
 @dataclass(frozen=True)
 class LatticeScale:
-    """Estimated lattice geometry: spacing d_med, hexagon side, and anchor point."""
+    """Estimated lattice geometry: spacing d_med and anchor point."""
 
     d_med: float
-    s_spot: float
     anchor: np.ndarray
 
     def __post_init__(self):
-        if not (self.d_med > 0.0 and self.s_spot > 0.0):
+        d_med = float(self.d_med)
+        if not d_med > 0.0:
             raise DegenerateInputError("lattice scale must be positive")
-        if abs(self.s_spot - self.d_med / SQRT3) > 1e-12 * self.d_med:
-            raise InputError("s_spot must equal d_med / sqrt(3)")
-        anchor = np.asarray(self.anchor, dtype=np.float64)
+        anchor = np.array(self.anchor, dtype=np.float64)
         if anchor.shape != (2,):
             raise InputError("anchor must be a 2-vector")
-        anchor = anchor.copy()
         anchor.setflags(write=False)
+        object.__setattr__(self, "d_med", d_med)
         object.__setattr__(self, "anchor", anchor)
 
-    @classmethod
-    def from_spacing(cls, d_med: float, anchor) -> "LatticeScale":
-        return cls(d_med=float(d_med), s_spot=float(d_med) / SQRT3,
-                   anchor=np.asarray(anchor, dtype=np.float64))
+    @property
+    def s_spot(self) -> float:
+        """Hexagon side: d_med / sqrt(3)."""
+        return self.d_med / SQRT3
 
 
 def _lower_median(values: np.ndarray) -> float:
@@ -103,6 +101,8 @@ def estimate_scale(points: np.ndarray, k: int = 6) -> LatticeScale:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise InputError(f"points must have shape (N, 2), got {points.shape}")
+    if not np.isfinite(points).all():
+        raise InputError("points must be finite")
     if k < 1:
         raise InputError("k must be >= 1")
     if len(points) < k + 1:
@@ -112,7 +112,7 @@ def estimate_scale(points: np.ndarray, k: int = 6) -> LatticeScale:
     if d0 <= 0.0:
         raise DegenerateInputError("median neighbor distance is zero")
     d_med = _lower_median(pool[pool <= 1.5 * d0])
-    return LatticeScale.from_spacing(d_med, points[0])
+    return LatticeScale(d_med, points[0])
 
 
 def cartesian_to_axial_frac(points: np.ndarray, scale: LatticeScale) -> np.ndarray:

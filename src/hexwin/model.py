@@ -46,18 +46,14 @@ class ModelConfig:
     t_dim: int = 16              # 0 disables the alignment projection head
     window: str = "hex"          # "hex" or "square"
     pe: str = "hexrope"          # "hexrope" or "rope2d"
-    square_sides: tuple[int, ...] = ()   # defaults to 2*K per stage
-    mlp_hidden: int = 0          # defaults to dim
-    rope_base: float = 10000.0
-    knn_k: int = 6
 
     def __post_init__(self):
         if min(self.in_dim, self.genes, self.dim, self.heads, self.stages, self.blocks,
-               self.out_dim, self.knn_k, *self.radii, *self.square_sides) < 1:
-            raise InputError("in_dim, genes, dim, heads, stages, blocks, out_dim, "
-                             "knn_k, radii and square sides must be >= 1")
-        if min(self.t_dim, self.mlp_hidden) < 0 or not 0.0 < self.rope_base < math.inf:
-            raise InputError("t_dim and mlp_hidden must be >= 0 and rope_base finite and > 0")
+               self.out_dim, *self.radii) < 1:
+            raise InputError("in_dim, genes, dim, heads, stages, blocks, out_dim "
+                             "and radii must be >= 1")
+        if self.t_dim < 0:
+            raise InputError("t_dim must be >= 0")
         if self.dim % self.heads:
             raise InputError("dim must be divisible by heads")
         if len(self.radii) != self.stages - 1:
@@ -66,8 +62,6 @@ class ModelConfig:
             raise InputError("window must be 'hex' or 'square'")
         if self.pe not in ("hexrope", "rope2d"):
             raise InputError("pe must be 'hexrope' or 'rope2d'")
-        if self.square_sides and len(self.square_sides) != self.stages - 1:
-            raise InputError("need one square side per non-global stage")
         rope = self.rope_config()
         if rope.per_axis == 0:
             raise InputError(f"head dim {self.head_dim} (dim / heads) leaves {self.pe} "
@@ -81,16 +75,12 @@ class ModelConfig:
     def ffn_hidden(self) -> int:
         return 4 * self.dim
 
-    @property
-    def proj_hidden(self) -> int:
-        return self.mlp_hidden or self.dim
-
     def stage_sides(self) -> tuple[int, ...]:
-        return self.square_sides or tuple(2 * k for k in self.radii)
+        """Square window side per windowed stage: 2K spacings for radius K."""
+        return tuple(2 * k for k in self.radii)
 
     def rope_config(self) -> RopeConfig:
-        axes = 3 if self.pe == "hexrope" else 2
-        return RopeConfig(head_dim=self.head_dim, base=self.rope_base, n_axes=axes)
+        return RopeConfig(head_dim=self.head_dim, n_axes=3 if self.pe == "hexrope" else 2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -151,8 +141,8 @@ def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
             norm(f"{p}.ln2", d)
             linear(f"{p}.ffn.1", d, cfg.ffn_hidden)
             linear(f"{p}.ffn.2", cfg.ffn_hidden, d)
-    linear("proj.1", d, cfg.proj_hidden)
-    linear("proj.2", cfg.proj_hidden, cfg.out_dim)
+    linear("proj.1", d, d)
+    linear("proj.2", d, cfg.out_dim)
     linear("gene", cfg.out_dim, cfg.genes)
     linear("dev", cfg.out_dim, cfg.genes)
     if cfg.t_dim:
@@ -237,17 +227,13 @@ class Geometry:
 def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
     """Estimate the lattice scale and build every stage/block partition.
 
-    Datasets too small for k-NN estimation fall back to unit spacing; with a
-    single spot the geometry is irrelevant anyway.
+    The scale pools each spot's 6 nearest neighbours, its hexagonal
+    neighbourhood, or every other spot on a slide of 7 or fewer. A single
+    spot gets unit spacing; its geometry is irrelevant anyway.
     """
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
-    if n >= cfg.knn_k + 1:
-        scale = estimate_scale(coords, cfg.knn_k)
-    elif n >= 2:
-        scale = estimate_scale(coords, n - 1)
-    else:
-        scale = LatticeScale.from_spacing(1.0, coords[0])
+    scale = estimate_scale(coords, min(6, n - 1)) if n >= 2 else LatticeScale(1.0, coords[0])
     cells = cells_for_points(coords, scale)
     schedule = shift_schedule(cfg.blocks)
     # every global block takes all spots as one window, in row order

@@ -41,8 +41,7 @@ def read_ppm(path: str) -> np.ndarray:
     return data.reshape(h, w, 3)
 
 
-def draw_spots(coords: np.ndarray, colors: np.ndarray, width: int = 400,
-               radius: int | None = None) -> np.ndarray:
+def draw_spots(coords: np.ndarray, colors: np.ndarray, width: int = 400) -> np.ndarray:
     """White canvas with one filled disk per spot; y grows upward."""
     coords = np.asarray(coords, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.uint8)
@@ -55,9 +54,8 @@ def draw_spots(coords: np.ndarray, colors: np.ndarray, width: int = 400,
     py = ((hi[1] - coords[:, 1] + pad) * scale).astype(int)
     height = int(np.ceil((hi[1] - lo[1] + 2 * pad) * scale)) + 1
     img = np.full((height, width, 3), 255, dtype=np.uint8)
-    if radius is None:
-        n_cols = max(1, int(round(np.sqrt(len(coords)))))
-        radius = max(1, int(scale * span / n_cols / 3))
+    n_cols = max(1, int(round(np.sqrt(len(coords)))))
+    radius = max(1, int(scale * span / n_cols / 3))
     yy, xx = np.mgrid[-radius:radius + 1, -radius:radius + 1]
     disk = (yy ** 2 + xx ** 2) <= radius ** 2
     dy, dx = np.nonzero(disk)

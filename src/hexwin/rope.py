@@ -2,11 +2,12 @@
 
 Head channels are split as evenly as possible across the three cube axes
 (u, v, w); within each axis block, channel pairs (2k, 2k+1) rotate by
-theta_k = offset * base^(-2k/D_c). Channels left over when the head dim is
-not divisible by the axis count pass through unrotated. Rotations are
-isometries, and because angles are linear in the offsets, query/key dot
-products depend only on offset differences. A rotation is one complex
-multiply: pair (x, y) read as x + iy, times e^(i theta).
+theta_k = offset * 10000^(-2k/D_c), with RoFormer's base (Su et al., 2021).
+Channels left over when the head dim is not divisible by the axis count
+pass through unrotated. Rotations are isometries, and because angles are
+linear in the offsets, query/key dot products depend only on offset
+differences. A rotation is one complex multiply: pair (x, y) read as
+x + iy, times e^(i theta).
 
 A two-axis variant with real-valued (x, y) offsets serves as the Cartesian
 ablation; offsets there are expected in units of the lattice spacing.
@@ -26,7 +27,6 @@ class RopeConfig:
     """Channel layout for rotary encoding over n_axes lattice axes."""
 
     head_dim: int
-    base: float = 10000.0
     n_axes: int = 3
 
     def __post_init__(self):
@@ -46,8 +46,8 @@ class RopeConfig:
 
 
 def rope_frequencies(cfg: RopeConfig) -> np.ndarray:
-    """omega_k = base^(-2k/D_c) for k = 0 .. D_c/2 - 1."""
-    return cfg.base ** (-2.0 * np.arange(cfg.per_axis // 2) / cfg.per_axis)
+    """omega_k = 10000^(-2k/D_c) for k = 0 .. D_c/2 - 1."""
+    return 10000.0 ** (-2.0 * np.arange(cfg.per_axis // 2) / cfg.per_axis)
 
 
 def rope_angles(cfg: RopeConfig, delta) -> np.ndarray:

@@ -34,9 +34,6 @@ class TrainConfig:
     eval_every: int = 10
     val_fraction: float = 0.2
     patience: int = 50           # evals without val improvement before stopping
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.steps < 1:
@@ -49,9 +46,6 @@ class TrainConfig:
             raise InputError("val_fraction must lie in [0, 1)")
         if self.eval_every < 1 or self.seed < 0:
             raise InputError("eval_every must be >= 1 and seed >= 0")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0
-                and self.adam_eps > 0.0):
-            raise InputError("adam_beta1 and adam_beta2 must lie in [0, 1) and adam_eps be > 0")
 
 
 @dataclass
@@ -144,18 +138,19 @@ def _loss_and_grads(tokens, ds, rows, geometry, params, cfg, tcfg):
 
 def _update(flat, grad, moments1, moments2, step: int, tcfg: TrainConfig) -> None:
     """One SGD or Adam step on the flat parameters, in place; grad is overwritten.
-    Per element: p - lr * g, or p - lr * m_hat / (sqrt(v_hat) + eps)."""
+    Per element: p - lr * g, or p - lr * m_hat / (sqrt(v_hat) + eps) with
+    Adam's beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 (Kingma and Ba, 2015)."""
     if tcfg.optimizer == "sgd":
         flat -= np.multiply(grad, tcfg.lr, out=grad)
         return
-    b1, b2 = tcfg.adam_beta1, tcfg.adam_beta2
+    b1, b2 = 0.9, 0.999
     scratch = np.multiply(grad, 1.0 - b1)
     moments1 *= b1
     moments1 += scratch
     moments2 *= b2
     moments2 += np.multiply(np.square(grad, out=grad), 1.0 - b2, out=grad)
     denom = np.sqrt(np.divide(moments2, 1.0 - b2 ** step, out=grad), out=grad)
-    denom += tcfg.adam_eps
+    denom += 1e-8
     np.multiply(np.divide(moments1, 1.0 - b1 ** step, out=scratch), tcfg.lr, out=scratch)
     flat -= np.divide(scratch, denom, out=scratch)
 
@@ -222,14 +217,14 @@ def count_params(params: Params) -> int:
 
 
 def grad_check(ds: SpotDataset, cfg: ModelConfig, h: float = 1e-5,
-               seed: int = 0, tcfg: TrainConfig | None = None) -> dict:
+               seed: int = 0) -> dict:
     """Compare the analytic gradient of the full objective against central
     finite differences; returns per-parameter-group relative errors.
 
     All spots are training rows here. The relative error is
     ||g_analytic - g_fd|| / (||g_analytic|| + ||g_fd||) per group.
     """
-    tcfg = tcfg or TrainConfig(steps=1, val_fraction=0.0, seed=seed)
+    tcfg = TrainConfig(steps=1, val_fraction=0.0, seed=seed)
     geometry = build_geometry(ds.coords, cfg)
     params = init_params(cfg, seed)
     # check at a generic point: the zero-bias init sits on a measure-zero

@@ -21,12 +21,16 @@ from .errors import CoverageError, InputError, SlotCollisionError
 from .hexgeom import (SQRT3, LatticeScale, axial_to_cartesian, cells_for_points,
                       cube_round, hex_distance)
 
+# Most slots one window may have (hex radius K <= 147, square side <= 128),
+# checked before anything O(K^2) is allocated; holds any slide of <= 65k spots
+MAX_SLOTS = 1 << 16
+
 
 def build_slot_set(radius: int) -> np.ndarray:
     """The (S, 2) read-only int array of the 3K^2 + 3K + 1 cell offsets with
     max(|dq|,|dr|,|dq+dr|) <= K, in lexicographic order: one window's slots."""
-    if radius < 0:
-        raise InputError("slot radius must be >= 0")
+    if not (0 <= radius and 3 * radius * (radius + 1) + 1 <= MAX_SLOTS):
+        raise InputError(f"slot radius must be >= 0 with at most {MAX_SLOTS} slots, got {radius}")
     offsets = [(dq, dr)
                for dq in range(-radius, radius + 1)
                for dr in range(-radius, radius + 1)
@@ -93,9 +97,9 @@ class WindowPartition:
 _NEAREST_AND_RING = np.array([(-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0)])
 
 
-def _check_args(coords, cells, size: int, shift: int,
-                what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The argument check both window kinds share."""
+def _check_args(coords, cells, size: int, shift: int, what: str,
+                n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The argument check both window kinds share; n_slots is a window's slot count."""
     coords = np.asarray(coords, dtype=np.float64)
     cells = np.asarray(cells, dtype=np.int64)
     if coords.shape != (len(cells), 2) or cells.shape[1:] != (2,):
@@ -104,6 +108,8 @@ def _check_args(coords, cells, size: int, shift: int,
         raise InputError("spot coordinates must be finite")
     if size < 1:
         raise InputError(f"{what} must be >= 1")
+    if n_slots > MAX_SLOTS:
+        raise InputError(f"{what} {size} needs {n_slots} slots, over the budget of {MAX_SLOTS}")
     if shift not in (0, 1, 2):
         raise InputError("shift must be 0, 1 or 2")
     return coords, cells
@@ -195,7 +201,8 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     mode keeps the spot nearer the cell center (ties: lower index) and drops
     the other.
     """
-    coords, cells = _check_args(coords, cells, radius, shift, "window radius")
+    coords, cells = _check_args(coords, cells, radius, shift, "window radius",
+                                3 * radius * (radius + 1) + 1)
     ids, win = _unique_rows(_nearest_centers(coords, scale, radius, shift))
     centers = _center_positions(ids, scale, radius, shift)
     center_cells = cells_for_points(centers, scale)
@@ -224,7 +231,8 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     Two spots in one subcell collide: strict mode raises, lenient mode keeps
     the spot nearer the subcell center (ties: lower index) and drops the other.
     """
-    coords, cells = _check_args(coords, cells, side, shift, "square window side")
+    coords, cells = _check_args(coords, cells, side, shift, "square window side",
+                                4 * side * side)
     tile = side * scale.d_med
     delta = (np.zeros(2), np.array([tile / 2.0, 0.0]), np.array([0.0, tile / 2.0]))[shift]
     grid = 2 * side

@@ -89,7 +89,7 @@ def test_criterion_1_geometry_oracles():
     # cube_round vs brute-force nearest cell on the 0.01 grid over [-5, 5]^2
     xs = np.round(np.arange(-5.0, 5.0 + 1e-9, 0.01), 2)
     grid = np.stack(np.meshgrid(xs, xs), axis=-1).reshape(-1, 2)
-    scale = LatticeScale.from_spacing(SQRT3, (0.0, 0.0))
+    scale = LatticeScale(SQRT3, (0.0, 0.0))
     cand_offsets = np.array([(dq, dr) for dq in (-1, 0, 1, 2)
                              for dr in (-1, 0, 1, 2)])
     ties = 0

@@ -306,15 +306,18 @@ class TestExitCodes:
         assert not (tmp_path / "d").exists()
 
     @staticmethod
-    def edited_checkpoint(tmp_path, old, new):
-        """A valid SMALL_MODEL checkpoint with one header field rewritten."""
+    def edited_checkpoint(tmp_path, old, new, **model):
+        """A valid SMALL_MODEL checkpoint, with model overrides, with one header
+        field rewritten and the header length updated to match."""
         cfg = ModelConfig(in_dim=5, genes=3, **{k: tuple(v) if k == "radii" else v
-                                                for k, v in SMALL_MODEL.items()})
+                                                for k, v in {**SMALL_MODEL, **model}.items()})
         ckpt = tmp_path / "ckpt.bin"
         save_checkpoint(str(ckpt), init_params(cfg, 0), cfg)
-        blob = ckpt.read_bytes()
-        assert blob.count(old) == 1
-        ckpt.write_bytes(blob.replace(old, new))
+        magic, length, rest = ckpt.read_bytes().split(b"\n", 2)
+        head, data = rest[:int(length)], rest[int(length):]
+        assert head.count(old) == 1
+        head = head.replace(old, new)
+        ckpt.write_bytes(b"%s\n%d\n%s%s" % (magic, len(head), head, data))
         return str(ckpt)
 
     def test_zero_heads_checkpoint_is_usage_error(self, dataset_dir, tmp_path,
@@ -326,7 +329,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("old,new", [(b'"in_dim":5,', b'"in_dim":0,'),
                                          (b'"genes":3,', b'"genes":0,'),
                                          (b'"out_dim":4,', b'"out_dim":0,'),
-                                         (b'"rope_base":10000.0,', b'"rope_base":0.0,')],
+                                         (b'"radii":[1],', b'"radii":[1],"rope_base":0.0,')],
                              ids=["zero-in-dim", "zero-genes", "zero-out-dim",
                                   "zero-rope-base"])
     def test_out_of_range_checkpoint_header_is_usage_error(self, dataset_dir, tmp_path,
@@ -334,6 +337,51 @@ class TestExitCodes:
         ckpt = self.edited_checkpoint(tmp_path, old, new)
         assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
                                       "--checkpoint", ckpt])
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "rope_base", 10000.0), ("model", "mlp_hidden", 6),
+        ("model", "knn_k", 6), ("model", "square_sides", [2]),
+        ("train", "adam_beta1", 0.9), ("train", "adam_beta2", 0.999),
+        ("train", "adam_eps", 1e-8), ("header", "rope_base", 10000.0),
+    ])
+    def test_removed_setting_is_named(self, dataset_dir, tmp_path, capsys,
+                                      section, key, value):
+        # these settings are now fixed; configs and older checkpoint headers
+        # that still carry one, even at its fixed value, are rejected
+        if section == "header":
+            ckpt = self.edited_checkpoint(tmp_path, b'"radii":[1],',
+                                          b'"radii":[1],"%s":%r,' % (key.encode(), value))
+            argv = ["eval", "--dataset", str(dataset_dir), "--checkpoint", ckpt]
+        else:
+            cfg = {"model": SMALL_MODEL, "train": {"steps": 1}}
+            cfg[section] = {**cfg[section], key: value}
+            argv = ["train", "--dataset", str(dataset_dir), "--out", str(tmp_path / "run"),
+                    "--config", write_config(tmp_path / "cfg.json", **cfg)]
+        line = assert_invalid_input(capsys, argv)
+        assert f"unknown {section.replace('header', 'model')} config key(s) {key};" in line
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("radii,stage", [([1, 2, 1000000], 2), ([1000000, 2, 4], 0)])
+    @pytest.mark.parametrize("window", ["hex", "square"])
+    def test_checkpoint_window_over_slot_budget_is_usage_error(self, dataset_dir, tmp_path,
+                                                               capsys, radii, stage, window):
+        new = b'"radii":%s' % json.dumps(radii, separators=(",", ":")).encode()
+        ckpt = self.edited_checkpoint(tmp_path, b'"radii":[1,2,3]', new, stages=4,
+                                      radii=[1, 2, 3], window=window)
+        line = assert_invalid_input(capsys, ["eval", "--dataset", str(dataset_dir),
+                                             "--checkpoint", ckpt])
+        size = radii[stage] if window == "hex" else 2 * radii[stage]
+        assert f"{size} needs " in line and "over the budget of 65536" in line
+
+    @pytest.mark.parametrize("flags", [["--k", "300"], ["--k", "1000000"],
+                                       ["--square-side", "1000000"]])
+    def test_partition_over_slot_budget_is_usage_error(self, dataset_dir, tmp_path,
+                                                       capsys, flags):
+        out = tmp_path / "p.tsv"
+        line = assert_invalid_input(capsys, ["partition", "--dataset", str(dataset_dir),
+                                             "--out", str(out), *flags])
+        assert f"{flags[1]} needs " in line and "over the budget of 65536" in line
+        assert not out.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda head, data: head["tensors"][0].update(name="embedding.w"),

@@ -58,7 +58,7 @@ class TestEstimateScale:
         # (N, N, 2) broadcast reference; the chunked per-axis form does the
         # same arithmetic, so the distances must be bitwise equal
         rng = np.random.default_rng(radius)
-        pts = axial_to_cartesian(hex_disk(radius), LatticeScale.from_spacing(2.5, [3.0, -1.0]))
+        pts = axial_to_cartesian(hex_disk(radius), LatticeScale(2.5, [3.0, -1.0]))
         pts = pts + rng.normal(0.0, jitter * 2.5, pts.shape)
         pts = pts[rng.permutation(len(pts))]
         assert len(pts) > chunk           # at least one chunk boundary
@@ -73,7 +73,7 @@ class TestEstimateScale:
     def test_knn_band_search_equals_broadcast_formula(self, cloud, chunk):
         # shapes where an x band holds too few or the wrong neighbours
         rng = np.random.default_rng(4)
-        ring = axial_to_cartesian(hex_disk(6), LatticeScale.from_spacing(1.0, [0.0, 0.0]))
+        ring = axial_to_cartesian(hex_disk(6), LatticeScale(1.0, [0.0, 0.0]))
         pts = {"vertical-line": np.c_[np.zeros(150), rng.permutation(150) * 1.0],
                "horizontal-line": np.c_[rng.permutation(150) * 1.0, np.zeros(150)],
                "far-clusters": np.r_[ring, ring + [1e6, 3.0]],
@@ -90,7 +90,7 @@ class TestEstimateScale:
 
     def test_lattice_spacing_two(self):
         cells = hex_disk(5)
-        pts = axial_to_cartesian(cells, LatticeScale.from_spacing(2.0, (0.0, 0.0)))
+        pts = axial_to_cartesian(cells, LatticeScale(2.0, (0.0, 0.0)))
         scale = estimate_scale(pts, k=6)
         assert scale.d_med == pytest.approx(2.0, abs=1e-12)
         assert scale.s_spot == pytest.approx(2.0 / SQRT3, abs=1e-12)
@@ -99,9 +99,15 @@ class TestEstimateScale:
         with pytest.raises(InputError):
             estimate_scale(np.random.default_rng(0).normal(0, 1, (6, 2)), k=6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_rejected(self, bad):
+        # a NaN once dropped out of the k-NN pool silently: d_med came back 1.0
+        with pytest.raises(InputError, match="finite"):
+            estimate_scale([[0.0, 0.0], [1.0, 0.0], [bad, 1.0], [2.0, 2.0]], k=1)
+
     def test_translation_changes_only_anchor(self):
         rng = np.random.default_rng(3)
-        pts = axial_to_cartesian(hex_disk(4), LatticeScale.from_spacing(1.0, (0, 0)))
+        pts = axial_to_cartesian(hex_disk(4), LatticeScale(1.0, (0, 0)))
         pts = pts + rng.normal(0, 0.02, pts.shape)
         base = estimate_scale(pts, k=6)
         moved = estimate_scale(pts + np.array([13.0, -4.5]), k=6)
@@ -111,7 +117,7 @@ class TestEstimateScale:
 
 
 class TestAxialConversion:
-    scale = LatticeScale.from_spacing(SQRT3 * 0.8, (2.0, -1.0))  # s_spot = 0.8
+    scale = LatticeScale(SQRT3 * 0.8, (2.0, -1.0))  # s_spot = 0.8
 
     def test_anchor_maps_to_origin(self):
         out = cartesian_to_axial_frac(np.array([2.0, -1.0]), self.scale)
@@ -136,7 +142,7 @@ class TestAxialConversion:
 
 def brute_force_nearest_cells(frac):
     """All cells whose Cartesian position is (tied-)closest to the point."""
-    scale = LatticeScale.from_spacing(SQRT3, (0.0, 0.0))
+    scale = LatticeScale(SQRT3, (0.0, 0.0))
     p = axial_to_cartesian(frac, scale)
     base = np.floor(frac).astype(int)
     cands = np.array([(base[0] + dq, base[1] + dr)
@@ -175,7 +181,7 @@ class TestCubeRound:
                 np.testing.assert_array_equal(g, nearest[0])
 
     def test_round_trip_identity_on_lattice(self):
-        scale = LatticeScale.from_spacing(0.7 * SQRT3, (0.3, 0.9))
+        scale = LatticeScale(0.7 * SQRT3, (0.3, 0.9))
         cells = np.array([(q, r) for q in range(-20, 21) for r in range(-20, 21)])
         pts = axial_to_cartesian(cells.astype(float), scale)
         np.testing.assert_array_equal(cells_for_points(pts, scale), cells)
@@ -219,7 +225,5 @@ class TestHexDistance:
 
 
 def test_lattice_scale_validation():
-    with pytest.raises(InputError):
-        LatticeScale(d_med=1.0, s_spot=1.0, anchor=np.zeros(2))
     with pytest.raises(DegenerateInputError):
-        LatticeScale.from_spacing(0.0, np.zeros(2))
+        LatticeScale(0.0, np.zeros(2))

@@ -585,12 +585,13 @@ class TestCheckpoint:
 
 @pytest.mark.parametrize("field", [dict(dim=0), dict(heads=0), dict(stages=0, radii=()),
                                    dict(blocks=0), dict(radii=(1, 0, 4)),
-                                   dict(window="square", square_sides=(2, 0, 8)),
+                                   dict(window="square", radii=(2, 0, 8)),
                                    dict(in_dim=0), dict(genes=0), dict(out_dim=0),
-                                   dict(t_dim=-1), dict(mlp_hidden=-2), dict(knn_k=0),
-                                   dict(rope_base=0.0), dict(rope_base=-3.0),
-                                   dict(rope_base=math.inf), dict(rope_base=math.nan)])
+                                   dict(t_dim=-1), dict(radii=(1, 2)), dict(dim=30),
+                                   dict(window="triangle"), dict(pe="sinusoidal"),
+                                   dict(dim=16), dict(dim=12, pe="rope2d")])
 def test_config_rejects_zero_sizes(field):
+    """Non-positive sizes, and the shapes and names the model cannot build."""
     with pytest.raises(InputError):
         ModelConfig(**{"in_dim": 5, "genes": 3, **field})
 

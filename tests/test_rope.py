@@ -167,9 +167,8 @@ def test_remainder_channels_pass_through():
 
 
 def test_frequencies_follow_base_power_law():
-    cfg = RopeConfig(head_dim=24, base=100.0, n_axes=3)  # D_c = 8 -> k = 0..3
-    np.testing.assert_allclose(rope_frequencies(cfg),
-                               [1.0, 100 ** -0.25, 100 ** -0.5, 100 ** -0.75])
+    cfg = RopeConfig(head_dim=24, n_axes=3)  # D_c = 8 -> k = 0..3, base 10000
+    np.testing.assert_allclose(rope_frequencies(cfg), [1.0, 0.1, 0.01, 0.001])
 
 
 def test_axial_to_cube_sums_to_zero():

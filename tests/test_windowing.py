@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from hexwin.errors import CoverageError, InputError, SlotCollisionError
 from hexwin.hexgeom import (SQRT3, LatticeScale, axial_to_cartesian,
                             cells_for_points, estimate_scale, hex_distance)
-from hexwin.windowing import (_unique_rows, build_slot_set, center_basis,
-                              check_partition, format_partition_records,
+from hexwin.windowing import (MAX_SLOTS, _unique_rows, build_slot_set,
+                              center_basis, check_partition, format_partition_records,
                               neighbor_coverage_rate, partition,
                               partition_square, shift_delta, shift_schedule,
                               six_neighbor_pairs)
 
-UNIT = LatticeScale.from_spacing(1.0, (0.0, 0.0))
+UNIT = LatticeScale(1.0, (0.0, 0.0))
 
 
 def hex_disk(radius):
@@ -95,6 +95,27 @@ class TestSlotSet:
         with pytest.raises(InputError):
             build_slot_set(-1)
 
+    def test_slot_budget(self):
+        assert len(build_slot_set(147)) == 3 * 147 * 148 + 1 <= MAX_SLOTS
+        for k in (148, 10 ** 6):   # rejected before the O(K^2) offset list is built
+            with pytest.raises(InputError, match=f"got {k}$"):
+                build_slot_set(k)
+
+    @pytest.mark.parametrize("kind,size", [("hex", 148), ("hex", 10 ** 6),
+                                           ("square", 129), ("square", 10 ** 6)])
+    def test_partition_over_slot_budget(self, kind, size):
+        pts = lattice_points(2)
+        fn = partition if kind == "hex" else partition_square
+        with pytest.raises(InputError, match=f"{size} needs .* slots, over the budget of 65536"):
+            fn(pts, cells_for_points(pts, UNIT), UNIT, size, 0)
+
+    @pytest.mark.parametrize("kind,size", [("hex", 147), ("square", 128)])
+    def test_partition_at_slot_budget(self, kind, size):
+        pts = lattice_points(2)
+        fn = partition if kind == "hex" else partition_square
+        part = fn(pts, cells_for_points(pts, UNIT), UNIT, size, 0)
+        assert part.n_slots <= MAX_SLOTS and len(part.dropped) == 0
+
 
 class TestCenters:
     def test_origin_center_exists_for_anchor_spot(self):
@@ -160,7 +181,7 @@ class TestCenters:
 class TestPartition:
     def test_singleton(self):
         pts = np.array([[0.37, -0.12]])
-        scale = LatticeScale.from_spacing(1.0, pts[0])
+        scale = LatticeScale(1.0, pts[0])
         part = partition(pts, cells_for_points(pts, scale), scale, 1, 0)
         assert part.n_windows == 1
         assert part.window_of_spot[0] == 0
@@ -192,7 +213,7 @@ class TestPartition:
     def test_slot_bound_and_partition_properties(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            scale0 = LatticeScale.from_spacing(1.0, (0.0, 0.0))
+            scale0 = LatticeScale(1.0, (0.0, 0.0))
             pts = lattice_points(7, scale0, jitter=0.04, seed=seed)
             keep = rng.random(len(pts)) >= 0.08
             pts = pts[keep]
@@ -211,7 +232,7 @@ class TestPartition:
         # two spots in the same cell
         pts = np.array([[0.0, 0.0], [0.05, 0.0], [SQRT3, 0.0], [2 * SQRT3, 0.0],
                         [0.5 * SQRT3, 1.5], [-0.5 * SQRT3, 1.5]])
-        scale = LatticeScale.from_spacing(SQRT3, (0.0, 0.0))
+        scale = LatticeScale(SQRT3, (0.0, 0.0))
         cells = cells_for_points(pts, scale)
         with pytest.raises(SlotCollisionError):
             partition(pts, cells, scale, 1, 0, strict=True)
@@ -219,7 +240,7 @@ class TestPartition:
     def test_lenient_collision_drops_loser(self):
         pts = np.array([[0.0, 0.0], [0.05, 0.0], [SQRT3, 0.0], [2 * SQRT3, 0.0],
                         [0.5 * SQRT3, 1.5], [-0.5 * SQRT3, 1.5]])
-        scale = LatticeScale.from_spacing(SQRT3, (0.0, 0.0))
+        scale = LatticeScale(SQRT3, (0.0, 0.0))
         cells = cells_for_points(pts, scale)
         part = partition(pts, cells, scale, 1, 0, strict=False)
         check_partition(part, cells)
@@ -248,12 +269,12 @@ class TestPartition:
 class TestSquarePartition:
     def test_singleton(self):
         pts = np.array([[0.1, 0.2]])
-        scale = LatticeScale.from_spacing(1.0, pts[0])
+        scale = LatticeScale(1.0, pts[0])
         part = partition_square(pts, cells_for_points(pts, scale), scale, 2, 0)
         assert part.n_windows == 1
 
     def test_four_spots_one_tile(self):
-        scale = LatticeScale.from_spacing(1.0, (0.0, 0.0))
+        scale = LatticeScale(1.0, (0.0, 0.0))
         pts = np.array([[0.2, 0.2], [1.7, 0.2], [0.2, 1.7], [1.7, 1.7]])
         part = partition_square(pts, cells_for_points(pts, scale), scale, 2, 0)
         assert part.n_windows == 1
