@@ -17,11 +17,10 @@ import numpy as np
 
 from .errors import (CoverageError, DegenerateInputError, InputError,
                      NumericError, ShapeError, SlotCollisionError)
-from .hexgeom import cells_for_points, estimate_scale
 from .losses import LossWeights
 from .metrics import evaluate, format_eval_report
 from .model import ModelConfig, build_geometry, config_from_dict, forward, \
-    load_checkpoint, save_checkpoint
+    load_checkpoint, save_checkpoint, scale_and_cells
 from .render import heatmap_annotation, heatmap_image, partition_image, write_ppm
 from .synth import SynthConfig, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, grad_check, toy_grad_check_inputs, train
@@ -99,8 +98,7 @@ def cmd_generate(args) -> int:
 
 def cmd_partition(args) -> int:
     ds = load_dataset(args.dataset)
-    scale = estimate_scale(ds.coords)
-    cells = cells_for_points(ds.coords, scale)
+    scale, cells = scale_and_cells(ds.coords)
     if args.square_side:
         part = partition_square(ds.coords, cells, scale, args.square_side,
                                 args.shift, strict=not args.lenient)

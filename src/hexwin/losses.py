@@ -3,8 +3,8 @@
 Conventions shared with every derived test oracle: standard deviations are
 population (divide by N); a gene column with zero variance in either
 argument contributes Pearson correlation 0; the cosine of a zero vector is
-0. Each loss function returns its value with its analytic input gradients,
-certified against the central finite-difference oracle.
+0. Each loss function maps (prediction, target) to (value, d_prediction),
+its analytic gradient certified against the central finite-difference oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class LossReport:
 
 def _check_matching(a: np.ndarray, b: np.ndarray, op: str) -> None:
     if a.shape != b.shape or a.ndim != 2:
-        raise ShapeError(f"{op} needs two equal-shape (N, G) arrays, "
+        raise ShapeError(f"{op} needs two equal-shape (N, D) arrays, "
                          f"got {a.shape} and {b.shape}")
 
 
@@ -73,28 +73,22 @@ def loss_pearson_grad(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarr
     return loss, -grad / g
 
 
-def loss_tfa_grads(z, t, proj_w, proj_b):
-    """Mean (1 - cosine) between projected embeddings p(z_i) and targets t_i;
-    returns (loss, d_z, d_proj_w, d_proj_b)."""
-    z = np.asarray(z, dtype=np.float64)
+def loss_tfa_grads(t_hat: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean (1 - cosine) between projected embeddings t_hat_i and targets t_i;
+    returns (loss, d_t_hat)."""
+    t_hat = np.asarray(t_hat, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    if z.ndim != 2 or t.ndim != 2 or len(z) != len(t):
-        raise ShapeError("loss_tfa_grads needs (N, D_out) embeddings and (N, D_t) targets")
-    if proj_w.shape != (z.shape[1], t.shape[1]) or proj_b.shape != (t.shape[1],):
-        raise ShapeError("projection parameter shapes do not match z and t")
-    n = len(z)
-    p = z @ proj_w + proj_b
-    pn = np.linalg.norm(p, axis=1)
+    _check_matching(t_hat, t, "loss_tfa_grads")
+    pn = np.linalg.norm(t_hat, axis=1)
     tn = np.linalg.norm(t, axis=1)
     ok = (pn > 0.0) & (tn > 0.0)
     denom = np.where(ok, pn * tn, 1.0)
-    cos = np.where(ok, (p * t).sum(axis=1) / denom, 0.0)
+    cos = np.where(ok, (t_hat * t).sum(axis=1) / denom, 0.0)
     loss = float(np.mean(1.0 - cos))
-    dcos_dp = np.where(ok[:, None],
-                       t / denom[:, None] - cos[:, None] * p / np.where(ok, pn ** 2, 1.0)[:, None],
-                       0.0)
-    d_p = -dcos_dp / n
-    return loss, d_p @ proj_w.T, z.T @ d_p, d_p.sum(axis=0)
+    dcos = np.where(ok[:, None],
+                    t / denom[:, None] - cos[:, None] * t_hat / np.where(ok, pn ** 2, 1.0)[:, None],
+                    0.0)
+    return loss, -dcos / len(t_hat)
 
 
 def loss_dev_grad(y_dev_hat, y, eps: float = 1e-8):

@@ -5,7 +5,8 @@ pre-norm attention blocks (norm, window attention, residual; norm, FFN,
 residual), with shifted window partitions per block and full attention over
 all spots in the final stage. A projection MLP yields output embeddings Z,
 a linear gene head predicts expression, and during training a deviation
-head reads batch-centered embeddings.
+head reads batch-centered embeddings and an alignment head projects Z onto
+the transcriptomic embedding space.
 
 Backward passes are explicit reverse-mode over this fixed graph; every
 gradient is certified against the finite-difference oracle in the tests.
@@ -224,17 +225,23 @@ class Geometry:
     partitions: list[list[WindowPartition | None]]
 
 
-def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
-    """Estimate the lattice scale and build every stage/block partition.
+def scale_and_cells(coords: np.ndarray) -> tuple[LatticeScale, np.ndarray]:
+    """The slide's lattice scale and every spot's hexagonal cell.
 
     The scale pools each spot's 6 nearest neighbours, its hexagonal
     neighbourhood, or every other spot on a slide of 7 or fewer. A single
     spot gets unit spacing; its geometry is irrelevant anyway.
     """
-    coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
     scale = estimate_scale(coords, min(6, n - 1)) if n >= 2 else LatticeScale(1.0, coords[0])
-    cells = cells_for_points(coords, scale)
+    return scale, cells_for_points(coords, scale)
+
+
+def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
+    """Estimate the lattice scale and build every stage/block partition."""
+    coords = np.asarray(coords, dtype=np.float64)
+    n = len(coords)
+    scale, cells = scale_and_cells(coords)
     schedule = shift_schedule(cfg.blocks)
     # every global block takes all spots as one window, in row order
     global_pack = _compact_packing(np.zeros(n, dtype=np.int64), np.arange(n), 1,
@@ -482,6 +489,7 @@ class ForwardOutput:
     z: np.ndarray                    # (N, D_out) output embeddings
     y_hat: np.ndarray                # (N, G)
     y_dev_hat: np.ndarray | None     # (N, G), training only
+    t_hat: np.ndarray | None = None  # (N, D_t), training with t_dim > 0 only
     caches: tuple = ()               # training only
 
 
@@ -512,19 +520,17 @@ def forward(tokens: np.ndarray, geometry: Geometry, params: Params,
         return ForwardOutput(z=z, y_hat=y_hat, y_dev_hat=None)
     zc = z - z.mean(axis=0)
     y_dev_hat = zc @ params["dev.w"] + params["dev.b"]
+    t_hat = z @ params["tfa.w"] + params["tfa.b"] if cfg.t_dim else None
     caches = (tokens, h, m1, cdf, z, zc, block_caches)
-    return ForwardOutput(z=z, y_hat=y_hat, y_dev_hat=y_dev_hat, caches=caches)
+    return ForwardOutput(z=z, y_hat=y_hat, y_dev_hat=y_dev_hat, t_hat=t_hat, caches=caches)
 
 
 def backward(out: ForwardOutput, geometry: Geometry, params: Params,
              cfg: ModelConfig, d_y_hat: np.ndarray,
              d_y_dev_hat: np.ndarray | None = None,
-             d_z_extra: np.ndarray | None = None) -> Params:
-    """Reverse-mode gradients for every parameter.
-
-    d_z_extra carries loss gradients that hit the embeddings directly (the
-    alignment projection path); deviation-head gradients flow through the
-    batch centering.
+             d_t_hat: np.ndarray | None = None) -> Params:
+    """Reverse-mode gradients for every parameter, given each head's upstream
+    gradient; deviation-head gradients flow through the batch centering.
     """
     if not out.caches:
         raise InputError("backward needs the caches of a training-mode forward")
@@ -533,8 +539,10 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     grads["gene.w"] += z.T @ d_y_hat
     grads["gene.b"] += d_y_hat.sum(axis=0)
     d_z = d_y_hat @ params["gene.w"].T
-    if d_z_extra is not None:
-        d_z = d_z + d_z_extra
+    if d_t_hat is not None:
+        grads["tfa.w"] += z.T @ d_t_hat
+        grads["tfa.b"] += d_t_hat.sum(axis=0)
+        d_z += d_t_hat @ params["tfa.w"].T
     if d_y_dev_hat is not None:
         grads["dev.w"] += zc.T @ d_y_dev_hat
         grads["dev.b"] += d_y_dev_hat.sum(axis=0)

@@ -56,8 +56,6 @@ class TrainResult:
     steps_run: int
     log_lines: list[str]
     eval_log: list[tuple[int, EvalReport]]
-    train_idx: np.ndarray
-    val_idx: np.ndarray
     geometry: Geometry
 
 
@@ -82,55 +80,45 @@ def split_indices(n: int, val_fraction: float, seed: int):
 
 
 def objective(out: ForwardOutput, ds: SpotDataset, rows: np.ndarray,
-              params: Params, cfg: ModelConfig, tcfg: TrainConfig):
+              weights: LossWeights):
     """Loss report plus upstream gradients for the terms with nonzero weight.
 
-    Returns (report, d_y_hat, d_y_dev_hat, d_z_extra, head_grads) where the
-    gradient arrays are already weighted and scattered to full (N, ...) shape.
-    Zero-weight terms contribute exactly nothing, value and gradient alike.
+    Returns (report, d_y_hat, d_y_dev_hat, d_t_hat): each head's gradient,
+    weighted and scattered to full (N, ...) shape, or None where no term reads
+    that head. A zero-weight term contributes nothing, value and gradient alike.
     """
-    w = tcfg.weights
+    if not out.caches:
+        raise InputError("objective needs a training-mode forward")
     n, g = out.y_hat.shape
     y = ds.expression
     d_y_hat = np.zeros((n, g))
-    d_y_dev = None
-    d_z = None
-    head_grads: Params = {}
+    d_y_dev = d_t_hat = None
     mse = pearson = tfa = dev = 0.0
-    if w.mse != 0.0:
+    if weights.mse != 0.0:
         mse, grad = loss_mse_grad(out.y_hat[rows], y[rows])
-        d_y_hat[rows] += w.mse * grad
-    if w.pearson != 0.0:
+        d_y_hat[rows] += weights.mse * grad
+    if weights.pearson != 0.0:
         pearson, grad = loss_pearson_grad(out.y_hat[rows], y[rows])
-        d_y_hat[rows] += w.pearson * grad
-    if w.tfa != 0.0 and cfg.t_dim:
+        d_y_hat[rows] += weights.pearson * grad
+    if weights.tfa != 0.0 and out.t_hat is not None:
         if ds.transcriptomic is None:
             raise InputError("alignment loss enabled but the dataset has no "
                              "transcriptomic embeddings")
-        tfa, g_z, g_w, g_b = loss_tfa_grads(out.z[rows], ds.transcriptomic[rows],
-                                            params["tfa.w"], params["tfa.b"])
-        d_z = np.zeros_like(out.z)
-        d_z[rows] = w.tfa * g_z
-        head_grads["tfa.w"] = w.tfa * g_w
-        head_grads["tfa.b"] = w.tfa * g_b
-    if w.dev != 0.0:
-        if out.y_dev_hat is None:
-            raise InputError("deviation loss needs a training-mode forward")
+        tfa, grad = loss_tfa_grads(out.t_hat[rows], ds.transcriptomic[rows])
+        d_t_hat = np.zeros_like(out.t_hat)
+        d_t_hat[rows] = weights.tfa * grad
+    if weights.dev != 0.0:
         dev, grad = loss_dev_grad(out.y_dev_hat[rows], y[rows])
         d_y_dev = np.zeros((n, g))
-        d_y_dev[rows] = w.dev * grad
-    report = loss_total(mse, pearson, tfa, dev, w)
-    return report, d_y_hat, d_y_dev, d_z, head_grads
+        d_y_dev[rows] = weights.dev * grad
+    return loss_total(mse, pearson, tfa, dev, weights), d_y_hat, d_y_dev, d_t_hat
 
 
 def _loss_and_grads(tokens, ds, rows, geometry, params, cfg, tcfg):
     out = forward(tokens, geometry, params, cfg, train=True)
-    report, d_y_hat, d_y_dev, d_z, head_grads = objective(out, ds, rows, params,
-                                                          cfg, tcfg)
+    report, d_y_hat, d_y_dev, d_t_hat = objective(out, ds, rows, tcfg.weights)
     grads = backward(out, geometry, params, cfg, d_y_hat,
-                     d_y_dev_hat=d_y_dev, d_z_extra=d_z)
-    for k, v in head_grads.items():
-        grads[k] += v
+                     d_y_dev_hat=d_y_dev, d_t_hat=d_t_hat)
     # only the predictions outlive the step: the block caches are freed here,
     # before the next step's forward builds its own
     return report, grads, out.y_hat
@@ -208,8 +196,7 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
 
     return TrainResult(params=param_views(best_flat, params), final_params=params,
                        best_step=best_step, steps_run=steps_run,
-                       log_lines=log_lines, eval_log=eval_log,
-                       train_idx=train_idx, val_idx=val_idx, geometry=geometry)
+                       log_lines=log_lines, eval_log=eval_log, geometry=geometry)
 
 
 def count_params(params: Params) -> int:
@@ -243,7 +230,7 @@ def grad_check(ds: SpotDataset, cfg: ModelConfig, h: float = 1e-5,
     def total_loss(vec: np.ndarray) -> float:
         p = param_views(vec, params)
         out = forward(ds.tokens, geometry, p, cfg, train=True)
-        report, *_ = objective(out, ds, rows, p, cfg, tcfg)
+        report, *_ = objective(out, ds, rows, tcfg.weights)
         return report.total
 
     fd = param_views(finite_diff_grad(total_loss, params_to_vector(params), h), params)

@@ -72,7 +72,6 @@ class WindowPartition:
 
     kind: str                    # "hex" or "square"
     size: int                    # hex radius K, or square side in spacings
-    shift_id: int
     stage: int
     block: int
     window_of_spot: np.ndarray   # (N,) int
@@ -169,7 +168,7 @@ def _resolve_collisions(win, slot, n_slots, keep_metric, strict):
     return win, slot, np.sort(lose)
 
 
-def _finish_partition(kind, size, shift, stage, block, coords, cells, scale,
+def _finish_partition(kind, size, stage, block, coords, cells, scale,
                       win, slot, n_slots, centers, center_cells, keep_metric,
                       strict) -> WindowPartition:
     """Resolve slot collisions, then attach each placed spot's cell and
@@ -182,8 +181,8 @@ def _finish_partition(kind, size, shift, stage, block, coords, cells, scale,
     cart_offsets = np.zeros((len(coords), 2), dtype=np.float64)
     cell_offsets[valid] = cells[valid] - center_cells[win[valid]]
     cart_offsets[valid] = (coords[valid] - centers[win[valid]]) / scale.d_med
-    return WindowPartition(kind=kind, size=size, shift_id=shift, stage=stage,
-                           block=block, window_of_spot=win, slot_of_spot=slot,
+    return WindowPartition(kind=kind, size=size, stage=stage, block=block,
+                           window_of_spot=win, slot_of_spot=slot,
                            occupancy=occupancy, centers=centers,
                            center_cells=center_cells, cell_offsets=cell_offsets,
                            cart_offsets=cart_offsets, dropped=dropped)
@@ -216,7 +215,7 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     slot_table = np.full((2 * radius + 1, 2 * radius + 1), -1, dtype=np.int64)
     slot_table[offsets[:, 0] + radius, offsets[:, 1] + radius] = np.arange(len(offsets))
     keep_metric = np.linalg.norm(coords - axial_to_cartesian(cells, scale), axis=1)
-    return _finish_partition("hex", radius, shift, stage, block, coords, cells, scale,
+    return _finish_partition("hex", radius, stage, block, coords, cells, scale,
                              win, slot_table[off[:, 0] + radius, off[:, 1] + radius],
                              len(offsets), centers, center_cells, keep_metric, strict)
 
@@ -243,7 +242,7 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     centers = scale.anchor + delta + (uniq + 0.5) * tile
     subcell_center = (tiles + (sub + 0.5) / grid) * tile + scale.anchor + delta
     keep_metric = np.linalg.norm(coords - subcell_center, axis=1)
-    return _finish_partition("square", side, shift, stage, block, coords, cells, scale,
+    return _finish_partition("square", side, stage, block, coords, cells, scale,
                              win, sub[:, 1] * grid + sub[:, 0], grid * grid, centers,
                              cells_for_points(centers, scale), keep_metric, strict)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hexwin.cli import main
-from hexwin.model import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from hexwin.model import (ModelConfig, build_geometry, init_params, load_checkpoint,
+                          save_checkpoint)
 from hexwin.render import read_ppm
 from hexwin.synth import SpotDataset, load_dataset, save_dataset
 
@@ -107,6 +108,22 @@ class TestPartition:
                      "--render", str(img)]) == 0
         rgb = read_ppm(str(img))
         assert rgb.ndim == 3 and rgb.shape[2] == 3
+
+    def test_few_spots_use_the_training_scale(self, tmp_path):
+        # a 5-spot slide has fewer than 6 neighbours per spot; partition
+        # estimates its scale as build_geometry does, so both agree
+        cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, "max_spots": 5})
+        data, out = tmp_path / "d", tmp_path / "p.tsv"
+        assert main(["generate", "--config", cfg, "--out", str(data)]) == 0
+        assert main(["partition", "--dataset", str(data), "--k", "1", "--shift", "0",
+                     "--out", str(out)]) == 0
+        ds = load_dataset(str(data))
+        mcfg = ModelConfig(in_dim=5, genes=3, stages=2, radii=(1,))
+        part = build_geometry(ds.coords, mcfg).partitions[0][0]
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == ds.n_spots == 5
+        np.testing.assert_array_equal([int(r[3]) for r in rows], part.window_of_spot)
+        np.testing.assert_array_equal([int(r[4]) for r in rows], part.slot_of_spot)
 
 
 class TestTrainEvalRender:

@@ -39,16 +39,18 @@ def worst_gradient_error(cfg, ds, params):
     rng = np.random.default_rng(2)
     d_y = rng.normal(0, 1, (ds.n_spots, cfg.genes))
     d_dev = rng.normal(0, 1, (ds.n_spots, cfg.genes))
-    d_z = rng.normal(0, 1, (ds.n_spots, cfg.out_dim))
+    # without t_dim there is no alignment head: no t_hat, no gradient for it
+    d_t = rng.normal(0, 1, (ds.n_spots, cfg.t_dim)) if cfg.t_dim else None
     out = forward(ds.tokens, geo, params, cfg, train=True)
+    assert (out.t_hat is None) == (d_t is None)
     grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
-                     d_z_extra=d_z)
+                     d_t_hat=d_t)
 
     def scalar(vec):
         p = param_views(vec, params)
         o = forward(ds.tokens, geo, p, cfg, train=True)
         return float(np.sum(o.y_hat * d_y) + np.sum(o.y_dev_hat * d_dev)
-                     + np.sum(o.z * d_z))
+                     + (0.0 if d_t is None else np.sum(o.t_hat * d_t)))
 
     fd = param_views(finite_diff_grad(scalar, params_to_vector(params)), params)
     return max(relative_error(grads[k], fd[k]) for k in params)
@@ -82,10 +84,10 @@ def forward_and_grads(cfg, ds, geo, params, seed=4):
     rng = np.random.default_rng(seed)
     d_y = rng.normal(0, 1, (ds.n_spots, cfg.genes))
     d_dev = rng.normal(0, 1, (ds.n_spots, cfg.genes))
-    d_z = rng.normal(0, 1, (ds.n_spots, cfg.out_dim))
+    d_t = rng.normal(0, 1, (ds.n_spots, cfg.t_dim))
     out = forward(ds.tokens, geo, params, cfg, train=True)
     return out, backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
-                         d_z_extra=d_z)
+                         d_t_hat=d_t)
 
 
 class TestWindowAttention:
@@ -237,7 +239,7 @@ class TestBackward:
         grads = backward(out, geo, params, TINY,
                          d_y_hat=np.zeros_like(out.y_hat),
                          d_y_dev_hat=np.zeros_like(out.y_dev_hat),
-                         d_z_extra=np.zeros_like(out.z))
+                         d_t_hat=np.zeros_like(out.t_hat))
         for v in grads.values():
             np.testing.assert_array_equal(v, np.zeros_like(v))
 
@@ -253,12 +255,12 @@ class TestBackward:
         for k in g1:
             np.testing.assert_allclose(g2[k], 2.0 * g1[k], atol=1e-12)
 
-    @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
-                                           ("square", "rope2d")])
-    def test_full_gradient_vs_finite_differences(self, window, pe):
+    @pytest.mark.parametrize("cfg", [
+        *(pytest.param(dataclasses.replace(TINY, window=window, pe=pe), id=f"{window}-{pe}")
+          for window, pe in (("hex", "hexrope"), ("hex", "rope2d"), ("square", "rope2d"))),
+        pytest.param(dataclasses.replace(TINY, t_dim=0), id="no-alignment-head")])
+    def test_full_gradient_vs_finite_differences(self, cfg):
         # shifted blocks included (blocks=3 cycles all three deltas)
-        cfg = ModelConfig(in_dim=5, genes=3, dim=6, heads=1, stages=2, blocks=3,
-                          radii=(1,), out_dim=4, t_dim=3, window=window, pe=pe)
         ds = tiny_dataset(seed=9, n=12)
         params = generic_params(cfg, seed=9)
         assert worst_gradient_error(cfg, ds, params) < 1e-4
@@ -317,15 +319,15 @@ class TestCompactPacking:
         rng = np.random.default_rng(3)
         d_y = rng.normal(0, 1, (ds.n_spots, 3))
         d_dev = rng.normal(0, 1, (ds.n_spots, 3))
-        d_z = rng.normal(0, 1, (ds.n_spots, 4))
+        d_t = rng.normal(0, 1, (ds.n_spots, 3))
         results = []
         for g in (geo, padded):
             out = forward(ds.tokens, g, params, cfg, train=True)
             grads = backward(out, g, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
-                             d_z_extra=d_z)
+                             d_t_hat=d_t)
             results.append((out, grads))
         (out, grads), (ref, ref_grads) = results
-        for name in ("z", "y_hat", "y_dev_hat"):
+        for name in ("z", "y_hat", "y_dev_hat", "t_hat"):
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=1e-12)
         for k in params:
@@ -356,7 +358,7 @@ class TestQueryTiles:
         rng = np.random.default_rng(4)
         d_y = rng.normal(0, 1, (ds.n_spots, 3))
         d_dev = rng.normal(0, 1, (ds.n_spots, 3))
-        d_z = rng.normal(0, 1, (ds.n_spots, 4))
+        d_t = rng.normal(0, 1, (ds.n_spots, 3))
         # every score tile is a workspace buffer ("p" weights, "dp" their
         # gradient); scores this small never take the shifted pre-pass, so
         # forward and backward each build every tile's weights once
@@ -379,7 +381,7 @@ class TestQueryTiles:
             assert len(scored) == sum(counts)
             views.clear()
             grads = backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=d_dev,
-                             d_z_extra=d_z)
+                             d_t_hat=d_t)
             assert len(scored) == 2 * sum(counts)
             for calls, names in ((fwd_views, {"p"}), (views, {"p", "dp"})):
                 cells = [size for name, size in calls if name in ("p", "dp")]
@@ -399,7 +401,7 @@ class TestQueryTiles:
                 np.testing.assert_array_equal(block_cache[1][3][..., dh], occ)
             results.append((out, grads))
         (out, grads), (ref, ref_grads) = results
-        for name in ("z", "y_hat", "y_dev_hat"):
+        for name in ("z", "y_hat", "y_dev_hat", "t_hat"):
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=1e-12)
         for k in params:
@@ -420,7 +422,7 @@ class TestQueryTiles:
         out, grads = forward_and_grads(cfg, ds, geo, params)
         cells = [size for name, size in views if name in ("p", "dp")]
         assert cells and max(cells) <= tile
-        for name in ("z", "y_hat", "y_dev_hat"):
+        for name in ("z", "y_hat", "y_dev_hat", "t_hat"):
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=1e-12)
         for k in params:
@@ -480,7 +482,7 @@ class TestExpBound:
         monkeypatch.setattr(model, "EXP_LIMIT", 0.0)
         ref, ref_grads = forward_and_grads(cfg, ds, geo, params)
         assert len(scored) == 3 * n_tiles        # and the forward's max pre-pass
-        for name in ("z", "y_hat", "y_dev_hat"):
+        for name in ("z", "y_hat", "y_dev_hat", "t_hat"):
             np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
                                        rtol=1e-12, atol=1e-12)
         for k in params:
@@ -510,7 +512,7 @@ class TestExpBound:
             forward(ds.tokens, geo, params, TINY, train=True)
         monkeypatch.setattr(model, "EXP_LIMIT", 0.0)
         ref, ref_grads = forward_and_grads(TINY, ds, geo, params)
-        for name in ("z", "y_hat", "y_dev_hat"):
+        for name in ("z", "y_hat", "y_dev_hat", "t_hat"):
             np.testing.assert_array_equal(getattr(out, name), getattr(ref, name))
         for k in params:
             np.testing.assert_array_equal(grads[k], ref_grads[k], err_msg=k)
@@ -522,7 +524,7 @@ class TestEvalMode:
         params = generic_params(TINY, seed=10)
         geo = build_geometry(ds.coords, TINY)
         out = forward(ds.tokens, geo, params, TINY, train=False)
-        assert out.caches == () and out.y_dev_hat is None
+        assert out.caches == () and out.y_dev_hat is None and out.t_hat is None
         train_out = forward(ds.tokens, geo, params, TINY, train=True)
         np.testing.assert_array_equal(out.y_hat, train_out.y_hat)
         np.testing.assert_array_equal(out.z, train_out.z)

@@ -3,11 +3,14 @@
 perfbench/tracer.py patches hexwin functions by module attribute, and
 perfbench/workloads.py builds its configs from hexwin's dataclasses; a
 refactor that drops one of those names would only fail when the benchmark
-runs. Both are loaded from their files, as perfbench/run.py loads them.
+runs. Both are loaded from their files, as perfbench/run.py loads them. A
+change that moves an output away from perfbench/reference.json fails here
+too, not only when the benchmark checks its operations.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -32,14 +35,31 @@ def test_every_hooked_attribute_exists():
     assert hooks and not missing, missing
 
 
-def test_workload_configs_build(monkeypatch):
+def load_workloads(monkeypatch):
     # run.py imports workloads with perfbench/ on sys.path, where it finds tracer
     monkeypatch.syspath_prepend(str(PERFBENCH))
     for name in ("workloads", "tracer"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    workloads = importlib.import_module("workloads")
+    return importlib.import_module("workloads")
+
+
+def test_workload_configs_build(monkeypatch):
+    workloads = load_workloads(monkeypatch)
     assert workloads.LEARN_MODEL.radii and len(workloads.ABLATIONS) == 3
     for workload in workloads.WORKLOADS.values():
         assert workload.radius > 0
         workloads.slide_config(workload.radius, 0)
     assert sorted(workloads.stage_sizes().values()) == [0, 0, 1, 1, 2, 2]
+
+
+def test_outputs_match_the_reference(monkeypatch, tmp_path):
+    # one desk-train operation (pool seed 0) and one slide-eval cycle, the
+    # three ablation configs, checked as perfbench/run.py checks them
+    workloads = load_workloads(monkeypatch)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["entries"]
+    desk, slide_eval = workloads.WORKLOADS["desk-train"], workloads.WORKLOADS["slide-eval"]
+    ops = [desk.op(desk.setup(str(tmp_path), 0), 0)]
+    inputs = slide_eval.setup(str(tmp_path), 0)
+    ops += [slide_eval.op(inputs, k) for k in range(slide_eval.cycle)]
+    assert {op.key: workloads.check(op, reference) for op in ops} == {
+        op.key: [] for op in ops}

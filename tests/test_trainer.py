@@ -160,7 +160,7 @@ class TestGradCheck:
         def total(vec):
             p = param_views(vec, params)
             out = forward(ds.tokens, geometry, p, cfg, train=True)
-            rep, *_ = objective(out, ds, rows, p, cfg, tcfg)
+            rep, *_ = objective(out, ds, rows, tcfg.weights)
             return rep.total
 
         fd = param_views(finite_diff_grad(total, params_to_vector(params)), params)
