@@ -150,7 +150,13 @@ def _predict(ds, checkpoint: str) -> np.ndarray:
                          f"predicts {mcfg.genes} genes; the dataset has "
                          f"{ds.tokens.shape[1]} and {ds.n_genes}")
     geometry = build_geometry(ds.coords, mcfg)
-    return forward(ds.tokens, geometry, params, mcfg, train=False).y_hat
+    with np.errstate(over="ignore", invalid="ignore"):
+        y_hat = forward(ds.tokens, geometry, params, mcfg, train=False).y_hat
+    bad = int(np.sum(~np.isfinite(y_hat).all(axis=1)))
+    if bad:
+        raise NumericError(f"{checkpoint} predicts non-finite expression for "
+                           f"{bad} of {ds.n_spots} spots")
+    return y_hat
 
 
 def cmd_eval(args) -> int:

@@ -122,6 +122,11 @@ def config_from_dict(cls, section, name: str, **overrides):
         raise InputError(f"{name} config: {exc}") from None
 
 
+def _block_prefixes(cfg: ModelConfig) -> list[str]:
+    """Parameter prefix of every attention block, in forward order."""
+    return [f"s{s}b{b}" for s in range(cfg.stages) for b in range(cfg.blocks)]
+
+
 def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter, in init_params order; weights are (fan_in, fan_out)."""
     d, layout = cfg.dim, []
@@ -133,15 +138,13 @@ def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         layout.extend([(f"{name}.g", (width,)), (f"{name}.b", (width,))])
 
     linear("embed", cfg.in_dim, d)
-    for s in range(cfg.stages):
-        for b in range(cfg.blocks):
-            p = f"s{s}b{b}"
-            norm(f"{p}.ln1", d)
-            for proj in ("q", "k", "v", "o"):
-                linear(f"{p}.attn.{proj}", d, d)
-            norm(f"{p}.ln2", d)
-            linear(f"{p}.ffn.1", d, cfg.ffn_hidden)
-            linear(f"{p}.ffn.2", cfg.ffn_hidden, d)
+    for p in _block_prefixes(cfg):
+        norm(f"{p}.ln1", d)
+        for proj in ("q", "k", "v", "o"):
+            linear(f"{p}.attn.{proj}", d, d)
+        norm(f"{p}.ln2", d)
+        linear(f"{p}.ffn.1", d, cfg.ffn_hidden)
+        linear(f"{p}.ffn.2", cfg.ffn_hidden, d)
     linear("proj.1", d, d)
     linear("proj.2", d, cfg.out_dim)
     linear("gene", cfg.out_dim, cfg.genes)
@@ -242,33 +245,27 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
     scale, cells = scale_and_cells(coords)
-    schedule = shift_schedule(cfg.blocks)
+    partitions: list[list[WindowPartition | None]] = [
+        [partition(coords, cells, scale, radius, shift, stage=stage, block=block)
+         if cfg.window == "hex" else
+         partition_square(coords, cells, scale, side, shift, stage=stage, block=block)
+         for block, shift in enumerate(shift_schedule(cfg.blocks))]
+        for stage, (radius, side) in enumerate(zip(cfg.radii, cfg.stage_sides()))]
+    # strict partitions place every spot
+    packings = [[_compact_packing(part.window_of_spot, part.slot_of_spot, part.n_windows,
+                                  _spot_offsets(part.cell_offsets, part.cart_offsets, cfg))
+                 for part in row] for row in partitions]
     # every global block takes all spots as one window, in row order
     global_pack = _compact_packing(np.zeros(n, dtype=np.int64), np.arange(n), 1,
                                    _spot_offsets(cells, (coords - scale.anchor) / scale.d_med, cfg))
-    packings: list[list[_Packing]] = []
-    partitions: list[list[WindowPartition | None]] = []
-    for stage in range(cfg.stages):
-        row_pack, row_part = [], []
-        for block in range(cfg.blocks):
-            if stage == cfg.stages - 1:
-                row_pack.append(global_pack)
-                row_part.append(None)
-            else:
-                if cfg.window == "hex":
-                    part = partition(coords, cells, scale, cfg.radii[stage],
-                                     schedule[block], stage=stage, block=block)
-                else:
-                    part = partition_square(coords, cells, scale, cfg.stage_sides()[stage],
-                                            schedule[block], stage=stage, block=block)
-                # strict partitions place every spot
-                row_pack.append(_compact_packing(
-                    part.window_of_spot, part.slot_of_spot, part.n_windows,
-                    _spot_offsets(part.cell_offsets, part.cart_offsets, cfg)))
-                row_part.append(part)
-        packings.append(row_pack)
-        partitions.append(row_part)
+    packings.append([global_pack] * cfg.blocks)
+    partitions.append([None] * cfg.blocks)
     return Geometry(scale=scale, cells=cells, packings=packings, partitions=partitions)
+
+
+def _blocks(geometry: Geometry, cfg: ModelConfig) -> list[tuple[str, _Packing]]:
+    """(parameter prefix, packing) of every attention block, in forward order."""
+    return list(zip(_block_prefixes(cfg), (p for row in geometry.packings for p in row), strict=True))
 
 
 def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
@@ -350,6 +347,14 @@ def _tile_scores(qa: np.ndarray, kta: np.ndarray, ws: slice, rs: slice, ks: slic
     return np.matmul(q_t, k_t, out=work.view("p", q_t.shape[:3] + k_t.shape[3:]))
 
 
+def _dense_vjp(d_out: np.ndarray, x: np.ndarray, params: Params, grads: Params,
+               name: str) -> np.ndarray:
+    """Add dense layer `name`'s weight and bias gradients into grads; return d_x."""
+    grads[f"{name}.w"] += x.T @ d_out
+    grads[f"{name}.b"] += d_out.sum(axis=0)
+    return d_out @ params[f"{name}.w"].T
+
+
 def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
                        prefix: str, cfg: ModelConfig, work: _Workspace):
     """Multi-head attention within each packed window; returns (out, cache).
@@ -414,9 +419,8 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
     """
     a, qa, kta, va, ctx_tok = cache
     n, dh = len(a), cfg.head_dim
-    grads[f"{prefix}.attn.o.w"] += ctx_tok.T @ d_out
-    grads[f"{prefix}.attn.o.b"] += d_out.sum(axis=0)
-    d_ctx_tok = (d_out @ params[f"{prefix}.attn.o.w"].T).reshape(n, cfg.heads, dh)
+    d_ctx_tok = _dense_vjp(d_out, ctx_tok, params, grads,
+                           f"{prefix}.attn.o").reshape(n, cfg.heads, dh)
     dca = _to_windows(d_ctx_tok, pack)             # [dCtx | -D]
     dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx_tok, ctx_tok.reshape(n, cfg.heads, dh))
     vta = _transposed(va)                          # [V^T; occ]
@@ -440,13 +444,8 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
     d_q = rotate(d_qw[pack.win, :, pack.slot] * inv, rot, inverse=True)
     d_k = rotate(d_kw[pack.win, :, pack.slot], rot, inverse=True)
     d_v = d_vw[pack.win, :, pack.slot]
-    d_a = np.zeros_like(a)
-    for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)):
-        flat = d_h.reshape(n, cfg.dim)
-        grads[f"{prefix}.attn.{name}.w"] += a.T @ flat
-        grads[f"{prefix}.attn.{name}.b"] += flat.sum(axis=0)
-        d_a += flat @ params[f"{prefix}.attn.{name}.w"].T
-    return d_a
+    return sum(_dense_vjp(d_h.reshape(n, cfg.dim), a, params, grads, f"{prefix}.attn.{name}")
+               for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)))
 
 
 def _block_forward(h: np.ndarray, pack: _Packing, params: Params,
@@ -466,13 +465,9 @@ def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, params: Params,
                     work: _Workspace) -> np.ndarray:
     ln1c, attn_cache, ln2c, f, u, cdf = cache
     g = (0.5 * u) * (2.0 * cdf)          # gelu(u), bit for bit
-    grads[f"{prefix}.ffn.2.w"] += g.T @ d_h2
-    grads[f"{prefix}.ffn.2.b"] += d_h2.sum(axis=0)
-    d_g = d_h2 @ params[f"{prefix}.ffn.2.w"].T
+    d_g = _dense_vjp(d_h2, g, params, grads, f"{prefix}.ffn.2")
     d_u = gelu_vjp(d_g, u, cdf)
-    grads[f"{prefix}.ffn.1.w"] += f.T @ d_u
-    grads[f"{prefix}.ffn.1.b"] += d_u.sum(axis=0)
-    d_f = d_u @ params[f"{prefix}.ffn.1.w"].T
+    d_f = _dense_vjp(d_u, f, params, grads, f"{prefix}.ffn.1")
     d_h1, d_g2, d_b2 = layer_norm_vjp(d_f, ln2c)
     grads[f"{prefix}.ln2.g"] += d_g2
     grads[f"{prefix}.ln2.b"] += d_b2
@@ -506,12 +501,10 @@ def forward(tokens: np.ndarray, geometry: Geometry, params: Params,
     h = tokens @ params["embed.w"] + params["embed.b"]
     block_caches = []
     work = _Workspace()
-    for stage in range(cfg.stages):
-        for block in range(cfg.blocks):
-            pack = geometry.packings[stage][block]
-            h, cache = _block_forward(h, pack, params, f"s{stage}b{block}", cfg, work)
-            if train:
-                block_caches.append(cache)
+    for prefix, pack in _blocks(geometry, cfg):
+        h, cache = _block_forward(h, pack, params, prefix, cfg, work)
+        if train:
+            block_caches.append(cache)
     m1 = h @ params["proj.1.w"] + params["proj.1.b"]
     mg, cdf = gelu(m1)
     z = mg @ params["proj.2.w"] + params["proj.2.b"]
@@ -536,34 +529,19 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
         raise InputError("backward needs the caches of a training-mode forward")
     tokens, h, m1, cdf, z, zc, block_caches = out.caches
     grads = zeros_like_params(params)
-    grads["gene.w"] += z.T @ d_y_hat
-    grads["gene.b"] += d_y_hat.sum(axis=0)
-    d_z = d_y_hat @ params["gene.w"].T
+    d_z = _dense_vjp(d_y_hat, z, params, grads, "gene")
     if d_t_hat is not None:
-        grads["tfa.w"] += z.T @ d_t_hat
-        grads["tfa.b"] += d_t_hat.sum(axis=0)
-        d_z += d_t_hat @ params["tfa.w"].T
+        d_z += _dense_vjp(d_t_hat, z, params, grads, "tfa")
     if d_y_dev_hat is not None:
-        grads["dev.w"] += zc.T @ d_y_dev_hat
-        grads["dev.b"] += d_y_dev_hat.sum(axis=0)
-        d_zc = d_y_dev_hat @ params["dev.w"].T
+        d_zc = _dense_vjp(d_y_dev_hat, zc, params, grads, "dev")
         d_z = d_z + d_zc - d_zc.mean(axis=0)
     mg = (0.5 * m1) * (2.0 * cdf)        # gelu(m1), bit for bit
-    grads["proj.2.w"] += mg.T @ d_z
-    grads["proj.2.b"] += d_z.sum(axis=0)
-    d_mg = d_z @ params["proj.2.w"].T
+    d_mg = _dense_vjp(d_z, mg, params, grads, "proj.2")
     d_m1 = gelu_vjp(d_mg, m1, cdf)
-    grads["proj.1.w"] += h.T @ d_m1
-    grads["proj.1.b"] += d_m1.sum(axis=0)
-    d_h = d_m1 @ params["proj.1.w"].T
-    idx = len(block_caches) - 1
+    d_h = _dense_vjp(d_m1, h, params, grads, "proj.1")
     work = _Workspace()
-    for stage in range(cfg.stages - 1, -1, -1):
-        for block in range(cfg.blocks - 1, -1, -1):
-            pack = geometry.packings[stage][block]
-            d_h = _block_backward(d_h, block_caches[idx], pack, params,
-                                  f"s{stage}b{block}", cfg, grads, work)
-            idx -= 1
+    for (prefix, pack), cache in zip(reversed(_blocks(geometry, cfg)), reversed(block_caches)):
+        d_h = _block_backward(d_h, cache, pack, params, prefix, cfg, grads, work)
     grads["embed.w"] += tokens.T @ d_h
     grads["embed.b"] += d_h.sum(axis=0)
     return grads

@@ -19,6 +19,9 @@ PALETTE = np.array([
     (152, 223, 138), (255, 152, 150), (197, 176, 213), (196, 156, 148),
 ], dtype=np.uint8)
 
+# widest image in pixels; no image is taller than it is wide
+MAX_WIDTH = 4096
+
 
 def write_ppm(path: str, rgb: np.ndarray) -> None:
     rgb = np.asarray(rgb, dtype=np.uint8)
@@ -29,20 +32,10 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
         fh.write(rgb.tobytes())
 
 
-def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise InputError(f"{path}: unsupported format {magic!r}")
-        dims = fh.readline().split()
-        fh.readline()  # maxval
-        w, h = int(dims[0]), int(dims[1])
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
-    return data.reshape(h, w, 3)
-
-
 def draw_spots(coords: np.ndarray, colors: np.ndarray, width: int = 400) -> np.ndarray:
     """White canvas with one filled disk per spot; y grows upward."""
+    if width > MAX_WIDTH:
+        raise InputError(f"image width {width} exceeds the limit of {MAX_WIDTH} pixels")
     coords = np.asarray(coords, dtype=np.float64)
     colors = np.asarray(colors, dtype=np.uint8)
     lo = coords.min(axis=0)

@@ -1,13 +1,25 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from hexwin.cli import main
+from hexwin.errors import InputError
 from hexwin.model import (ModelConfig, build_geometry, init_params, load_checkpoint,
                           save_checkpoint)
-from hexwin.render import read_ppm
+from hexwin.render import MAX_WIDTH, draw_spots
 from hexwin.synth import SpotDataset, load_dataset, save_dataset
+
+
+def read_ppm(path: str) -> np.ndarray:
+    """The (H, W, 3) uint8 pixels of a binary P6 file as render.write_ppm writes it."""
+    with open(path, "rb") as fh:
+        assert fh.readline().strip() == b"P6"
+        w, h = (int(v) for v in fh.readline().split())
+        fh.readline()  # maxval
+        data = np.frombuffer(fh.read(), dtype=np.uint8)
+    return data.reshape(h, w, 3)
 
 
 def write_config(path, synth=None, model=None, train=None):
@@ -226,6 +238,36 @@ class TestExitCodes:
                            train={"steps": 1, "lr": 0.005, "seed": 1})
         assert main(["train", "--dataset", str(dataset_dir), "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 3
+
+    @pytest.mark.parametrize("command", ["eval", "render"])
+    def test_overflowing_checkpoint_is_exit_three(self, dataset_dir, tmp_path, capsys,
+                                                  command):
+        # finite weights whose predictions overflow to inf and then nan
+        cfg = ModelConfig(in_dim=5, genes=3, **{k: tuple(v) if k == "radii" else v
+                                                for k, v in SMALL_MODEL.items()})
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(str(ckpt), {k: np.full_like(v, 1e200)
+                                    for k, v in init_params(cfg, 0).items()}, cfg)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # a RuntimeWarning would raise here
+            assert main([command, "--dataset", str(dataset_dir), "--checkpoint",
+                         str(ckpt), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric/consistency failure: "), err
+        assert str(ckpt) in err[0] and "non-finite" in err[0]
+        assert not out.exists()
+
+    def test_render_width_over_cap_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        # a width this large would ask numpy for exbibytes; the cap fires first
+        line = assert_invalid_input(capsys, ["render", "--dataset", str(dataset_dir),
+                                             "--source", "truth", "--width", "1000000000",
+                                             "--out", str(tmp_path / "imgs")])
+        assert str(MAX_WIDTH) in line
+        assert not list((tmp_path / "imgs").glob("*.ppm"))
+        with pytest.raises(InputError):
+            draw_spots(np.zeros((2, 2)), np.zeros((2, 3)), width=MAX_WIDTH + 1)
 
     @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"],
                              ids=["truncated", "trailing-byte"])

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hexwin import model
@@ -275,6 +275,28 @@ class TestBackward:
         ds = tiny_dataset(seed=10, n=12)
         params = generic_params(cfg, seed=10)
         assert worst_gradient_error(cfg, ds, params) < 1e-4
+
+    @settings(max_examples=6)
+    @given(heads=st.integers(1, 2), extra_dim=st.integers(0, 1),
+           radii=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+           blocks=st.integers(1, 2), window=st.sampled_from(["hex", "square"]),
+           pe=st.sampled_from(["hexrope", "rope2d"]), t_dim=st.sampled_from([0, 3]),
+           exp_limit=st.sampled_from([model.EXP_LIMIT, 0.0]), seed=st.integers(0, 3))
+    def test_random_config_vs_finite_differences(self, heads, extra_dim, radii, blocks,
+                                                 window, pe, t_dim, exp_limit, seed):
+        # several heads and windowed stages, odd head dims, with and without
+        # the alignment head, and both the plain and the row-max-shifted exp
+        head_dim = (6 if pe == "hexrope" else 4) + extra_dim
+        cfg = ModelConfig(in_dim=5, genes=3, dim=heads * head_dim, heads=heads,
+                          stages=len(radii) + 1, blocks=blocks, radii=tuple(radii),
+                          out_dim=4, t_dim=t_dim, window=window, pe=pe)
+        # differencing costs about parameters x blocks forward-block passes;
+        # this bound keeps every example under ~10 s
+        n_params = sum(math.prod(shape) for _, shape in model.param_layout(cfg))
+        assume(n_params * cfg.stages * cfg.blocks <= 20_000)
+        ds = tiny_dataset(seed=seed, n=12)
+        with mock.patch.object(model, "EXP_LIMIT", exp_limit):
+            assert worst_gradient_error(cfg, ds, generic_params(cfg, seed=seed)) < 1e-4
 
 
 class TestCompactPacking:
