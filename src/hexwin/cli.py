@@ -15,8 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import (CoverageError, DegenerateInputError, InputError,
-                     NumericError, ShapeError, SlotCollisionError)
+from .errors import CoverageError, InputError, NumericError, SlotCollisionError
 from .losses import LossWeights
 from .metrics import evaluate, format_eval_report
 from .model import ModelConfig, build_geometry, config_from_dict, forward, \
@@ -191,12 +190,13 @@ def cmd_render(args) -> int:
     else:
         values = _predict(ds, args.checkpoint)
     wanted = args.genes.split(",") if args.genes else ds.gene_names
-    os.makedirs(args.out, exist_ok=True)
+    unknown = [name for name in wanted if name not in ds.gene_names]
+    if unknown:
+        raise InputError(f"unknown gene {unknown[0]!r}")
     for name in wanted:
-        if name not in ds.gene_names:
-            raise InputError(f"unknown gene {name!r}")
         g = ds.gene_names.index(name)
         img = heatmap_image(ds.coords, values[:, g], width=args.width)
+        os.makedirs(args.out, exist_ok=True)  # after drawing, which checks the width
         write_ppm(os.path.join(args.out, f"{name}.ppm"), img)
         note = heatmap_annotation(name, values[:, g])
         with open(os.path.join(args.out, f"{name}.txt"), "w") as fh:
@@ -286,25 +286,31 @@ def build_parser() -> _Parser:
     return parser
 
 
+# line breaks that input text can carry into a message, escaped to keep it one line
+_ESCAPED_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(f"{kind}: {str(exc).translate(_ESCAPED_BREAKS)}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "render" and args.source == "pred" and not args.checkpoint:
             raise UsageError("render --source pred requires --checkpoint")
-        return args.fn(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InputError, ShapeError, DegenerateInputError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("usage error", exc, EXIT_USAGE)
+    except InputError as exc:
+        return _fail("invalid input", exc, EXIT_USAGE)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (NumericError, CoverageError, SlotCollisionError) as exc:
-        print(f"numeric/consistency failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail("i/o error", exc, EXIT_IO)
+    except (NumericError, FloatingPointError, CoverageError, SlotCollisionError) as exc:
+        return _fail("numeric/consistency failure", exc, EXIT_NUMERIC)
 
 
 if __name__ == "__main__":

@@ -37,58 +37,52 @@ class LossReport:
     total: float
 
 
-def _check_matching(a: np.ndarray, b: np.ndarray, op: str) -> None:
+def matching_pair(a, b, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both arguments as float64 arrays; ShapeError unless they are equal-shape (N, D)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 2:
         raise ShapeError(f"{op} needs two equal-shape (N, D) arrays, "
                          f"got {a.shape} and {b.shape}")
+    return a, b
 
 
-def loss_mse_grad(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def cosine(a: np.ndarray, b: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine between a and b along axis, and its gradient with respect to a;
+    where either vector is zero the cosine and its gradient are 0."""
+    na = np.sqrt((a ** 2).sum(axis=axis, keepdims=True))
+    nb = np.sqrt((b ** 2).sum(axis=axis, keepdims=True))
+    ok = (na > 0.0) & (nb > 0.0)
+    denom = np.where(ok, na * nb, 1.0)
+    cos = np.where(ok, (a * b).sum(axis=axis, keepdims=True) / denom, 0.0)
+    # d cos / d a = b/(|a| |b|) - cos * a / |a|^2
+    grad = np.where(ok, b / denom - cos * a / np.where(ok, na ** 2, 1.0), 0.0)
+    return cos.squeeze(axis), grad
+
+
+def loss_mse_grad(y_hat, y) -> tuple[float, np.ndarray]:
     """Mean squared prediction error over all (spot, gene) entries; returns (loss, d_y_hat)."""
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_matching(y_hat, y, "loss_mse_grad")
+    y_hat, y = matching_pair(y_hat, y, "loss_mse_grad")
     diff = y_hat - y
     return float(np.mean(diff ** 2)), 2.0 * diff / diff.size
 
 
-def loss_pearson_grad(y_hat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+def loss_pearson_grad(y_hat, y) -> tuple[float, np.ndarray]:
     """1 - mean over genes of the across-spot Pearson correlation; returns (loss, d_y_hat)."""
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_matching(y_hat, y, "loss_pearson_grad")
-    n, g = y_hat.shape
-    if n < 2:
+    y_hat, y = matching_pair(y_hat, y, "loss_pearson_grad")
+    if len(y) < 2:
         raise InputError("loss_pearson_grad requires at least 2 spots")
-    u = y_hat - y_hat.mean(axis=0)
-    v = y - y.mean(axis=0)
-    su = np.sqrt((u ** 2).sum(axis=0))
-    sv = np.sqrt((v ** 2).sum(axis=0))
-    ok = (su > 0.0) & (sv > 0.0)
-    denom = np.where(ok, su * sv, 1.0)
-    rho = np.where(ok, (u * v).sum(axis=0) / denom, 0.0)
-    loss = 1.0 - float(rho.mean())
-    # d rho / d y_hat = v/(su sv) - rho * u / su^2, already zero-mean per column
-    grad = np.where(ok, v / denom - rho * u / np.where(ok, su ** 2, 1.0), 0.0)
-    return loss, -grad / g
+    # d rho / d u is zero-mean per column, so centering passes it through
+    rho, d_rho = cosine(y_hat - y_hat.mean(axis=0), y - y.mean(axis=0), 0)
+    return 1.0 - float(rho.mean()), -d_rho / y.shape[1]
 
 
-def loss_tfa_grads(t_hat: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray]:
+def loss_tfa_grads(t_hat, t) -> tuple[float, np.ndarray]:
     """Mean (1 - cosine) between projected embeddings t_hat_i and targets t_i;
     returns (loss, d_t_hat)."""
-    t_hat = np.asarray(t_hat, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    _check_matching(t_hat, t, "loss_tfa_grads")
-    pn = np.linalg.norm(t_hat, axis=1)
-    tn = np.linalg.norm(t, axis=1)
-    ok = (pn > 0.0) & (tn > 0.0)
-    denom = np.where(ok, pn * tn, 1.0)
-    cos = np.where(ok, (t_hat * t).sum(axis=1) / denom, 0.0)
-    loss = float(np.mean(1.0 - cos))
-    dcos = np.where(ok[:, None],
-                    t / denom[:, None] - cos[:, None] * t_hat / np.where(ok, pn ** 2, 1.0)[:, None],
-                    0.0)
-    return loss, -dcos / len(t_hat)
+    t_hat, t = matching_pair(t_hat, t, "loss_tfa_grads")
+    cos, d_cos = cosine(t_hat, t, 1)
+    return float(np.mean(1.0 - cos)), -d_cos / len(t_hat)
 
 
 def loss_dev_grad(y_dev_hat, y, eps: float = 1e-8):
@@ -98,9 +92,7 @@ def loss_dev_grad(y_dev_hat, y, eps: float = 1e-8):
     Ground-truth deviations are the gene columns of y minus their means; both
     deviation matrices are standardized per gene by (population std + eps).
     """
-    y_dev_hat = np.asarray(y_dev_hat, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_matching(y_dev_hat, y, "loss_dev_grad")
+    y_dev_hat, y = matching_pair(y_dev_hat, y, "loss_dev_grad")
     n, g = y.shape
     if n < 2:
         raise InputError("loss_dev_grad requires at least 2 spots")

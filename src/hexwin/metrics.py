@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ShapeError
+from .losses import cosine, matching_pair
 
 
 def midranks(x: np.ndarray) -> np.ndarray:
@@ -50,17 +51,12 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, boo
 
 def _column_pcc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-column Pearson correlation; zero-variance columns contribute 0."""
-    u = a - a.mean(axis=0)
-    v = b - b.mean(axis=0)
-    su = np.sqrt((u ** 2).sum(axis=0))
-    sv = np.sqrt((v ** 2).sum(axis=0))
-    ok = (su > 0.0) & (sv > 0.0)
-    return np.where(ok, (u * v).sum(axis=0) / np.where(ok, su * sv, 1.0), 0.0)
+    return cosine(a - a.mean(axis=0), b - b.mean(axis=0), 0)[0]
 
 
 def pcc_spotwise(y_hat: np.ndarray, y: np.ndarray) -> float:
     """Mean over spots of the correlation across genes."""
-    y_hat, y = _as_matrix_pair(y_hat, y)
+    y_hat, y = matching_pair(y_hat, y, "pcc_spotwise")
     if y.shape[1] < 2:
         raise InputError("pcc_spotwise requires at least 2 genes")
     return float(_column_pcc(y_hat.T, y.T).mean())
@@ -80,14 +76,6 @@ def _discrete_mi(bi: np.ndarray, bj: np.ndarray, bins: int) -> float:
     nz = p > 0.0
     outer = pi[:, None] * pj[None, :]
     return float(np.sum(p[nz] * np.log(p[nz] / outer[nz])))
-
-
-def _as_matrix_pair(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ShapeError(f"expected equal (N, G) shapes, got {a.shape} and {b.shape}")
-    return a, b
 
 
 @dataclass(frozen=True)
@@ -110,7 +98,7 @@ def evaluate(y_hat: np.ndarray, y: np.ndarray, gene_names=None,
              bins: int = 16) -> EvalReport:
     """Full metric sweep with a per-gene breakdown; pcc_s is nan below 2 genes
     and mi_f below `bins` spots."""
-    y_hat, y = _as_matrix_pair(y_hat, y)
+    y_hat, y = matching_pair(y_hat, y, "evaluate")
     n, g = y.shape
     names = list(gene_names) if gene_names is not None else [f"g{i:03d}" for i in range(g)]
     med = float(np.median(y))

@@ -110,9 +110,9 @@ def config_from_dict(cls, section, name: str, **overrides):
     for key, value in values.items():
         kind = known[key].type
         want = _JSON_SCALARS.get(kind.removeprefix("tuple[").removesuffix(", ...]"))
-        items = value if kind.startswith("tuple[") and isinstance(value, tuple) else (value,)
-        if want and any(not isinstance(v, want) or isinstance(v, bool) != (want is bool)
-                        for v in items):
+        items = value if isinstance(value, tuple) else (value,)
+        if kind.startswith("tuple[") != isinstance(value, tuple) or want and any(
+                not isinstance(v, want) or isinstance(v, bool) != (want is bool) for v in items):
             raise InputError(f"{name}.{key} must be {kind}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise InputError(f"{name}.{key} must be finite, got {value!r}")

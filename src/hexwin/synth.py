@@ -223,7 +223,10 @@ def save_dataset(ds: SpotDataset, outdir: str) -> None:
 def load_dataset(indir: str) -> SpotDataset:
     path = os.path.join(indir, "spots.tsv")
     with open(path) as fh:
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+        try:
+            rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from None
     header = rows[0] if rows else []
     if header[:3] != ["spot_id", "x", "y"]:
         raise InputError(f"{path}: unexpected header {header[:3]}")

@@ -89,29 +89,24 @@ def objective(out: ForwardOutput, ds: SpotDataset, rows: np.ndarray,
     """
     if not out.caches:
         raise InputError("objective needs a training-mode forward")
-    n, g = out.y_hat.shape
-    y = ds.expression
-    d_y_hat = np.zeros((n, g))
-    d_y_dev = d_t_hat = None
-    mse = pearson = tfa = dev = 0.0
-    if weights.mse != 0.0:
-        mse, grad = loss_mse_grad(out.y_hat[rows], y[rows])
-        d_y_hat[rows] += weights.mse * grad
-    if weights.pearson != 0.0:
-        pearson, grad = loss_pearson_grad(out.y_hat[rows], y[rows])
-        d_y_hat[rows] += weights.pearson * grad
-    if weights.tfa != 0.0 and out.t_hat is not None:
-        if ds.transcriptomic is None:
-            raise InputError("alignment loss enabled but the dataset has no "
-                             "transcriptomic embeddings")
-        tfa, grad = loss_tfa_grads(out.t_hat[rows], ds.transcriptomic[rows])
-        d_t_hat = np.zeros_like(out.t_hat)
-        d_t_hat[rows] = weights.tfa * grad
-    if weights.dev != 0.0:
-        dev, grad = loss_dev_grad(out.y_dev_hat[rows], y[rows])
-        d_y_dev = np.zeros((n, g))
-        d_y_dev[rows] = weights.dev * grad
-    return loss_total(mse, pearson, tfa, dev, weights), d_y_hat, d_y_dev, d_t_hat
+    if weights.tfa != 0.0 and out.t_hat is not None and ds.transcriptomic is None:
+        raise InputError("alignment loss enabled but the dataset has no transcriptomic embeddings")
+    y, values = ds.expression, dict.fromkeys(("mse", "pearson", "tfa", "dev"), 0.0)
+    grads = {"y_hat": np.zeros_like(out.y_hat)}  # other heads get one at their first term
+    for term, loss, head, target in (
+            ("mse", loss_mse_grad, "y_hat", y), ("pearson", loss_pearson_grad, "y_hat", y),
+            ("tfa", loss_tfa_grads, "t_hat", ds.transcriptomic), ("dev", loss_dev_grad, "y_dev_hat", y)):
+        weight, pred = getattr(weights, term), getattr(out, head)
+        if weight == 0.0 or pred is None:
+            continue
+        values[term], grad = loss(pred[rows], target[rows])
+        if head in grads:
+            grads[head][rows] += weight * grad
+        else:  # assigned, not added to zeros, so -0.0 entries stay as they are
+            grads[head] = np.zeros_like(pred)
+            grads[head][rows] = weight * grad
+    return (loss_total(**values, weights=weights), grads["y_hat"],
+            grads.get("y_dev_hat"), grads.get("t_hat"))
 
 
 def _loss_and_grads(tokens, ds, rows, geometry, params, cfg, tcfg):

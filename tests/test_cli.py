@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
+import shutil
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexwin.cli import main
 from hexwin.errors import InputError
@@ -39,6 +45,11 @@ SMALL_SYNTH = {"radius": 3, "jitter": 0.02, "dropout": 0.0, "seed": 5,
                "token_dim": 5, "transcriptomic_dim": 3}
 SMALL_MODEL = {"dim": 6, "heads": 1, "stages": 2, "blocks": 2, "radii": [1],
                "out_dim": 4, "t_dim": 3}
+
+
+# the message a case's rejection must carry, by test case id
+NAMED_FIELD = {"scalar-radii": "model.radii must be tuple[int, ...], got 3",
+               "string-patterns": "synth.patterns must be tuple[str, ...], got 'sparse'"}
 
 
 def assert_invalid_input(capsys, argv):
@@ -259,15 +270,40 @@ class TestExitCodes:
         assert str(ckpt) in err[0] and "non-finite" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_overflowing_score_is_exit_three(self, dataset_dir, tmp_path, capsys, command):
+        # a finite token this large gives finite predictions whose squares
+        # overflow in the correlation
+        ds = load_dataset(str(dataset_dir))
+        ds.tokens[0, 0] = 2.3e307
+        save_dataset(ds, str(dataset_dir))
+        cfg = ModelConfig(in_dim=5, genes=3, **{k: tuple(v) if k == "radii" else v
+                                                for k, v in SMALL_MODEL.items()})
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(str(ckpt), init_params(cfg, 0), cfg)
+        argv = {"eval": ["eval", "--checkpoint", str(ckpt)],
+                "train": ["train", "--steps", "1", "--out", str(tmp_path / "run")]}[command]
+        capsys.readouterr()
+        assert main(argv + ["--dataset", str(dataset_dir)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric/consistency failure: overflow"), err
+
     def test_render_width_over_cap_is_usage_error(self, dataset_dir, tmp_path, capsys):
         # a width this large would ask numpy for exbibytes; the cap fires first
         line = assert_invalid_input(capsys, ["render", "--dataset", str(dataset_dir),
                                              "--source", "truth", "--width", "1000000000",
                                              "--out", str(tmp_path / "imgs")])
         assert str(MAX_WIDTH) in line
-        assert not list((tmp_path / "imgs").glob("*.ppm"))
+        assert not (tmp_path / "imgs").exists()
         with pytest.raises(InputError):
             draw_spots(np.zeros((2, 2)), np.zeros((2, 3)), width=MAX_WIDTH + 1)
+
+    def test_render_unknown_gene_writes_nothing(self, dataset_dir, tmp_path, capsys):
+        line = assert_invalid_input(capsys, ["render", "--dataset", str(dataset_dir),
+                                             "--source", "truth", "--genes", "g000_boundary,nope",
+                                             "--out", str(tmp_path / "imgs")])
+        assert "unknown gene 'nope'" in line
+        assert not (tmp_path / "imgs").exists()
 
     @pytest.mark.parametrize("edit", [lambda b: b[:-1], lambda b: b + b"\0"],
                              ids=["truncated", "trailing-byte"])
@@ -324,7 +360,7 @@ class TestExitCodes:
             "nan-rope-base", "float-radius", "float-square-side", "infinite-weight",
             "adam-beta2-one", "adam-beta1-above-one", "zero-adam-eps"])
     def test_bad_config_is_usage_error(self, dataset_dir, tmp_path, capsys,
-                                       edit):
+                                       edit, request):
         path = tmp_path / "cfg.json"
         argv = ["train", "--dataset", str(dataset_dir), "--config", str(path),
                 "--out", str(tmp_path / "run")]
@@ -332,7 +368,8 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(argv) == 0
         path.write_text(edit(cfg))
-        assert_invalid_input(capsys, argv)
+        line = assert_invalid_input(capsys, argv)
+        assert NAMED_FIELD.get(request.node.callspec.id, "") in line
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_learning_rate_is_usage_error(self, dataset_dir, tmp_path,
@@ -353,15 +390,17 @@ class TestExitCodes:
         {"radus": 3}, {"seed": -1}, {"assay_seed": -2}, {"expression_noise": -1},
         {"token_noise": -0.5}, {"transcriptomic_dim": -1}, {"max_spots": -3},
         {"token_dim": 0}, {"token_dim": -1}, {"patterns": []},
-        {"boundary_high": float("nan")},
+        {"boundary_high": float("nan")}, {"patterns": "sparse"}, {"jitt\r": 0.02},
     ], ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one",
             "negative-expression-noise", "negative-token-noise",
             "negative-transcriptomic-dim", "negative-max-spots", "zero-token-dim",
-            "negative-token-dim", "no-patterns", "nan-boundary-high"])
-    def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit):
+            "negative-token-dim", "no-patterns", "nan-boundary-high", "string-patterns",
+            "carriage-return-key"])
+    def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit, request):
         cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, **edit})
-        assert_invalid_input(capsys, ["generate", "--config", cfg,
-                                      "--out", str(tmp_path / "d")])
+        line = assert_invalid_input(capsys, ["generate", "--config", cfg,
+                                             "--out", str(tmp_path / "d")])
+        assert NAMED_FIELD.get(request.node.callspec.id, "") in line
         assert not (tmp_path / "d").exists()
 
     @staticmethod
@@ -492,8 +531,10 @@ class TestExitCodes:
                                                .splitlines()))),
         lambda d: np.concatenate([np.fromfile(d / "tokens.bin", dtype="<f8")[:-1], [np.inf]])
         .tofile(d / "tokens.bin"),
+        lambda d: (d / "spots.tsv").write_bytes(
+            (d / "spots.tsv").read_bytes()[:40] + b"\xff" + (d / "spots.tsv").read_bytes()[41:]),
     ], ids=["tokens-shape", "ragged-header-row", "missing-fields", "nan-x",
-            "nan-expression", "inf-token"])
+            "nan-expression", "inf-token", "non-utf8-spots"])
     def test_bad_dataset_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                         edit):
         edit(dataset_dir)
@@ -571,3 +612,85 @@ def test_idempotent_partition_outputs(dataset_dir, tmp_path):
         assert main(["partition", "--dataset", str(dataset_dir), "--k", "1",
                      "--shift", "1", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A config, the dataset it generates and a checkpoint trained on that dataset."""
+    base = tmp_path_factory.mktemp("fuzz")
+    cfg = write_config(base / "cfg.json", synth=SMALL_SYNTH, model=SMALL_MODEL,
+                       train={"steps": 1})
+    assert main(["generate", "--config", cfg, "--out", str(base / "data")]) == 0
+    assert main(["train", "--dataset", str(base / "data"), "--config", cfg,
+                 "--out", str(base / "run")]) == 0
+    return base
+
+
+# each target file and the command run on it after its mutation
+FUZZ_TARGETS = [("run/checkpoint.bin", "eval"), ("data/tokens.json", "eval"),
+                ("data/tokens.bin", "eval"), ("data/transcriptomic.json", "eval"),
+                ("data/spots.tsv", "eval"), ("cfg.json", "train"), ("cfg.json", "generate")]
+FUZZ_ARGV = {"eval": "eval --dataset {w}/data --checkpoint {w}/run/checkpoint.bin",
+             "train": "train --dataset {w}/data --config {w}/cfg.json --steps 1 --out {w}/out",
+             "generate": "generate --config {w}/cfg.json --out {w}/out"}
+
+
+def json_addresses(node, path=()):
+    """The key path of every value inside a parsed JSON document."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_addresses(value, path + (key,))
+
+
+def mutate(blob: bytes, is_json: bool, data) -> bytes:
+    """One truncation, byte flip or byte deletion; on JSON also a key deletion or
+    a value replaced by one of another JSON type."""
+    kinds = ["truncate", "flip", "delete-byte"] + ["delete-key", "retype"] * is_json
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind in ("delete-key", "retype"):
+        doc = json.loads(blob)
+        addresses = [a for a in json_addresses(doc)
+                     if kind == "retype" or isinstance(a[-1], str)]
+        *parents, key = data.draw(st.sampled_from(addresses), label="address")
+        node = doc
+        for step in parents:
+            node = node[step]
+        if kind == "delete-key":
+            del node[key]
+        else:
+            node[key] = data.draw(st.sampled_from(
+                [v for v in (None, "x", [1], {}, True, 0.5) if type(v) is not type(node[key])]),
+                label="value")
+        return json.dumps(doc).encode()
+    i = data.draw(st.integers(0, len(blob) - 1), label="offset")
+    if kind == "truncate":
+        return blob[:i]
+    if kind == "delete-byte":
+        return blob[:i] + blob[i + 1:]
+    return blob[:i] + bytes([blob[i] ^ data.draw(st.integers(1, 255), label="xor")]) + blob[i + 1:]
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_mutated_inputs_exit_with_one_line(fuzz_base, data):
+    """A corrupted input file ends in a documented exit code with one stderr
+    line, never in an escaped exception or a warning."""
+    target, command = data.draw(st.sampled_from(FUZZ_TARGETS), label="target")
+    with tempfile.TemporaryDirectory(dir=fuzz_base) as work:
+        for name in ("cfg.json", "data", "run"):
+            copy = shutil.copytree if name != "cfg.json" else shutil.copy
+            copy(fuzz_base / name, f"{work}/{name}")
+        path = f"{work}/{target}"
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(mutate(blob, path.endswith(".json"), data))
+        out, err = io.StringIO(), io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            code = main(FUZZ_ARGV[command].format(w=work).split())
+    assert code in (0, 1, 2, 3)
+    assert code == 0 or len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
