@@ -18,8 +18,7 @@ from .model import (ForwardOutput, Geometry, ModelConfig, backward,
                     build_geometry, forward, init_params, load_checkpoint,
                     save_checkpoint)
 from .numerics import finite_diff_grad, gelu, masked_softmax
-from .rope import (RopeConfig, apply_hex_rope, apply_rope_2d, axial_to_cube,
-                   rope_angles)
+from .rope import apply_hex_rope, apply_rope_2d, axial_to_cube, rope_angles
 from .synth import (SpotDataset, SynthConfig, generate, load_dataset,
                     mock_transcriptomic, save_dataset)
 from .trainer import TrainConfig, TrainResult, grad_check, train

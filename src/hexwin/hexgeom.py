@@ -168,6 +168,15 @@ def hex_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(np.abs(dq), np.abs(dr)), np.abs(dq + dr))
 
 
+def hex_disk(radius: int) -> np.ndarray:
+    """(S, 2) axial cells within hex distance `radius` of the origin, in
+    lexicographic (q, r) order; S = 3K^2 + 3K + 1 for radius K >= 0."""
+    side = np.arange(-radius, radius + 1, dtype=np.int64)
+    q, r = np.repeat(side, len(side)), np.tile(side, len(side))
+    keep = np.abs(q + r) <= radius
+    return np.stack([q[keep], r[keep]], axis=1)
+
+
 def cells_for_points(points: np.ndarray, scale: LatticeScale) -> np.ndarray:
     """Integer lattice cell of each Cartesian point (composition of the above)."""
     return cube_round(cartesian_to_axial_frac(points, scale))

@@ -28,7 +28,7 @@ from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp
 # unused here; stay importable from hexwin.model for perfbench's tracer
 from .numerics import masked_softmax, masked_softmax_vjp  # noqa: F401
 from .rope import apply_hex_rope, apply_hex_rope_vjp, apply_rope_2d, apply_rope_2d_vjp  # noqa: F401
-from .rope import RopeConfig, axial_to_cube, rotate, rotations
+from .rope import axial_to_cube, rotate, rotations
 from .windowing import WindowPartition, partition, partition_square, shift_schedule
 
 Params = dict[str, np.ndarray]
@@ -63,10 +63,10 @@ class ModelConfig:
             raise InputError("window must be 'hex' or 'square'")
         if self.pe not in ("hexrope", "rope2d"):
             raise InputError("pe must be 'hexrope' or 'rope2d'")
-        rope = self.rope_config()
-        if rope.per_axis == 0:
+        n_axes = 3 if self.pe == "hexrope" else 2
+        if self.head_dim < 2 * n_axes:
             raise InputError(f"head dim {self.head_dim} (dim / heads) leaves {self.pe} "
-                             f"no channel pair to rotate; need >= {2 * rope.n_axes}")
+                             f"no channel pair to rotate; need >= {2 * n_axes}")
 
     @property
     def head_dim(self) -> int:
@@ -79,9 +79,6 @@ class ModelConfig:
     def stage_sides(self) -> tuple[int, ...]:
         """Square window side per windowed stage: 2K spacings for radius K."""
         return tuple(2 * k for k in self.radii)
-
-    def rope_config(self) -> RopeConfig:
-        return RopeConfig(head_dim=self.head_dim, n_axes=3 if self.pe == "hexrope" else 2)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -373,7 +370,7 @@ def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
     n, dh = len(a), cfg.head_dim
     q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
                .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
-    rot = rotations(pack.off, cfg.rope_config())[:, None]
+    rot = rotations(pack.off, dh)[:, None]
     q = rotate(q, rot) * (1.0 / np.sqrt(dh))
     k = rotate(k, rot)
     m, s = pack.occ.shape
@@ -440,7 +437,7 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
         d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
         d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
     inv = 1.0 / np.sqrt(dh)
-    rot = rotations(pack.off, cfg.rope_config())[:, None]
+    rot = rotations(pack.off, dh)[:, None]
     d_q = rotate(d_qw[pack.win, :, pack.slot] * inv, rot, inverse=True)
     d_k = rotate(d_kw[pack.win, :, pack.slot], rot, inverse=True)
     d_v = d_vw[pack.win, :, pack.slot]

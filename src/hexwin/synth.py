@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .hexgeom import SQRT3, hex_distance
+from .hexgeom import SQRT3, hex_disk, hex_distance
 
 PATTERN_KINDS = ("boundary", "gradient", "sparse", "noise")
 
@@ -102,13 +102,9 @@ class SpotDataset:
 
 
 def hex_patch_cells(radius: int) -> np.ndarray:
-    """Axial cells of a radius-R patch, center first (anchor stays central)."""
-    side = np.arange(-radius, radius + 1, dtype=np.int64)
-    q, r = np.repeat(side, len(side)), np.tile(side, len(side))
-    ring = np.maximum(np.maximum(abs(q), abs(r)), abs(q + r))
-    order = np.lexsort((r, q, ring))
-    order = order[ring[order] <= radius]
-    return np.stack([q[order], r[order]], axis=1)
+    """Axial cells of a radius-R patch, ring by ring from the center (anchor stays central)."""
+    cells = hex_disk(radius)
+    return cells[np.argsort(hex_distance(cells, np.zeros(2)), kind="stable")]
 
 
 def _lattice_positions(cells: np.ndarray, spacing: float) -> np.ndarray:
@@ -281,8 +277,8 @@ def _read_matrix(stem: str) -> np.ndarray:
             raise InputError(f"{stem}.json: not a JSON sidecar: {exc}") from None
     shape = meta.get("shape") if isinstance(meta, dict) else None
     if (not isinstance(shape, list) or len(shape) != 2 or meta.get("dtype") != "<f8"
-            or not all(isinstance(d, int) and d >= 0 for d in shape)):
-        raise InputError(f"{stem}.json: need dtype '<f8' and a 2-entry shape")
+            or meta.get("order") != "C" or not all(isinstance(d, int) and d >= 0 for d in shape)):
+        raise InputError(f"{stem}.json: need dtype '<f8', order 'C' and a 2-entry shape")
     size = os.path.getsize(stem + ".bin")
     if size != 8 * shape[0] * shape[1]:
         raise InputError(f"{stem}.bin holds {size} bytes, its shape {shape} "

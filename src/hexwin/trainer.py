@@ -198,10 +198,9 @@ def count_params(params: Params) -> int:
     return int(sum(v.size for v in params.values()))
 
 
-def grad_check(ds: SpotDataset, cfg: ModelConfig, h: float = 1e-5,
-               seed: int = 0) -> dict:
+def grad_check(ds: SpotDataset, cfg: ModelConfig, seed: int = 0) -> dict:
     """Compare the analytic gradient of the full objective against central
-    finite differences; returns per-parameter-group relative errors.
+    finite differences (step 1e-5); returns per-parameter-group relative errors.
 
     All spots are training rows here. The relative error is
     ||g_analytic - g_fd|| / (||g_analytic|| + ||g_fd||) per group.
@@ -228,7 +227,7 @@ def grad_check(ds: SpotDataset, cfg: ModelConfig, h: float = 1e-5,
         report, *_ = objective(out, ds, rows, tcfg.weights)
         return report.total
 
-    fd = param_views(finite_diff_grad(total_loss, params_to_vector(params), h), params)
+    fd = param_views(finite_diff_grad(total_loss, params_to_vector(params)), params)
     per_group = {k: relative_error(grads[k], fd[k]) for k in params}
     return {
         "n_params": n_params,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CoverageError, InputError, SlotCollisionError
 from .hexgeom import (SQRT3, LatticeScale, axial_to_cartesian, cells_for_points,
-                      cube_round, hex_distance)
+                      cube_round, hex_disk, hex_distance)
 
 # Most slots one window may have (hex radius K <= 147, square side <= 128),
 # checked before anything O(K^2) is allocated; holds any slide of <= 65k spots
@@ -31,11 +31,7 @@ def build_slot_set(radius: int) -> np.ndarray:
     max(|dq|,|dr|,|dq+dr|) <= K, in lexicographic order: one window's slots."""
     if not (0 <= radius and 3 * radius * (radius + 1) + 1 <= MAX_SLOTS):
         raise InputError(f"slot radius must be >= 0 with at most {MAX_SLOTS} slots, got {radius}")
-    offsets = [(dq, dr)
-               for dq in range(-radius, radius + 1)
-               for dr in range(-radius, radius + 1)
-               if max(abs(dq), abs(dr), abs(dq + dr)) <= radius]
-    arr = np.array(sorted(offsets), dtype=np.int64).reshape(-1, 2)
+    arr = hex_disk(radius)
     arr.setflags(write=False)
     return arr
 

@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
@@ -63,3 +65,28 @@ def test_outputs_match_the_reference(monkeypatch, tmp_path):
     ops += [slide_eval.op(inputs, k) for k in range(slide_eval.cycle)]
     assert {op.key: workloads.check(op, reference) for op in ops} == {
         op.key: [] for op in ops}
+
+
+def test_trace_mode_records_and_restores(monkeypatch, tmp_path):
+    # one desk-train operation (pool seed 0) under the benchmark's tracer,
+    # installed and removed as perfbench/run.py does in trace mode
+    workloads = load_workloads(monkeypatch)
+    tracer_module = importlib.import_module("tracer")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["entries"]
+    desk = workloads.WORKLOADS["desk-train"]
+    inputs = desk.setup(str(tmp_path), 0)
+    tracer = tracer_module.Tracer(workloads.stage_sizes(), workloads.LEARN_MODEL.stages - 1)
+    hooked = {(module_name, attr): getattr(importlib.import_module(module_name), attr)
+              for module_name, attrs, _, _ in tracer_module._hooks(tracer) for attr in attrs}
+    tracer.install()
+    try:
+        with tracer.span(desk.root):
+            out = desk.op(inputs, 0)
+    finally:
+        tracer.uninstall()
+    assert workloads.check(out, reference) == []
+    assert np.isfinite(tracer.self_time_gap())
+    names = set(tracer.names)
+    assert {"model.forward", *(f"windowing.partition_s.stage{s}" for s in range(3))} <= names
+    assert {key for key, fn in hooked.items()
+            if getattr(importlib.import_module(key[0]), key[1]) is not fn} == set()
