@@ -38,6 +38,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # flags match only in full: `--h` is not `--help`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse default exits 2; our contract is 1
         raise UsageError(message)
 

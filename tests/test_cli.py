@@ -599,6 +599,15 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: "), err
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "0"),
+                                            ("--h", "nan"), ("--h", "-1")])
+    def test_non_positive_float_is_usage_error(self, capsys, flag, value):
+        # gradcheck takes no float flags, so these values are refused as usage
+        capsys.readouterr()
+        assert main(["gradcheck", flag, value]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: "), err
+
     def test_duplicate_spot_id_is_usage_error(self, dataset_dir, tmp_path, capsys):
         path = dataset_dir / "spots.tsv"
         lines = path.read_text().splitlines()
