@@ -78,7 +78,7 @@ def _model_config(section: dict, in_dim: int, genes: int, args) -> ModelConfig:
 
 def _train_config(section: dict, args) -> TrainConfig:
     overrides = {key: getattr(args, key)
-                 for key in ("steps", "lr", "seed", "optimizer", "eval_every")
+                 for key in ("steps", "lr", "seed", "eval_every")
                  if getattr(args, key, None) is not None}
     off = [name.strip() for name in (args.loss_off or "").split(",") if name.strip()]
     for name in off:
@@ -131,8 +131,8 @@ def cmd_train(args) -> int:
         raise InputError(f"model.t_dim {mcfg.t_dim} differs from the dataset's "
                          f"transcriptomic width {t_width}")
     tcfg = _train_config(raw.get("train", {}), args)
+    os.makedirs(args.out, exist_ok=True)  # before training, so a bad --out costs no steps
     result = train(ds, mcfg, tcfg)
-    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint.bin"), result.params, mcfg)
     with open(os.path.join(args.out, "log.tsv"), "w") as fh:
         fh.write("\n".join(result.log_lines) + "\n")
@@ -249,7 +249,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
     p.add_argument("--eval-every", type=int, dest="eval_every")
     p.add_argument("--window", choices=("hex", "square"))
     p.add_argument("--pe", choices=("hexrope", "rope2d"))

@@ -219,7 +219,6 @@ def _spot_offsets(cell_offsets, xy_offsets, cfg: ModelConfig) -> np.ndarray:
 class Geometry:
     """Precomputed per-(stage, block) packings for one slide."""
 
-    scale: LatticeScale
     cells: np.ndarray
     packings: list[list[_Packing]]
     partitions: list[list[WindowPartition | None]]
@@ -257,7 +256,7 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
                                    _spot_offsets(cells, (coords - scale.anchor) / scale.d_med, cfg))
     packings.append([global_pack] * cfg.blocks)
     partitions.append([None] * cfg.blocks)
-    return Geometry(scale=scale, cells=cells, packings=packings, partitions=partitions)
+    return Geometry(cells=cells, packings=packings, partitions=partitions)
 
 
 def _blocks(geometry: Geometry, cfg: ModelConfig) -> list[tuple[str, _Packing]]:

@@ -2,7 +2,7 @@
 
 Each step runs one forward over all spots, computes the enabled loss terms
 on the training rows, backpropagates hand-derived gradients, and applies an
-SGD or Adam update. The Pearson and deviation losses need the slide as the
+Adam update. The Pearson and deviation losses need the slide as the
 batch, so there is no minibatching. Everything is deterministic given the
 seed: step logs are reproducible byte for byte.
 """
@@ -28,7 +28,6 @@ from .synth import SpotDataset
 class TrainConfig:
     steps: int = 500
     lr: float = 3e-3
-    optimizer: str = "adam"      # "adam" or "sgd"
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)  # 0 turns a term off
     eval_every: int = 10
@@ -40,8 +39,6 @@ class TrainConfig:
             raise InputError("steps must be >= 1")
         if not 0.0 <= self.lr < np.inf:
             raise InputError("learning rate must be finite and nonnegative")
-        if self.optimizer not in ("adam", "sgd"):
-            raise InputError("optimizer must be 'adam' or 'sgd'")
         if not 0.0 <= self.val_fraction < 1.0:
             raise InputError("val_fraction must lie in [0, 1)")
         if self.eval_every < 1 or self.seed < 0:
@@ -53,10 +50,13 @@ class TrainResult:
     params: Params               # best-by-total-loss snapshot
     final_params: Params
     best_step: int
-    steps_run: int
-    log_lines: list[str]
+    log_lines: list[str]         # header, then one line per step run
     eval_log: list[tuple[int, EvalReport]]
     geometry: Geometry
+
+    @property
+    def steps_run(self) -> int:
+        return len(self.log_lines) - 1
 
 
 LOG_HEADER = "step\tmse\tpearson\ttfa\tdev\ttotal"
@@ -120,12 +120,9 @@ def _loss_and_grads(tokens, ds, rows, geometry, params, cfg, tcfg):
 
 
 def _update(flat, grad, moments1, moments2, step: int, tcfg: TrainConfig) -> None:
-    """One SGD or Adam step on the flat parameters, in place; grad is overwritten.
-    Per element: p - lr * g, or p - lr * m_hat / (sqrt(v_hat) + eps) with
-    Adam's beta1 = 0.9, beta2 = 0.999 and eps = 1e-8 (Kingma and Ba, 2015)."""
-    if tcfg.optimizer == "sgd":
-        flat -= np.multiply(grad, tcfg.lr, out=grad)
-        return
+    """One Adam step on the flat parameters, in place; grad is overwritten.
+    Per element: p - lr * m_hat / (sqrt(v_hat) + eps) with beta1 = 0.9,
+    beta2 = 0.999 and eps = 1e-8 (Kingma and Ba, 2015)."""
     b1, b2 = 0.9, 0.999
     scratch = np.multiply(grad, 1.0 - b1)
     moments1 *= b1
@@ -156,7 +153,6 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
     evals_since_improve = 0
     log_lines = [LOG_HEADER]
     eval_log: list[tuple[int, EvalReport]] = []
-    steps_run = 0
 
     for step in range(1, tcfg.steps + 1):
         report, grads, y_hat = _loss_and_grads(ds.tokens, ds, train_idx, geometry,
@@ -175,7 +171,6 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
 
         _update(flat, params_to_vector(grads), moments1, moments2, step, tcfg)
         del grads  # not held through the next step's forward and backward
-        steps_run = step
 
         if len(val_idx) and step % tcfg.eval_every == 0:
             rep = evaluate(y_hat[val_idx], ds.expression[val_idx],
@@ -190,8 +185,8 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
                     break
 
     return TrainResult(params=param_views(best_flat, params), final_params=params,
-                       best_step=best_step, steps_run=steps_run,
-                       log_lines=log_lines, eval_log=eval_log, geometry=geometry)
+                       best_step=best_step, log_lines=log_lines, eval_log=eval_log,
+                       geometry=geometry)
 
 
 def count_params(params: Params) -> int:

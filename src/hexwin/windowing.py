@@ -13,7 +13,7 @@ are the coarse-lattice basis vectors; the cycle restarts at each stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,11 @@ class WindowPartition:
     center_cells: np.ndarray     # (M, 2) int
     cell_offsets: np.ndarray     # (N, 2) int
     cart_offsets: np.ndarray     # (N, 2) float
-    dropped: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    @property
+    def dropped(self) -> np.ndarray:
+        """Indices of the spots no window holds, in increasing order."""
+        return np.flatnonzero(self.window_of_spot < 0)
 
     @property
     def n_windows(self) -> int:
@@ -147,13 +151,13 @@ def _resolve_collisions(win, slot, n_slots, keep_metric, strict):
     (ties: lower index) and drop the others; strict mode raises instead.
 
     keep_metric: (N,) distance of each spot to its cell or subcell center.
-    Returns (window_of_spot, slot_of_spot, dropped), with -1 for dropped spots.
+    Returns (window_of_spot, slot_of_spot), with -1 for dropped spots.
     """
     key = win * n_slots + slot
     order = np.lexsort((keep_metric, key))
     lose = order[1:][key[order[1:]] == key[order[:-1]]]
     if not len(lose):
-        return win, slot, lose
+        return win, slot
     if strict:  # name the first spot, in index order, whose (window, slot) is taken
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         i = int(np.flatnonzero(first[inverse] != np.arange(len(key)))[0])
@@ -161,7 +165,7 @@ def _resolve_collisions(win, slot, n_slots, keep_metric, strict):
                                  f"window {win[i]} slot {slot[i]}")
     win, slot = win.copy(), slot.copy()
     win[lose] = slot[lose] = -1
-    return win, slot, np.sort(lose)
+    return win, slot
 
 
 def _finish_partition(kind, size, stage, block, coords, cells, scale,
@@ -169,7 +173,7 @@ def _finish_partition(kind, size, stage, block, coords, cells, scale,
                       strict) -> WindowPartition:
     """Resolve slot collisions, then attach each placed spot's cell and
     Cartesian offsets from its window center. Every window keeps a spot."""
-    win, slot, dropped = _resolve_collisions(win, slot, n_slots, keep_metric, strict)
+    win, slot = _resolve_collisions(win, slot, n_slots, keep_metric, strict)
     valid = win >= 0
     occupancy = np.zeros((len(centers), n_slots), dtype=bool)
     occupancy[win[valid], slot[valid]] = True
@@ -181,7 +185,7 @@ def _finish_partition(kind, size, stage, block, coords, cells, scale,
                            window_of_spot=win, slot_of_spot=slot,
                            occupancy=occupancy, centers=centers,
                            center_cells=center_cells, cell_offsets=cell_offsets,
-                           cart_offsets=cart_offsets, dropped=dropped)
+                           cart_offsets=cart_offsets)
 
 
 def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
@@ -248,8 +252,6 @@ def check_partition(part: WindowPartition, cells: np.ndarray) -> None:
     cells = np.asarray(cells, dtype=np.int64)
     win, slot = part.window_of_spot, part.slot_of_spot
     assigned = win >= 0
-    if not np.array_equal(part.dropped, np.flatnonzero(~assigned)):
-        raise CoverageError("dropped list inconsistent with assignments")
     idx = np.flatnonzero(assigned)
     w, sl = win[idx], slot[idx]
     m, s = part.occupancy.shape

@@ -17,7 +17,7 @@ from hexwin.hexgeom import (SQRT3, LatticeScale, axial_to_cartesian,
 from hexwin.losses import LossWeights, loss_dev_grad, loss_pearson_grad, loss_total
 from hexwin.metrics import evaluate, mann_whitney_auc
 from hexwin.model import (ModelConfig, build_geometry, forward, init_params,
-                          load_checkpoint)
+                          load_checkpoint, scale_and_cells)
 from hexwin.rope import apply_hex_rope, axial_to_cube, per_axis
 from hexwin.synth import SynthConfig, generate
 from hexwin.trainer import TrainConfig, grad_check, toy_grad_check_inputs, train
@@ -320,7 +320,7 @@ def test_criterion_10_translation_invariance():
               for k, v in init_params(cfg, 0).items()}
     geo = build_geometry(ds.coords, cfg)
     base = forward(ds.tokens, geo, params, cfg, train=False)
-    scale = geo.scale
+    scale, _ = scale_and_cells(ds.coords)
     e1 = np.array([0.0, SQRT3 * 1 * scale.s_spot])
     geo_moved = build_geometry(ds.coords + e1, cfg)
     moved = forward(ds.tokens, geo_moved, params, cfg, train=False)

@@ -1,9 +1,12 @@
 import contextlib
+import dataclasses
 import io
 import json
+import re
 import shutil
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +117,27 @@ class TestPartition:
         assert lines[0].split("\t") == ["spot_id", "stage", "block", "window",
                                         "slot", "center_x", "center_y"]
         assert len(lines) - 1 == 37
+
+    def test_collision_is_exit_three_unless_lenient(self, tmp_path, capsys):
+        # spot 5 moved next to spot 4 shares its cell: strict mode names both,
+        # lenient mode keeps spot 4 and writes spot 5 as unplaced
+        data = tmp_path / "data"
+        assert main(["generate", "--seed", "1", "--out", str(data)]) == 0
+        ds = load_dataset(str(data))
+        coords = ds.coords.copy()
+        coords[5] = coords[4] + (0.05, 0.02)
+        save_dataset(dataclasses.replace(ds, coords=coords), str(data))
+        out = tmp_path / "part.tsv"
+        argv = ["partition", "--dataset", str(data), "--k", "1", "--verify", "--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and re.search(r"spots 4 and 5 both map to window \d+ slot \d+$",
+                                           err[0]), err
+        assert main(argv + ["--lenient"]) == 0
+        assert capsys.readouterr().out.split(", ")[-1].startswith(f"1 dropped -> {out}")
+        records = out.read_text().splitlines()
+        assert [r for r in records if "\t-1\t" in r] == ["s00005\t0\t0\t-1\t-1\tnan\tnan"]
 
     def test_shifts_produce_different_assignments(self, dataset_dir, tmp_path):
         outs = []
@@ -442,7 +466,8 @@ class TestExitCodes:
         ("model", "rope_base", 10000.0), ("model", "mlp_hidden", 6),
         ("model", "knn_k", 6), ("model", "square_sides", [2]),
         ("train", "adam_beta1", 0.9), ("train", "adam_beta2", 0.999),
-        ("train", "adam_eps", 1e-8), ("header", "rope_base", 10000.0),
+        ("train", "adam_eps", 1e-8), ("train", "optimizer", "adam"),
+        ("header", "rope_base", 10000.0),
     ])
     def test_removed_setting_is_named(self, dataset_dir, tmp_path, capsys,
                                       section, key, value):
@@ -599,6 +624,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: "), err
 
+    def test_optimizer_flag_is_gone(self, dataset_dir, tmp_path, capsys):
+        # Adam is the only update rule; naming one, even Adam, is refused
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(tmp_path / "run"),
+                     "--optimizer", "adam"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and "--optimizer" in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_unusable_out_fails_before_training(self, dataset_dir, tmp_path, capsys,
+                                                monkeypatch):
+        def no_train(*args):
+            raise AssertionError("train() ran before --out was checked")
+
+        monkeypatch.setattr("hexwin.cli.train", no_train)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: "), err
+
     @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "0"),
                                             ("--h", "nan"), ("--h", "-1")])
     def test_non_positive_float_is_usage_error(self, capsys, flag, value):
@@ -617,6 +664,18 @@ class TestExitCodes:
         err = assert_invalid_input(capsys, ["partition", "--dataset", str(dataset_dir),
                                             "--out", str(tmp_path / "p.tsv")])
         assert f"duplicate spot id {first!r}" in err
+
+
+def test_readme_config_example_runs(tmp_path):
+    # the JSON block under "### Config file" must name only keys the code accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"### Config file\n.*?```json\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(block)
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train", "--dataset", str(data), "--config", str(cfg), "--out", str(run),
+                 "--steps", "1"]) == 0
 
 
 def test_idempotent_partition_outputs(dataset_dir, tmp_path):

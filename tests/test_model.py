@@ -12,7 +12,8 @@ from hexwin import model
 from hexwin.errors import InputError
 from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_geometry,
                           forward, init_params, load_checkpoint, param_views,
-                          params_to_vector, save_checkpoint, zeros_like_params)
+                          params_to_vector, save_checkpoint, scale_and_cells,
+                          zeros_like_params)
 from hexwin.numerics import finite_diff_grad, relative_error
 from hexwin.rope import axial_to_cube
 from hexwin.synth import SynthConfig, generate
@@ -638,8 +639,9 @@ def test_zeros_like_params_matches_shapes():
 
 def test_geometry_small_n_fallbacks():
     cfg = TINY
-    geo1 = build_geometry(np.array([[1.0, 2.0]]), cfg)
-    assert geo1.scale.d_med == 1.0
+    one = np.array([[1.0, 2.0]])
+    build_geometry(one, cfg)
+    assert scale_and_cells(one)[0].d_med == 1.0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.9]])
-    geo3 = build_geometry(pts, cfg)
-    assert geo3.scale.d_med > 0
+    build_geometry(pts, cfg)
+    assert scale_and_cells(pts)[0].d_med > 0

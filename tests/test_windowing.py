@@ -359,13 +359,8 @@ def test_check_partition_catches_tampering():
 
     hacked = part.occupancy.copy()
     hacked[0, 0] = ~hacked[0, 0]
-    unplaced = part.occupancy.copy()
-    unplaced[win[0], slot[0]] = False
     cases = [
         (dict(occupancy=hacked), "occupancy"),
-        # spot 0 unplaced consistently everywhere but in the dropped list
-        (dict(window_of_spot=edited(win, 0, -1), slot_of_spot=edited(slot, 0, -1),
-              occupancy=unplaced, dropped=np.array([1])), "dropped list"),
         (dict(window_of_spot=edited(win, 0, part.n_windows)), "outside the"),
         (dict(slot_of_spot=edited(slot, 0, part.n_slots)), "outside the"),
         # slot - S wraps around to the same occupied mask column
