@@ -33,6 +33,11 @@ from .windowing import WindowPartition, partition, partition_square, shift_sched
 
 Params = dict[str, np.ndarray]
 
+# Most parameters a model may have: 512 MiB per float64 copy, of which
+# training holds about six (parameters, best snapshot, gradients, two Adam
+# moments and scratch). Checked on the config, before any layout is built.
+MAX_PARAMS = 1 << 26
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -67,6 +72,12 @@ class ModelConfig:
         if self.head_dim < 2 * n_axes:
             raise InputError(f"head dim {self.head_dim} (dim / heads) leaves {self.pe} "
                              f"no channel pair to rotate; need >= {2 * n_axes}")
+        # param_layout's sizes in closed form: a block holds 12 dim^2 + 13 dim
+        d, out = self.dim, self.out_dim
+        n_params = ((self.in_dim + 1) * d + self.stages * self.blocks * (12 * d * d + 13 * d)
+                    + (d + 1) * (d + out) + (out + 1) * (2 * self.genes + self.t_dim))
+        if n_params > MAX_PARAMS:
+            raise InputError(f"model has {n_params} parameters, over the budget of {MAX_PARAMS}")
 
     @property
     def head_dim(self) -> int:
@@ -188,17 +199,15 @@ class _Packing:
 
     Each window's spots fill slots 0..occ-1 in ascending order of their
     partition slot ids, so the packed width S' is the largest window
-    occupancy. Rotary offsets stay with the spot rows.
+    occupancy.
     """
 
     win: np.ndarray        # (N,)
     slot: np.ndarray       # (N,) compact slot, < S'
     occ: np.ndarray        # (M, S') bool
-    off: np.ndarray        # (N, 3) cube offsets (hexrope) or (N, 2) xy offsets (rope2d)
 
 
-def _compact_packing(win: np.ndarray, key: np.ndarray, n_windows: int,
-                     off: np.ndarray) -> _Packing:
+def _compact_packing(win: np.ndarray, key: np.ndarray, n_windows: int) -> _Packing:
     """Rank each spot within its window by `key` and pack to the largest window."""
     order = np.lexsort((key, win))
     counts = np.bincount(win, minlength=n_windows)
@@ -206,22 +215,22 @@ def _compact_packing(win: np.ndarray, key: np.ndarray, n_windows: int,
     slot = np.empty(len(win), dtype=np.int64)
     slot[order] = np.arange(len(win)) - starts[win[order]]
     occ = np.arange(counts.max(initial=1)) < counts[:, None]
-    return _Packing(win=win, slot=slot, occ=occ, off=off)
-
-
-def _spot_offsets(cell_offsets, xy_offsets, cfg: ModelConfig) -> np.ndarray:
-    if cfg.pe == "hexrope":
-        return axial_to_cube(cell_offsets).astype(np.float64)
-    return np.asarray(xy_offsets, dtype=np.float64)
+    return _Packing(win=win, slot=slot, occ=occ)
 
 
 @dataclass(frozen=True)
 class Geometry:
-    """Precomputed per-(stage, block) packings for one slide."""
+    """Precomputed per-(stage, block) packings and rotary factors for one slide.
+
+    Every block rotates queries and keys by the spot's position on the
+    slide, so scores depend only on offsets between spots and the windows
+    only decide who attends to whom.
+    """
 
     cells: np.ndarray
     packings: list[list[_Packing]]
     partitions: list[list[WindowPartition | None]]
+    rot: np.ndarray        # (N, 1, pairs) complex e^(i theta), broadcast over heads
 
 
 def scale_and_cells(coords: np.ndarray) -> tuple[LatticeScale, np.ndarray]:
@@ -237,7 +246,9 @@ def scale_and_cells(coords: np.ndarray) -> tuple[LatticeScale, np.ndarray]:
 
 
 def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
-    """Estimate the lattice scale and build every stage/block partition."""
+    """Estimate the lattice scale and build every stage/block partition, plus
+    the rotary factors of each spot's cube cell (hexrope) or its xy position
+    in lattice spacings from the anchor (rope2d)."""
     coords = np.asarray(coords, dtype=np.float64)
     n = len(coords)
     scale, cells = scale_and_cells(coords)
@@ -248,15 +259,14 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
          for block, shift in enumerate(shift_schedule(cfg.blocks))]
         for stage, (radius, side) in enumerate(zip(cfg.radii, cfg.stage_sides()))]
     # strict partitions place every spot
-    packings = [[_compact_packing(part.window_of_spot, part.slot_of_spot, part.n_windows,
-                                  _spot_offsets(part.cell_offsets, part.cart_offsets, cfg))
+    packings = [[_compact_packing(part.window_of_spot, part.slot_of_spot, part.n_windows)
                  for part in row] for row in partitions]
     # every global block takes all spots as one window, in row order
-    global_pack = _compact_packing(np.zeros(n, dtype=np.int64), np.arange(n), 1,
-                                   _spot_offsets(cells, (coords - scale.anchor) / scale.d_med, cfg))
-    packings.append([global_pack] * cfg.blocks)
+    packings.append([_compact_packing(np.zeros(n, dtype=np.int64), np.arange(n), 1)] * cfg.blocks)
     partitions.append([None] * cfg.blocks)
-    return Geometry(cells=cells, packings=packings, partitions=partitions)
+    pos = axial_to_cube(cells) if cfg.pe == "hexrope" else (coords - scale.anchor) / scale.d_med
+    return Geometry(cells=cells, packings=packings, partitions=partitions,
+                    rot=rotations(pos, cfg.head_dim)[:, None])
 
 
 def _blocks(geometry: Geometry, cfg: ModelConfig) -> list[tuple[str, _Packing]]:
@@ -351,12 +361,13 @@ def _dense_vjp(d_out: np.ndarray, x: np.ndarray, params: Params, grads: Params,
     return d_out @ params[f"{name}.w"].T
 
 
-def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
+def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,
                        prefix: str, cfg: ModelConfig, work: _Workspace):
     """Multi-head attention within each packed window; returns (out, cache).
 
-    q/k/v are projected and rotated on the (N, dim) token rows and only then
-    gathered into windows; queries carry the 1/sqrt(head_dim) score scale.
+    q/k/v are projected and rotated by `rot` on the (N, dim) token rows and
+    only then gathered into windows; queries carry the 1/sqrt(head_dim)
+    score scale.
     Scores exist one (window, query, key) tile at a time, the tiles backward
     walks too, and are not kept; each query row's log-sum-exp is, so
     backward rebuilds any tile of weights in one pass (FlashAttention-2,
@@ -369,7 +380,6 @@ def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
     n, dh = len(a), cfg.head_dim
     q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
                .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
-    rot = rotations(pack.off, dh)[:, None]
     q = rotate(q, rot) * (1.0 / np.sqrt(dh))
     k = rotate(k, rot)
     m, s = pack.occ.shape
@@ -401,8 +411,8 @@ def _attention_forward(a: np.ndarray, pack: _Packing, params: Params,
     return out, (a, qa, kta, va, ctx_tok)
 
 
-def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params,
-                        prefix: str, cfg: ModelConfig, grads: Params,
+def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
+                        params: Params, prefix: str, cfg: ModelConfig, grads: Params,
                         work: _Workspace) -> np.ndarray:
     """FlashAttention-2 backward over (window group, query block, key block) tiles.
 
@@ -436,7 +446,6 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
         d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
         d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
     inv = 1.0 / np.sqrt(dh)
-    rot = rotations(pack.off, dh)[:, None]
     d_q = rotate(d_qw[pack.win, :, pack.slot] * inv, rot, inverse=True)
     d_k = rotate(d_kw[pack.win, :, pack.slot], rot, inverse=True)
     d_v = d_vw[pack.win, :, pack.slot]
@@ -444,10 +453,10 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, params: Params
                for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)))
 
 
-def _block_forward(h: np.ndarray, pack: _Packing, params: Params,
+def _block_forward(h: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,
                    prefix: str, cfg: ModelConfig, work: _Workspace):
     a, ln1c = layer_norm_fwd(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    attn_out, attn_cache = _attention_forward(a, pack, params, prefix, cfg, work)
+    attn_out, attn_cache = _attention_forward(a, pack, rot, params, prefix, cfg, work)
     h1 = h + attn_out
     f, ln2c = layer_norm_fwd(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
@@ -456,8 +465,8 @@ def _block_forward(h: np.ndarray, pack: _Packing, params: Params,
     return h2, (ln1c, attn_cache, ln2c, f, u, cdf)
 
 
-def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, params: Params,
-                    prefix: str, cfg: ModelConfig, grads: Params,
+def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
+                    params: Params, prefix: str, cfg: ModelConfig, grads: Params,
                     work: _Workspace) -> np.ndarray:
     ln1c, attn_cache, ln2c, f, u, cdf = cache
     g = (0.5 * u) * (2.0 * cdf)          # gelu(u), bit for bit
@@ -468,7 +477,7 @@ def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, params: Params,
     grads[f"{prefix}.ln2.g"] += d_g2
     grads[f"{prefix}.ln2.b"] += d_b2
     d_h1 = d_h1 + d_h2
-    d_a = _attention_backward(d_h1, attn_cache, pack, params, prefix, cfg, grads, work)
+    d_a = _attention_backward(d_h1, attn_cache, pack, rot, params, prefix, cfg, grads, work)
     d_h, d_g1, d_b1 = layer_norm_vjp(d_a, ln1c)
     grads[f"{prefix}.ln1.g"] += d_g1
     grads[f"{prefix}.ln1.b"] += d_b1
@@ -498,7 +507,7 @@ def forward(tokens: np.ndarray, geometry: Geometry, params: Params,
     block_caches = []
     work = _Workspace()
     for prefix, pack in _blocks(geometry, cfg):
-        h, cache = _block_forward(h, pack, params, prefix, cfg, work)
+        h, cache = _block_forward(h, pack, geometry.rot, params, prefix, cfg, work)
         if train:
             block_caches.append(cache)
     m1 = h @ params["proj.1.w"] + params["proj.1.b"]
@@ -537,7 +546,7 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     d_h = _dense_vjp(d_m1, h, params, grads, "proj.1")
     work = _Workspace()
     for (prefix, pack), cache in zip(reversed(_blocks(geometry, cfg)), reversed(block_caches)):
-        d_h = _block_backward(d_h, cache, pack, params, prefix, cfg, grads, work)
+        d_h = _block_backward(d_h, cache, pack, geometry.rot, params, prefix, cfg, grads, work)
     grads["embed.w"] += tokens.T @ d_h
     grads["embed.b"] += d_h.sum(axis=0)
     return grads

@@ -1,15 +1,15 @@
-"""Rotary positional encoding on lattice offsets.
+"""Rotary positional encoding on lattice positions.
 
-The axis count comes from the offsets' width: 3 for integer cube offsets
-(u, v, w), 2 for the Cartesian ablation's real-valued (x, y) offsets, in
-units of the lattice spacing. Head channels are split as evenly as possible
-across the axes; within each axis block, channel pairs (2k, 2k+1) rotate by
-theta_k = offset * 10000^(-2k/D_c), with RoFormer's base (Su et al., 2021).
-Channels left over when the head dim is not divisible by the axis count
-pass through unrotated. Rotations are isometries, and because angles are
-linear in the offsets, query/key dot products depend only on offset
-differences. A rotation is one complex multiply: pair (x, y) read as
-x + iy, times e^(i theta).
+The axis count comes from the positions' width: 3 for integer cube
+coordinates (u, v, w), 2 for the Cartesian ablation's real-valued (x, y),
+in units of the lattice spacing. Head channels are split as evenly as
+possible across the axes; within each axis block, channel pairs (2k, 2k+1)
+rotate by theta_k = position * 10000^(-2k/D_c), with RoFormer's base (Su et
+al., 2021). Channels left over when the head dim is not divisible by the
+axis count pass through unrotated. Rotations are isometries, and because
+angles are linear in the positions, query/key dot products depend only on
+position differences. A rotation is one complex multiply: pair (x, y) read
+as x + iy, times e^(i theta).
 """
 
 from __future__ import annotations
@@ -30,14 +30,14 @@ def rope_angles(delta, per_axis: int) -> np.ndarray:
     return delta[..., None] * 10000.0 ** (-2.0 * np.arange(per_axis // 2) / per_axis)
 
 
-def rotations(offsets, head_dim: int) -> np.ndarray:
+def rotations(positions, head_dim: int) -> np.ndarray:
     """(..., n_axes * D_c / 2) complex e^(i theta) per rotated pair, axis block by block."""
-    offsets = np.asarray(offsets, dtype=np.float64)
-    if offsets.shape[-1:] not in ((2,), (3,)):
-        raise ShapeError(f"offsets last axis must be 2 or 3, got shape {offsets.shape}")
-    n_axes = offsets.shape[-1]
+    positions = np.asarray(positions, dtype=np.float64)
+    if positions.shape[-1:] not in ((2,), (3,)):
+        raise ShapeError(f"positions last axis must be 2 or 3, got shape {positions.shape}")
+    n_axes = positions.shape[-1]
     dc = per_axis(head_dim, n_axes)
-    theta = rope_angles(offsets, dc).reshape(offsets.shape[:-1] + (n_axes * dc // 2,))
+    theta = rope_angles(positions, dc).reshape(positions.shape[:-1] + (n_axes * dc // 2,))
     return np.cos(theta) + 1j * np.sin(theta)
 
 

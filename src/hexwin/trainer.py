@@ -109,9 +109,9 @@ def objective(out: ForwardOutput, ds: SpotDataset, rows: np.ndarray,
             grads.get("y_dev_hat"), grads.get("t_hat"))
 
 
-def _loss_and_grads(tokens, ds, rows, geometry, params, cfg, tcfg):
-    out = forward(tokens, geometry, params, cfg, train=True)
-    report, d_y_hat, d_y_dev, d_t_hat = objective(out, ds, rows, tcfg.weights)
+def _loss_and_grads(ds, rows, geometry, params, cfg, weights: LossWeights):
+    out = forward(ds.tokens, geometry, params, cfg, train=True)
+    report, d_y_hat, d_y_dev, d_t_hat = objective(out, ds, rows, weights)
     grads = backward(out, geometry, params, cfg, d_y_hat,
                      d_y_dev_hat=d_y_dev, d_t_hat=d_t_hat)
     # only the predictions outlive the step: the block caches are freed here,
@@ -155,8 +155,8 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
     eval_log: list[tuple[int, EvalReport]] = []
 
     for step in range(1, tcfg.steps + 1):
-        report, grads, y_hat = _loss_and_grads(ds.tokens, ds, train_idx, geometry,
-                                               params, cfg, tcfg)
+        report, grads, y_hat = _loss_and_grads(ds, train_idx, geometry, params, cfg,
+                                               tcfg.weights)
         if not np.isfinite(report.total):
             worst = max(params, key=lambda k: float(np.max(np.abs(params[k]))))
             raise NumericError(
@@ -200,7 +200,7 @@ def grad_check(ds: SpotDataset, cfg: ModelConfig, seed: int = 0) -> dict:
     All spots are training rows here. The relative error is
     ||g_analytic - g_fd|| / (||g_analytic|| + ||g_fd||) per group.
     """
-    tcfg = TrainConfig(steps=1, val_fraction=0.0, seed=seed)
+    weights = LossWeights()
     geometry = build_geometry(ds.coords, cfg)
     params = init_params(cfg, seed)
     # check at a generic point: the zero-bias init sits on a measure-zero
@@ -214,12 +214,12 @@ def grad_check(ds: SpotDataset, cfg: ModelConfig, seed: int = 0) -> dict:
                          f"differencing; keep the toy under 5000")
     rows = np.arange(ds.n_spots)
 
-    _, grads, _ = _loss_and_grads(ds.tokens, ds, rows, geometry, params, cfg, tcfg)
+    _, grads, _ = _loss_and_grads(ds, rows, geometry, params, cfg, weights)
 
     def total_loss(vec: np.ndarray) -> float:
         p = param_views(vec, params)
         out = forward(ds.tokens, geometry, p, cfg, train=True)
-        report, *_ = objective(out, ds, rows, tcfg.weights)
+        report, *_ = objective(out, ds, rows, weights)
         return report.total
 
     fd = param_views(finite_diff_grad(total_loss, params_to_vector(params)), params)

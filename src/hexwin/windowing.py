@@ -53,7 +53,7 @@ def shift_delta(scale: LatticeScale, radius: int, shift: int) -> np.ndarray:
 
 
 def shift_schedule(n_blocks: int) -> list[int]:
-    """Per-block shift ids within one stage; block 1 is always unshifted."""
+    """Per-block shift ids within one stage; block 0 is always unshifted."""
     return [b % 3 for b in range(n_blocks)]
 
 
@@ -61,9 +61,7 @@ def shift_schedule(n_blocks: int) -> list[int]:
 class WindowPartition:
     """Assignment of every spot to one (window, slot), plus packing masks.
 
-    cell_offsets are integer (dq, dr) offsets of each spot's cell from its
-    window center's cell; cart_offsets are the spot's Cartesian offset from
-    the window center in units of d_med. Windows without spots are dropped.
+    Windows without spots are dropped.
     """
 
     kind: str                    # "hex" or "square"
@@ -75,8 +73,6 @@ class WindowPartition:
     occupancy: np.ndarray        # (M, S) bool
     centers: np.ndarray          # (M, 2) float
     center_cells: np.ndarray     # (M, 2) int
-    cell_offsets: np.ndarray     # (N, 2) int
-    cart_offsets: np.ndarray     # (N, 2) float
 
     @property
     def dropped(self) -> np.ndarray:
@@ -168,24 +164,18 @@ def _resolve_collisions(win, slot, n_slots, keep_metric, strict):
     return win, slot
 
 
-def _finish_partition(kind, size, stage, block, coords, cells, scale,
-                      win, slot, n_slots, centers, center_cells, keep_metric,
-                      strict) -> WindowPartition:
-    """Resolve slot collisions, then attach each placed spot's cell and
-    Cartesian offsets from its window center. Every window keeps a spot."""
+def _finish_partition(kind, size, stage, block, win, slot, n_slots, centers,
+                      center_cells, keep_metric, strict) -> WindowPartition:
+    """Resolve slot collisions and mark the occupied slots. Every window
+    keeps a spot."""
     win, slot = _resolve_collisions(win, slot, n_slots, keep_metric, strict)
     valid = win >= 0
     occupancy = np.zeros((len(centers), n_slots), dtype=bool)
     occupancy[win[valid], slot[valid]] = True
-    cell_offsets = np.zeros((len(coords), 2), dtype=np.int64)
-    cart_offsets = np.zeros((len(coords), 2), dtype=np.float64)
-    cell_offsets[valid] = cells[valid] - center_cells[win[valid]]
-    cart_offsets[valid] = (coords[valid] - centers[win[valid]]) / scale.d_med
     return WindowPartition(kind=kind, size=size, stage=stage, block=block,
                            window_of_spot=win, slot_of_spot=slot,
                            occupancy=occupancy, centers=centers,
-                           center_cells=center_cells, cell_offsets=cell_offsets,
-                           cart_offsets=cart_offsets)
+                           center_cells=center_cells)
 
 
 def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
@@ -215,8 +205,8 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     slot_table = np.full((2 * radius + 1, 2 * radius + 1), -1, dtype=np.int64)
     slot_table[offsets[:, 0] + radius, offsets[:, 1] + radius] = np.arange(len(offsets))
     keep_metric = np.linalg.norm(coords - axial_to_cartesian(cells, scale), axis=1)
-    return _finish_partition("hex", radius, stage, block, coords, cells, scale,
-                             win, slot_table[off[:, 0] + radius, off[:, 1] + radius],
+    return _finish_partition("hex", radius, stage, block, win,
+                             slot_table[off[:, 0] + radius, off[:, 1] + radius],
                              len(offsets), centers, center_cells, keep_metric, strict)
 
 
@@ -242,17 +232,16 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     centers = scale.anchor + delta + (uniq + 0.5) * tile
     subcell_center = (tiles + (sub + 0.5) / grid) * tile + scale.anchor + delta
     keep_metric = np.linalg.norm(coords - subcell_center, axis=1)
-    return _finish_partition("square", side, stage, block, coords, cells, scale,
-                             win, sub[:, 1] * grid + sub[:, 0], grid * grid, centers,
-                             cells_for_points(centers, scale), keep_metric, strict)
+    return _finish_partition("square", side, stage, block, win, sub[:, 1] * grid + sub[:, 0],
+                             grid * grid, centers, cells_for_points(centers, scale),
+                             keep_metric, strict)
 
 
 def check_partition(part: WindowPartition, cells: np.ndarray) -> None:
     """Re-assert the partition invariants; raises CoverageError on violation."""
     cells = np.asarray(cells, dtype=np.int64)
     win, slot = part.window_of_spot, part.slot_of_spot
-    assigned = win >= 0
-    idx = np.flatnonzero(assigned)
+    idx = np.flatnonzero(win >= 0)
     w, sl = win[idx], slot[idx]
     m, s = part.occupancy.shape
     bad = idx[(w >= m) | (sl < 0) | (sl >= s)]
@@ -268,14 +257,8 @@ def check_partition(part: WindowPartition, cells: np.ndarray) -> None:
         raise CoverageError(f"occupancy mask does not cover spot {bad[0]}")
     if int(part.occupancy.sum()) != len(idx):
         raise CoverageError("occupancy marks slots with no spot")
-    if part.kind == "hex":
-        off = part.cell_offsets[assigned]
-        dist = hex_distance(off, np.zeros_like(off))
-        if np.any(dist > part.size):
-            raise CoverageError("slot offset exceeds window radius")
-    if len(win) and not np.array_equal(
-            part.cell_offsets[assigned], cells[assigned] - part.center_cells[win[assigned]]):
-        raise CoverageError("cell offsets inconsistent with window centers")
+    if part.kind == "hex" and np.any(hex_distance(cells[idx], part.center_cells[w]) > part.size):
+        raise CoverageError("slot offset exceeds window radius")
 
 
 def six_neighbor_pairs(cells: np.ndarray) -> np.ndarray:

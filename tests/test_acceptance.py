@@ -142,8 +142,7 @@ def test_criterion_3_partition_soundness():
                 check_partition(part, cells)
                 assert np.all(part.window_of_spot >= 0)
                 assert len(part.dropped) == 0
-                off = part.cell_offsets
-                dist = hex_distance(off, np.zeros_like(off))
+                dist = hex_distance(cells, part.center_cells[part.window_of_spot])
                 assert dist.max() <= radius
                 worst_margin = max(worst_margin, int(dist.max()))
     elapsed = time.time() - start

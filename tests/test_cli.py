@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexwin.cli import main
+from hexwin.cli import build_parser, main
 from hexwin.errors import InputError
 from hexwin.model import (ModelConfig, build_geometry, init_params, load_checkpoint,
                           save_checkpoint)
@@ -498,6 +498,25 @@ class TestExitCodes:
         size = radii[stage] if window == "hex" else 2 * radii[stage]
         assert f"{size} needs " in line and "over the budget of 65536" in line
 
+    @pytest.mark.parametrize("edit", [{"dim": 100000, "heads": 1}, {"blocks": 10 ** 9}],
+                             ids=["wide", "deep"])
+    @pytest.mark.parametrize("where", ["config", "header"])
+    def test_model_over_parameter_budget_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                                        edit, where):
+        # rejected on the config, before any parameter or layout entry exists
+        if where == "header":  # SMALL_MODEL already has one head
+            key, value = next(iter(edit.items()))
+            ckpt = self.edited_checkpoint(tmp_path, b'"%s":%d,' % (key.encode(), SMALL_MODEL[key]),
+                                          b'"%s":%d,' % (key.encode(), value))
+            argv = ["eval", "--dataset", str(dataset_dir), "--checkpoint", ckpt]
+        else:
+            argv = ["train", "--dataset", str(dataset_dir), "--out", str(tmp_path / "run"),
+                    "--config", write_config(tmp_path / "cfg.json",
+                                             model={**SMALL_MODEL, **edit})]
+        line = assert_invalid_input(capsys, argv)
+        assert re.search(r"model has \d+ parameters, over the budget of 67108864$", line), line
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("flags", [["--k", "300"], ["--k", "1000000"],
                                        ["--square-side", "1000000"]])
     def test_partition_over_slot_budget_is_usage_error(self, dataset_dir, tmp_path,
@@ -676,6 +695,17 @@ def test_readme_config_example_runs(tmp_path):
     assert main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
     assert main(["train", "--dataset", str(data), "--config", str(cfg), "--out", str(run),
                  "--steps", "1"]) == 0
+
+
+def test_readme_cli_commands_parse():
+    # every command in the ```sh block under "## CLI" must use only flags the parser takes
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [line.split("#")[0].split() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words for words in commands if words]
+    assert commands and all(words[0] == "hexwin" for words in commands)
+    for words in commands:
+        assert build_parser().parse_args(words[1:]).command == words[1]
 
 
 def test_idempotent_partition_outputs(dataset_dir, tmp_path):

@@ -15,7 +15,7 @@ from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_
                           params_to_vector, save_checkpoint, scale_and_cells,
                           zeros_like_params)
 from hexwin.numerics import finite_diff_grad, relative_error
-from hexwin.rope import axial_to_cube
+from hexwin.rope import axial_to_cube, rotations
 from hexwin.synth import SynthConfig, generate
 
 TINY = ModelConfig(in_dim=5, genes=3, dim=6, heads=1, stages=2, blocks=3,
@@ -98,10 +98,9 @@ class TestWindowAttention:
     def attend(a, win, offsets, params, cfg=TINY):
         """_attention_forward over windows `win` of rows `a`; returns (ctx, cache, pack)."""
         win = np.asarray(win, dtype=np.int64)
-        pack = model._compact_packing(win, np.arange(len(win)), int(win.max()) + 1,
-                                      np.asarray(offsets, dtype=np.float64))
-        _, cache = model._attention_forward(a, pack, params, "s0b0", cfg,
-                                            model._Workspace())
+        pack = model._compact_packing(win, np.arange(len(win)), int(win.max()) + 1)
+        _, cache = model._attention_forward(a, pack, rotations(offsets, cfg.head_dim)[:, None],
+                                            params, "s0b0", cfg, model._Workspace())
         return cache[4], cache, pack
 
     @staticmethod
@@ -302,15 +301,12 @@ class TestBackward:
 
 class TestCompactPacking:
     @staticmethod
-    def padded_geometry(geo, cfg):
+    def padded_geometry(geo):
         """The same geometry with every window packed to its full slot set."""
         def full(part, pack):
             if part is None:
                 return pack
-            off = (axial_to_cube(part.cell_offsets).astype(float)
-                   if cfg.pe == "hexrope" else part.cart_offsets)
-            return _Packing(win=part.window_of_spot, slot=part.slot_of_spot,
-                            occ=part.occupancy, off=off)
+            return _Packing(part.window_of_spot, part.slot_of_spot, part.occupancy)
         return dataclasses.replace(geo, packings=[
             [full(part, pack) for part, pack in zip(parts, packs)]
             for parts, packs in zip(geo.partitions, geo.packings)])
@@ -326,7 +322,7 @@ class TestCompactPacking:
                                   patterns=("boundary", "gradient", "noise")))
         params = generic_params(cfg, seed=12)
         geo = build_geometry(ds.coords, cfg)
-        padded = self.padded_geometry(geo, cfg)
+        padded = self.padded_geometry(geo)
         narrower = False
         for parts, packs in zip(geo.partitions[:-1], geo.packings[:-1]):
             for part, pack in zip(parts, packs):
@@ -356,6 +352,44 @@ class TestCompactPacking:
         for k in params:
             np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
                                        atol=1e-12, err_msg=k)
+
+
+@pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
+                                       ("square", "rope2d"), ("square", "hexrope")])
+def test_slide_rotation_matches_window_relative_offsets(window, pe):
+    """Rotating by each spot's slide position gives every windowed block the
+    attention that rotating by its offset from the window center gives:
+    RoPE scores depend only on position differences within a window."""
+    cfg = ModelConfig(in_dim=5, genes=3, dim=16, heads=2, stages=4, blocks=3,
+                      radii=(1, 2, 4), out_dim=4, t_dim=3, window=window, pe=pe)
+    ds = generate(SynthConfig(radius=10, jitter=0.05, dropout=0.05, seed=3, token_dim=5,
+                              transcriptomic_dim=3, patterns=("boundary", "noise")))
+    assert 290 <= ds.n_spots <= 331
+    scale, cells = scale_and_cells(ds.coords)
+    geo = build_geometry(ds.coords, cfg)
+    params = generic_params(cfg, seed=3)
+    rng = np.random.default_rng(5)
+    a = rng.normal(0, 1, (ds.n_spots, cfg.dim))
+    d_out = rng.normal(0, 1, (ds.n_spots, cfg.dim))
+
+    def attend(pack, rot, prefix):
+        out, cache = model._attention_forward(a, pack, rot, params, prefix, cfg,
+                                              model._Workspace())
+        grads = zeros_like_params(params)
+        d_a = model._attention_backward(d_out, cache, pack, rot, params, prefix, cfg,
+                                        grads, model._Workspace())
+        return [out, d_a] + [grads[k] for k in grads if k.startswith(f"{prefix}.attn.")]
+
+    prefixes = iter(model._block_prefixes(cfg))
+    for parts, packs in zip(geo.partitions[:-1], geo.packings[:-1]):
+        for part, pack in zip(parts, packs):
+            win = part.window_of_spot
+            off = (axial_to_cube(cells - part.center_cells[win]) if pe == "hexrope"
+                   else (ds.coords - part.centers[win]) / scale.d_med)
+            prefix = next(prefixes)
+            for got, want in zip(attend(pack, geo.rot, prefix),
+                                 attend(pack, rotations(off, cfg.head_dim)[:, None], prefix)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), prefix
 
 
 class TestQueryTiles:
@@ -619,6 +653,18 @@ def test_config_rejects_zero_sizes(field):
     """Non-positive sizes, and the shapes and names the model cannot build."""
     with pytest.raises(InputError):
         ModelConfig(**{"in_dim": 5, "genes": 3, **field})
+
+
+@pytest.mark.parametrize("cfg", [TINY, ModelConfig(in_dim=7, genes=5, t_dim=0),
+                                 ModelConfig(in_dim=3, genes=2, dim=12, heads=3, stages=1,
+                                             radii=(), window="square", pe="rope2d")])
+def test_parameter_budget_counts_the_layout(cfg):
+    n = sum(math.prod(shape) for _, shape in model.param_layout(cfg))
+    with mock.patch.object(model, "MAX_PARAMS", n):
+        dataclasses.replace(cfg)
+    with mock.patch.object(model, "MAX_PARAMS", n - 1), pytest.raises(
+            InputError, match=f"model has {n} parameters, over the budget of {n - 1}$"):
+        dataclasses.replace(cfg)
 
 
 def test_vector_round_trip():

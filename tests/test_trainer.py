@@ -38,8 +38,7 @@ class TestTrainLoop:
         params = init_params(CFG, 1)
         geometry = build_geometry(ds.coords, CFG)
         rows = np.arange(ds.n_spots)
-        _, grads, _ = _loss_and_grads(ds.tokens, ds, rows, geometry, params,
-                                      CFG, tcfg)
+        _, grads, _ = _loss_and_grads(ds, rows, geometry, params, CFG, tcfg.weights)
         for k in params:
             g = grads[k]
             m_hat = g * (1 - 0.9) / (1 - 0.9)
@@ -143,14 +142,13 @@ class TestGradCheck:
     def test_corrupted_gradient_fails(self):
         # negative control: a 1 percent error in one term must be caught
         ds, cfg = toy_grad_check_inputs(0)
-        tcfg = TrainConfig(steps=1, val_fraction=0.0, seed=0)
+        weights = LossWeights()
         geometry = build_geometry(ds.coords, cfg)
         params = init_params(cfg, 0)
         jig = np.random.default_rng(123)
         params = {k: v + jig.normal(0, 0.02, v.shape) for k, v in params.items()}
         rows = np.arange(ds.n_spots)
-        _, grads, _ = _loss_and_grads(ds.tokens, ds, rows, geometry, params,
-                                      cfg, tcfg)
+        _, grads, _ = _loss_and_grads(ds, rows, geometry, params, cfg, weights)
         corrupted = {k: v.copy() for k, v in grads.items()}
         corrupted["embed.w"] *= 1.01
 
@@ -162,7 +160,7 @@ class TestGradCheck:
         def total(vec):
             p = param_views(vec, params)
             out = forward(ds.tokens, geometry, p, cfg, train=True)
-            rep, *_ = objective(out, ds, rows, tcfg.weights)
+            rep, *_ = objective(out, ds, rows, weights)
             return rep.total
 
         fd = param_views(finite_diff_grad(total, params_to_vector(params)), params)

@@ -174,8 +174,8 @@ class TestCenters:
                 assert same_grouping(part.window_of_spot, first)
                 np.testing.assert_array_equal(part.centers[part.window_of_spot],
                                               centers[first])
-                np.testing.assert_array_equal(
-                    part.cell_offsets, cells - cells_for_points(centers[first], scale))
+                np.testing.assert_array_equal(part.center_cells[part.window_of_spot],
+                                              cells_for_points(centers[first], scale))
 
 
 class TestPartition:
@@ -225,8 +225,7 @@ class TestPartition:
                     check_partition(part, cells)
                     assigned = part.window_of_spot >= 0
                     assert assigned.all()
-                    off = part.cell_offsets
-                    assert hex_distance(off, np.zeros_like(off)).max() <= k
+                    assert hex_distance(cells, part.center_cells[part.window_of_spot]).max() <= k
 
     def test_strict_collision_raises(self):
         # two spots in the same cell
@@ -367,6 +366,9 @@ def test_check_partition_catches_tampering():
         (dict(slot_of_spot=edited(slot, 0, slot[0] - part.n_slots)), "spot 0 has"),
         (dict(slot_of_spot=edited(slot, i, slot[j])),
          rf"duplicate \(window, slot\) \({win[j]}, {slot[j]}\)"),
+        # a center moved by radius + 1 leaves its own spot outside the window
+        (dict(center_cells=edited(part.center_cells, win[j], cells[j] + (part.size + 1, 0))),
+         "slot offset exceeds window radius"),
     ]
     for changes, message in cases:
         with pytest.raises(CoverageError, match=message):
@@ -455,7 +457,9 @@ def test_partition_properties_on_random_lattices(radius, jitter, spacing, origin
     part = build(pts, cells, scale, size, shift, strict=False)
     check_partition(part, cells)
     if kind == "hex":
-        assert hex_distance(part.cell_offsets, np.zeros(2, dtype=int)).max() <= size
+        placed = part.window_of_spot >= 0
+        assert hex_distance(cells[placed],
+                            part.center_cells[part.window_of_spot[placed]]).max() <= size
     keys, centers, metric = oracle_assignment(pts, cells, scale, kind, size, shift)
     keep = {}
     for i, key in enumerate(keys):
