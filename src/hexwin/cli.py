@@ -1,7 +1,8 @@
 """Command-line entry point: generate, partition, train, eval, gradcheck, render.
 
 One JSON config file (sections "synth", "model", "train") drives the
-pipeline; individual flags override config fields, which override defaults.
+pipeline. A flag overrides the config field of the same name (--eval-every
+sets train.eval_every), and a config field overrides its default.
 Exit codes are stable for scripting: 0 success, 1 usage error, 2 I/O error,
 3 numeric or consistency failure.
 """
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,6 +33,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERIC = 3
 GRAD_TOL = 1e-4  # gradcheck passes iff the worst relative error is below this
+LOSS_TERMS = [f.name for f in fields(LossWeights)]
 
 
 class UsageError(Exception):
@@ -64,35 +67,27 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _synth_config(section: dict, seed: int | None) -> SynthConfig:
-    return config_from_dict(SynthConfig, section, "synth",
-                            **({} if seed is None else {"seed": seed}))
-
-
-def _model_config(section: dict, in_dim: int, genes: int, args) -> ModelConfig:
-    overrides = {key: getattr(args, key) for key in ("window", "pe")
-                 if getattr(args, key, None)}
-    return config_from_dict(ModelConfig, section, "model", in_dim=in_dim,
-                            genes=genes, **overrides)
+def _config(cls, section: dict, name: str, args, **fixed):
+    """cls from its config section: a given flag overrides the field its dest
+    names, and fixed overrides both."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls)
+             if getattr(args, f.name, None) is not None}
+    return config_from_dict(cls, section, name, **{**flags, **fixed})
 
 
 def _train_config(section: dict, args) -> TrainConfig:
-    overrides = {key: getattr(args, key)
-                 for key in ("steps", "lr", "seed", "eval_every")
-                 if getattr(args, key, None) is not None}
     off = [name.strip() for name in (args.loss_off or "").split(",") if name.strip()]
     for name in off:
-        if name not in ("mse", "pearson", "tfa", "dev"):
+        if name not in LOSS_TERMS:
             raise UsageError(f"unknown loss term {name!r} in --loss-off")
     section = dict(section)
     weights = config_from_dict(LossWeights, section.pop("weights", {}),
                                "train.weights", **dict.fromkeys(off, 0.0))
-    return config_from_dict(TrainConfig, section, "train", weights=weights,
-                            **overrides)
+    return _config(TrainConfig, section, "train", args, weights=weights)
 
 
 def cmd_generate(args) -> int:
-    cfg = _synth_config(_load_config(args.config).get("synth", {}), args.seed)
+    cfg = _config(SynthConfig, _load_config(args.config).get("synth", {}), "synth", args)
     ds = generate(cfg)
     save_dataset(ds, args.out)
     print(f"wrote {ds.n_spots} spots x {ds.n_genes} genes to {args.out}")
@@ -125,8 +120,8 @@ def cmd_train(args) -> int:
     ds = load_dataset(args.dataset)
     raw = _load_config(args.config)
     t_width = 0 if ds.transcriptomic is None else ds.transcriptomic.shape[1]
-    mcfg = _model_config({"t_dim": t_width, **raw.get("model", {})},
-                         ds.tokens.shape[1], ds.n_genes, args)
+    mcfg = _config(ModelConfig, {"t_dim": t_width, **raw.get("model", {})}, "model",
+                   args, in_dim=ds.tokens.shape[1], genes=ds.n_genes)
     if mcfg.t_dim not in (0, t_width):
         raise InputError(f"model.t_dim {mcfg.t_dim} differs from the dataset's "
                          f"transcriptomic width {t_width}")
@@ -253,7 +248,7 @@ def build_parser() -> _Parser:
     p.add_argument("--window", choices=("hex", "square"))
     p.add_argument("--pe", choices=("hexrope", "rope2d"))
     p.add_argument("--loss-off", dest="loss_off",
-                   help="comma list from mse,pearson,tfa,dev to disable")
+                   help=f"comma list from {','.join(LOSS_TERMS)} to disable")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

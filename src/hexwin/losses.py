@@ -9,7 +9,7 @@ its analytic gradient certified against the central finite-difference oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class LossWeights:
     dev: float = 0.1
 
     def __post_init__(self):
-        if not all(0.0 <= w < np.inf for w in (self.mse, self.pearson, self.tfa, self.dev)):
+        if not all(0.0 <= w < np.inf for w in astuple(self)):
             raise InputError("loss weights must be finite and nonnegative")
 
 

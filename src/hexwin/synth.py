@@ -29,7 +29,6 @@ PATTERN_KINDS = ("boundary", "gradient", "sparse", "noise")
 @dataclass(frozen=True)
 class SynthConfig:
     radius: int = 10
-    spacing: float = 1.0
     jitter: float = 0.0          # Gaussian sigma per axis, fraction of spacing
     dropout: float = 0.0
     patterns: tuple[str, ...] = ("boundary", "gradient", "sparse", "noise")
@@ -44,8 +43,8 @@ class SynthConfig:
     max_spots: int = 0           # 0 keeps everything
 
     def __post_init__(self):
-        if self.radius < 0 or self.spacing <= 0.0:
-            raise InputError("radius must be >= 0 and spacing positive")
+        if self.radius < 0:
+            raise InputError("radius must be >= 0")
         if not 0.0 <= self.jitter < 0.3:
             raise InputError("jitter must lie in [0, 0.3) to keep cells unambiguous")
         if not 0.0 <= self.dropout < 1.0:
@@ -107,20 +106,20 @@ def hex_patch_cells(radius: int) -> np.ndarray:
     return cells[np.argsort(hex_distance(cells, np.zeros(2)), kind="stable")]
 
 
-def _lattice_positions(cells: np.ndarray, spacing: float) -> np.ndarray:
+def _lattice_positions(cells: np.ndarray) -> np.ndarray:
     q = cells[:, 0].astype(np.float64)
     r = cells[:, 1].astype(np.float64)
-    return np.stack([spacing * (q + 0.5 * r), spacing * (SQRT3 / 2.0) * r], axis=1)
+    return np.stack([q + 0.5 * r, (SQRT3 / 2.0) * r], axis=1)
 
 
 def generate(cfg: SynthConfig) -> SpotDataset:
     """Build the synthetic dataset described by cfg."""
     rng = np.random.default_rng(cfg.seed)
     cells = hex_patch_cells(cfg.radius)
-    true_pos = _lattice_positions(cells, cfg.spacing)
+    true_pos = _lattice_positions(cells)
     n_all = len(cells)
 
-    coords = true_pos + rng.normal(0.0, cfg.jitter * cfg.spacing, size=(n_all, 2))
+    coords = true_pos + rng.normal(0.0, cfg.jitter, size=(n_all, 2))
     keep = rng.random(n_all) >= cfg.dropout
     if not keep.any():
         raise InputError("dropout removed every spot")
@@ -233,8 +232,14 @@ def load_dataset(indir: str) -> SpotDataset:
             raise InputError(f"{path}: spot {r[0]!r} has {len(r)} fields, "
                              f"the header has {len(header)}")
     gene_names = header[3:]
-    spot_ids = [r[0] for r in rows[1:]]
     seen: set[str] = set()
+    for name in gene_names:  # render writes <out>/<name>.ppm
+        if not name or not name.isprintable() or "/" in name or name in seen:
+            raise InputError(f"{path}: gene {name!r}: gene names must be non-empty, "
+                             f"printable, unique and free of '/'")
+        seen.add(name)
+    spot_ids = [r[0] for r in rows[1:]]
+    seen = set()
     for sid in spot_ids:
         if sid in seen:
             raise InputError(f"{path}: duplicate spot id {sid!r}")

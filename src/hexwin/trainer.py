@@ -9,7 +9,7 @@ seed: step logs are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -59,12 +59,11 @@ class TrainResult:
         return len(self.log_lines) - 1
 
 
-LOG_HEADER = "step\tmse\tpearson\ttfa\tdev\ttotal"
+LOG_HEADER = "\t".join(["step", *(f.name for f in fields(LossReport))])
 
 
 def format_log_line(step: int, report: LossReport) -> str:
-    return (f"{step}\t{report.mse!r}\t{report.pearson!r}\t{report.tfa!r}"
-            f"\t{report.dev!r}\t{report.total!r}")
+    return "\t".join([str(step), *map(repr, astuple(report))])
 
 
 def split_indices(n: int, val_fraction: float, seed: int):
@@ -91,7 +90,7 @@ def objective(out: ForwardOutput, ds: SpotDataset, rows: np.ndarray,
         raise InputError("objective needs a training-mode forward")
     if weights.tfa != 0.0 and out.t_hat is not None and ds.transcriptomic is None:
         raise InputError("alignment loss enabled but the dataset has no transcriptomic embeddings")
-    y, values = ds.expression, dict.fromkeys(("mse", "pearson", "tfa", "dev"), 0.0)
+    y, values = ds.expression, dict.fromkeys(asdict(weights), 0.0)
     grads = {"y_hat": np.zeros_like(out.y_hat)}  # other heads get one at their first term
     for term, loss, head, target in (
             ("mse", loss_mse_grad, "y_hat", y), ("pearson", loss_pearson_grad, "y_hat", y),
@@ -159,10 +158,9 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
                                                tcfg.weights)
         if not np.isfinite(report.total):
             worst = max(params, key=lambda k: float(np.max(np.abs(params[k]))))
-            raise NumericError(
-                f"non-finite loss at step {step}: mse={report.mse} "
-                f"pearson={report.pearson} tfa={report.tfa} dev={report.dev}; "
-                f"largest-magnitude parameter group {worst}")
+            terms = " ".join(f"{f.name}={getattr(report, f.name)}" for f in fields(tcfg.weights))
+            raise NumericError(f"non-finite loss at step {step}: {terms}; "
+                               f"largest-magnitude parameter group {worst}")
         log_lines.append(format_log_line(step, report))
         if report.total < best_total:
             best_total = report.total

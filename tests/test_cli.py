@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexwin.cli import build_parser, main
+from hexwin.cli import _config, _train_config, build_parser, main
 from hexwin.errors import InputError
 from hexwin.model import (ModelConfig, build_geometry, init_params, load_checkpoint,
                           save_checkpoint)
 from hexwin.render import MAX_WIDTH, draw_spots
-from hexwin.synth import SpotDataset, load_dataset, save_dataset
+from hexwin.synth import SpotDataset, SynthConfig, load_dataset, save_dataset
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -53,7 +53,8 @@ SMALL_MODEL = {"dim": 6, "heads": 1, "stages": 2, "blocks": 2, "radii": [1],
 # the message a case's rejection must carry, by test case id
 NAMED_FIELD = {"scalar-radii": "model.radii must be tuple[int, ...], got 3",
                "string-patterns": "synth.patterns must be tuple[str, ...], got 'sparse'",
-               "fortran-order": "tokens.json: need dtype '<f8', order 'C'"}
+               "fortran-order": "tokens.json: need dtype '<f8', order 'C'",
+               "retired-spacing": "unknown synth config key(s) spacing;"}
 
 
 def assert_invalid_input(capsys, argv):
@@ -417,11 +418,12 @@ class TestExitCodes:
         {"token_noise": -0.5}, {"transcriptomic_dim": -1}, {"max_spots": -3},
         {"token_dim": 0}, {"token_dim": -1}, {"patterns": []},
         {"boundary_high": float("nan")}, {"patterns": "sparse"}, {"jitt\r": 0.02},
+        {"spacing": 1.0},
     ], ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one",
             "negative-expression-noise", "negative-token-noise",
             "negative-transcriptomic-dim", "negative-max-spots", "zero-token-dim",
             "negative-token-dim", "no-patterns", "nan-boundary-high", "string-patterns",
-            "carriage-return-key"])
+            "carriage-return-key", "retired-spacing"])
     def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit, request):
         cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, **edit})
         line = assert_invalid_input(capsys, ["generate", "--config", cfg,
@@ -684,6 +686,57 @@ class TestExitCodes:
                                             "--out", str(tmp_path / "p.tsv")])
         assert f"duplicate spot id {first!r}" in err
 
+    @pytest.mark.parametrize("name", ["../../escaped", "g\0", "g\rx", "g000_boundary", ""],
+                             ids=["parent-dir", "nul-byte", "carriage-return", "duplicate",
+                                  "empty"])
+    def test_bad_gene_name_writes_nothing(self, dataset_dir, tmp_path, capsys, name):
+        # render writes <out>/<gene>.ppm: a gene name may not lead out of
+        # --out, fail to name a file or overwrite another gene's image
+        path = dataset_dir / "spots.tsv"
+        header, rows = path.read_text().split("\n", 1)
+        path.write_text("\t".join(header.split("\t")[:-1] + [name]) + "\n" + rows)
+        before = sorted(tmp_path.rglob("*"))
+        line = assert_invalid_input(capsys, ["render", "--dataset", str(dataset_dir),
+                                             "--source", "truth",
+                                             "--out", str(tmp_path / "heat" / "maps")])
+        assert sorted(tmp_path.rglob("*")) == before
+        if name != "g\rx":  # text mode ends the header line at the \r
+            assert f"{path}: gene {name!r}: gene names must be" in line
+
+    def test_unknown_loss_term_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        capsys.readouterr()
+        assert main(["train", "--dataset", str(dataset_dir), "--out", str(tmp_path / "run"),
+                     "--loss-off", "tfa,nope"]) == 1
+        assert capsys.readouterr().err == "usage error: unknown loss term 'nope' in --loss-off\n"
+        assert not (tmp_path / "run").exists()
+
+
+# the config helper each command calls; in_dim and genes come from the dataset
+CONFIG_BUILDERS = {
+    "synth": lambda section, args: _config(SynthConfig, section, "synth", args),
+    "model": lambda section, args: _config(ModelConfig, section, "model", args,
+                                           in_dim=5, genes=3),
+    "train": _train_config,
+}
+
+
+# each flag, the config field it overrides, a config-file value for that
+# field other than its default, and a flag value other than both
+@pytest.mark.parametrize("command,flag,section,field,in_file,given", [
+    ("generate", "--seed", "synth", "seed", 2, "7"),
+    ("train", "--seed", "train", "seed", 2, "7"),
+    ("train", "--steps", "train", "steps", 5, "3"),
+    ("train", "--lr", "train", "lr", 0.25, "0.5"),
+    ("train", "--eval-every", "train", "eval_every", 6, "4"),
+    ("train", "--window", "model", "window", "square", "hex"),
+    ("train", "--pe", "model", "pe", "rope2d", "hexrope"),
+])
+def test_flag_overrides_the_field_it_names(command, flag, section, field, in_file, given):
+    argv = [command, "--out", "o"] + ["--dataset", "d"] * (command == "train")
+    for extra, want in (([flag, given], type(in_file)(given)), ([], in_file)):
+        args = build_parser().parse_args(argv + extra)
+        assert getattr(CONFIG_BUILDERS[section]({field: in_file}, args), field) == want
+
 
 def test_readme_config_example_runs(tmp_path):
     # the JSON block under "### Config file" must name only keys the code accepts
@@ -731,10 +784,17 @@ def fuzz_base(tmp_path_factory):
 # each target file and the command run on it after its mutation
 FUZZ_TARGETS = [("run/checkpoint.bin", "eval"), ("data/tokens.json", "eval"),
                 ("data/tokens.bin", "eval"), ("data/transcriptomic.json", "eval"),
-                ("data/spots.tsv", "eval"), ("cfg.json", "train"), ("cfg.json", "generate")]
+                ("data/spots.tsv", "eval"), ("cfg.json", "train"), ("cfg.json", "generate"),
+                ("data/spots.tsv", "render")]
 FUZZ_ARGV = {"eval": "eval --dataset {w}/data --checkpoint {w}/run/checkpoint.bin",
              "train": "train --dataset {w}/data --config {w}/cfg.json --steps 1 --out {w}/out",
-             "generate": "generate --config {w}/cfg.json --out {w}/out"}
+             "generate": "generate --config {w}/cfg.json --out {w}/out",
+             "render": "render --dataset {w}/data --source truth --out {w}/out"}
+
+
+def file_bytes(root: Path) -> dict:
+    """The bytes of every file under root, by path."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def json_addresses(node, path=()):
@@ -778,7 +838,8 @@ def mutate(blob: bytes, is_json: bool, data) -> bytes:
 @given(data=st.data())
 def test_mutated_inputs_exit_with_one_line(fuzz_base, data):
     """A corrupted input file ends in a documented exit code with one stderr
-    line, never in an escaped exception or a warning."""
+    line, never in an escaped exception or a warning, and no file outside
+    --out is created or changed."""
     target, command = data.draw(st.sampled_from(FUZZ_TARGETS), label="target")
     with tempfile.TemporaryDirectory(dir=fuzz_base) as work:
         for name in ("cfg.json", "data", "run"):
@@ -789,10 +850,13 @@ def test_mutated_inputs_exit_with_one_line(fuzz_base, data):
             blob = fh.read()
         with open(path, "wb") as fh:
             fh.write(mutate(blob, path.endswith(".json"), data))
+        before = file_bytes(fuzz_base)
         out, err = io.StringIO(), io.StringIO()
         with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
               contextlib.redirect_stderr(err)):
             warnings.simplefilter("error")
             code = main(FUZZ_ARGV[command].format(w=work).split())
+        after = file_bytes(fuzz_base)
+        assert {p: b for p, b in after.items() if Path(work, "out") not in p.parents} == before
     assert code in (0, 1, 2, 3)
     assert code == 0 or len(err.getvalue().strip().splitlines()) == 1, err.getvalue()

@@ -502,10 +502,15 @@ class TestQueryTiles:
         if budget >= heads:
             assert max(cells) <= budget
 
-    def test_tiled_gradient_vs_finite_differences(self, monkeypatch):
+    def test_one_cell_tiles_match_one_tile(self, monkeypatch):
+        # the slide, config and point TestBackward certifies against central
+        # differences (hex-hexrope): tiles of one query row by one key give the
+        # one-tile pass to 1e-12, so they inherit that certificate
         ds = tiny_dataset(seed=9, n=12)
+        params = generic_params(TINY, seed=9)
         geo = build_geometry(ds.coords, TINY)
-        # tiles of one query row by one key
+        monkeypatch.setattr(model, "TILE_CELLS", 1 << 40)
+        ref, ref_grads = forward_and_grads(TINY, ds, geo, params)
         monkeypatch.setattr(model, "TILE_CELLS", 1)
         for row in geo.packings:
             for pack in row:
@@ -513,7 +518,13 @@ class TestQueryTiles:
                 first = model._tiles(m, s, TINY.heads)[0]
                 assert [sl.stop for sl in first] == [1, 1, 1]
                 assert self.tile_count(pack, TINY.heads) >= 3
-        assert worst_gradient_error(TINY, ds, generic_params(TINY, seed=9)) < 1e-4
+        out, grads = forward_and_grads(TINY, ds, geo, params)
+        for name in ("z", "y_hat", "y_dev_hat", "t_hat"):
+            np.testing.assert_allclose(getattr(out, name), getattr(ref, name),
+                                       rtol=1e-12, atol=1e-12)
+        for k in params:
+            np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
+                                       atol=1e-12, err_msg=k)
 
 
 class TestExpBound:

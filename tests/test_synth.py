@@ -149,6 +149,16 @@ class TestDatasetIo:
         assert header[:3] == ["spot_id", "x", "y"]
         assert header[3:] == ds.gene_names
 
+    def test_crlf_spots_file_loads_the_same(self, tmp_path):
+        # text mode reads \r\n as a line end: the last gene name keeps no \r
+        ds = generate(SynthConfig(radius=1, patterns=("boundary", "noise")))
+        save_dataset(ds, str(tmp_path))
+        path = tmp_path / "spots.tsv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        back = load_dataset(str(tmp_path))
+        assert back.gene_names == ds.gene_names
+        np.testing.assert_array_equal(back.expression, ds.expression)
+
     def test_optional_transcriptomic(self, tmp_path):
         ds = generate(SynthConfig(radius=1, transcriptomic_dim=0))
         assert ds.transcriptomic is None
