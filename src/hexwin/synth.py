@@ -204,10 +204,9 @@ def save_dataset(ds: SpotDataset, outdir: str) -> None:
     """Write spots.tsv plus binary token / transcriptomic containers."""
     os.makedirs(outdir, exist_ok=True)
     header = "spot_id\tx\ty\t" + "\t".join(ds.gene_names)
-    lines = [header]
-    for i, sid in enumerate(ds.spot_ids):
-        vals = "\t".join(repr(float(v)) for v in ds.expression[i])
-        lines.append(f"{sid}\t{float(ds.coords[i, 0])!r}\t{float(ds.coords[i, 1])!r}\t{vals}")
+    rows = np.hstack([ds.coords, ds.expression], dtype=np.float64).tolist()
+    lines = [header] + [sid + "\t" + "\t".join(map(repr, row))
+                        for sid, row in zip(ds.spot_ids, rows)]
     with open(os.path.join(outdir, "spots.tsv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_matrix(os.path.join(outdir, "tokens"), ds.tokens)
@@ -217,9 +216,11 @@ def save_dataset(ds: SpotDataset, outdir: str) -> None:
 
 def load_dataset(indir: str) -> SpotDataset:
     path = os.path.join(indir, "spots.tsv")
-    with open(path) as fh:
+    # lines end at \n alone, so a lone \r stays inside its field; CRLF loses its \r
+    with open(path, newline="\n") as fh:
         try:
-            rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+            rows = [line.rstrip("\n").removesuffix("\r").split("\t")
+                    for line in fh if line.strip()]
         except UnicodeDecodeError as exc:
             raise InputError(f"{path}: {exc}") from None
     header = rows[0] if rows else []

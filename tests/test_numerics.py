@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.special import erf, logsumexp
+from scipy.special import erf as scipy_erf
+from scipy.special import logsumexp
 
+import hexwin
 from hexwin.errors import NumericError, ShapeError
-from hexwin.numerics import (finite_diff_grad, gelu, gelu_vjp,
+from hexwin.numerics import (ERF_BLOCK, erf, finite_diff_grad, gelu, gelu_vjp,
                              layer_norm_fwd, layer_norm_vjp, masked_softmax,
                              masked_softmax_vjp, relative_error)
 
@@ -200,6 +207,46 @@ class TestFiniteDiff:
             finite_diff_grad(lambda x: float("nan"), np.zeros(2))
 
 
+class TestErf:
+    SPECIALS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300,
+                1.0, -1.0, np.nextafter(1.0, 2.0), 8.0, -8.0, 26.6, 30.0, -31.0]
+
+    def test_within_one_ulp_of_scipy(self):
+        # scipy's erf is the oracle: a grid over [-40, 40], N(0, 3) draws and
+        # the special values, with no floating-point warning on the way
+        rng = np.random.default_rng(0)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 2_000_001), rng.normal(0, 3, 1_000_000),
+                            self.SPECIALS])
+        with np.errstate(all="raise", under="ignore"):
+            got = erf(x)
+        ref = scipy_erf(x)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+        both = ~np.isnan(ref)
+        assert np.all(np.abs(got - ref)[both] <= np.spacing(np.abs(ref[both])))
+        assert np.mean(got.view(np.int64) == ref.view(np.int64)) >= 0.999
+        np.testing.assert_array_equal(np.signbit(got[both]), np.signbit(ref[both]))
+
+    def test_shapes_and_blocks(self):
+        # more entries, and more |z| > 1 entries, than one block holds
+        x = np.random.default_rng(1).normal(0, 4, (3, 7, ERF_BLOCK // 14 + 5))
+        assert np.count_nonzero(np.abs(x) > 1.0) > ERF_BLOCK
+        np.testing.assert_array_equal(erf(x), erf(x.ravel()).reshape(x.shape))
+        np.testing.assert_array_equal(erf(x[:, ::2].T), erf(x[:, ::2]).T)
+        assert erf(np.empty((0, 4))).shape == (0, 4)
+        assert erf(np.float64(0.5)).shape == ()
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only oracle: the package and its CLI import numpy alone
+    src = str(Path(hexwin.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", "import sys, hexwin, hexwin.cli; "
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout == "[]\n"
+
+
 class TestGelu:
     def test_known_values(self):
         np.testing.assert_allclose(gelu(np.zeros(3))[0], np.zeros(3), atol=0)
@@ -218,7 +265,8 @@ class TestGelu:
 
     def test_cdf_reuse_is_bitwise(self):
         # gelu and its vjp from a kept CDF equal the formulas that take erf
-        # in each pass, bit for bit, out to where the CDF saturates
+        # in each pass, bit for bit, out to where the CDF saturates; the erf is
+        # hexwin's, as this pins CDF reuse, not one erf's bits
         rng = np.random.default_rng(7)
         x = rng.normal(0, 3, (318, 128))
         x[0, :4] = (-40.0, -30.0, 30.0, 40.0)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -149,15 +151,47 @@ class TestDatasetIo:
         assert header[:3] == ["spot_id", "x", "y"]
         assert header[3:] == ds.gene_names
 
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # sha256 of what save_dataset wrote for this seeded slide when each
+        # value was formatted as repr(float(v)); the format may not drift
+        save_dataset(generate(SynthConfig(radius=3, jitter=0.03, dropout=0.1, seed=4)),
+                     str(tmp_path))
+        pinned = {
+            "spots.tsv": "9cf78816dfea1b098d9be8a65f627bdbb482dfeaed072ae433ca0d4fdfd72e7f",
+            "tokens.bin": "978dd69c9f4e399c1440bd13c33e649ec66b34e0f15c8085edea428ccbe37ad2",
+            "tokens.json": "ada9fa31d240a8e15c0ea3d26ea25be00d1e97d50f0c16cc9d47786548b20eca",
+            "transcriptomic.bin":
+                "5bad1ad49ad7071e6d668b78293228e22f279100848f5b5107e70af9ea2323d7",
+            "transcriptomic.json":
+                "ada9fa31d240a8e15c0ea3d26ea25be00d1e97d50f0c16cc9d47786548b20eca",
+        }
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(pinned)
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_crlf_spots_file_loads_the_same(self, tmp_path):
-        # text mode reads \r\n as a line end: the last gene name keeps no \r
+        # one trailing \r per line is a line end's: no field keeps it
         ds = generate(SynthConfig(radius=1, patterns=("boundary", "noise")))
-        save_dataset(ds, str(tmp_path))
-        path = tmp_path / "spots.tsv"
+        save_dataset(ds, str(tmp_path / "lf"))
+        save_dataset(ds, str(tmp_path / "crlf"))
+        path = tmp_path / "crlf" / "spots.tsv"
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        back = load_dataset(str(tmp_path))
-        assert back.gene_names == ds.gene_names
-        np.testing.assert_array_equal(back.expression, ds.expression)
+        lf, crlf = load_dataset(str(tmp_path / "lf")), load_dataset(str(tmp_path / "crlf"))
+        assert (crlf.spot_ids, crlf.gene_names) == (lf.spot_ids, lf.gene_names)
+        for name in ("coords", "expression", "tokens", "transcriptomic"):
+            np.testing.assert_array_equal(getattr(crlf, name), getattr(lf, name))
+
+    def test_lone_carriage_return_stays_in_its_field(self, tmp_path):
+        # a \r inside the header is no line end: the gene check names the gene
+        save_dataset(generate(SynthConfig(radius=1, patterns=("boundary", "noise"))),
+                     str(tmp_path))
+        path = tmp_path / "spots.tsv"
+        header, rows = path.read_text().split("\n", 1)
+        fields = header.split("\t")
+        fields[3] = "g0\rx"
+        path.write_bytes(("\t".join(fields) + "\n" + rows).encode())
+        with pytest.raises(InputError, match=r"gene 'g0\\rx': gene names must be"):
+            load_dataset(str(tmp_path))
 
     def test_optional_transcriptomic(self, tmp_path):
         ds = generate(SynthConfig(radius=1, transcriptomic_dim=0))
