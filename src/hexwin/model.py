@@ -361,6 +361,17 @@ def _dense_vjp(d_out: np.ndarray, x: np.ndarray, params: Params, grads: Params,
     return d_out @ params[f"{name}.w"].T
 
 
+def _windows(q: np.ndarray, k: np.ndarray, v: np.ndarray, neg_c, pack: _Packing):
+    """[q | -c], [K^T; occ] and [V | occ] windows of (N, H, dh) token rows; -c is neg_c."""
+    (m, s), dh = pack.occ.shape, q.shape[2]
+    qa, va = _to_windows(q, pack), _to_windows(v, pack)
+    qa[pack.win, :, pack.slot, dh] = neg_c
+    kta = np.zeros((m, q.shape[1], dh + 1, s))
+    kta[pack.win, :, :dh, pack.slot] = k
+    kta[:, :, dh] = va[..., dh] = pack.occ[:, None]
+    return qa, kta, va
+
+
 def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,
                        prefix: str, cfg: ModelConfig, work: _Workspace):
     """Multi-head attention within each packed window; returns (out, cache).
@@ -382,15 +393,9 @@ def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: P
                .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
     q = rotate(q, rot) * (1.0 / np.sqrt(dh))
     k = rotate(k, rot)
-    m, s = pack.occ.shape
-    qa = _to_windows(q, pack)                      # [q | -c], then [q | -LSE]
-    kta = np.zeros((m, cfg.heads, dh + 1, s))      # [K^T; occ]
-    kta[pack.win, :, :dh, pack.slot] = k
-    kta[:, :, dh] = pack.occ[:, None]
-    va = _to_windows(v, pack)                      # [V | occ]
-    va[..., dh] = pack.occ[:, None]
+    qa, kta, va = _windows(q, k, v, 0.0, pack)     # qa is [q | -c], then [q | -LSE]
     ctx = np.zeros_like(va)                        # [numerator | row sum]
-    tiles = _tiles(m, s, cfg.heads)
+    tiles = _tiles(*pack.occ.shape, cfg.heads)
     # Cauchy-Schwarz: no score of the block exceeds this bound in magnitude
     if math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k))) > EXP_LIMIT:
         peak = np.full(qa.shape[:3], -np.inf)
@@ -408,14 +413,16 @@ def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: P
     ctx[..., :dh] /= ctx[..., dh:]
     ctx_tok = ctx[pack.win, :, pack.slot, :dh].reshape(n, cfg.dim)
     out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    return out, (a, qa, kta, va, ctx_tok)
+    return out, (q, k, v, qa[pack.win, :, pack.slot, dh], ctx_tok)
 
 
-def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
-                        params: Params, prefix: str, cfg: ModelConfig, grads: Params,
-                        work: _Workspace) -> np.ndarray:
+def _attention_backward(d_out: np.ndarray, a: np.ndarray, cache, pack: _Packing,
+                        rot: np.ndarray, params: Params, prefix: str, cfg: ModelConfig,
+                        grads: Params, work: _Workspace) -> np.ndarray:
     """FlashAttention-2 backward over (window group, query block, key block) tiles.
 
+    An empty query slot's -LSE is 0 here, not forward's -log(row sum), but
+    its dCtx row and -D are 0, so every tile term it enters is exactly 0.
     A tile's weights are P = exp([q | -LSE] [K^T; occ]) = exp(S - LSE), built
     as in forward, and dS = P * ([dCtx | -D] [V^T; occ]) = P * (dP - D) with
     the softmax vjp's row term D = rowsum(dCtx * Ctx), taken once per block
@@ -423,12 +430,13 @@ def _attention_backward(d_out: np.ndarray, cache, pack: _Packing, rot: np.ndarra
     passes (exp and one multiply) and adds only into its own rows of dQ and
     its own keys of dK and dV.
     """
-    a, qa, kta, va, ctx_tok = cache
+    q, k, v, neg_lse, ctx_tok = cache
     n, dh = len(a), cfg.head_dim
     d_ctx_tok = _dense_vjp(d_out, ctx_tok, params, grads,
                            f"{prefix}.attn.o").reshape(n, cfg.heads, dh)
     dca = _to_windows(d_ctx_tok, pack)             # [dCtx | -D]
     dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx_tok, ctx_tok.reshape(n, cfg.heads, dh))
+    qa, kta, va = _windows(q, k, v, neg_lse, pack)
     vta = _transposed(va)                          # [V^T; occ]
     kw = _transposed(kta[:, :, :dh])               # K: dQ's matmul is slower on a strided view
     m, s = pack.occ.shape
@@ -462,13 +470,15 @@ def _block_forward(h: np.ndarray, pack: _Packing, rot: np.ndarray, params: Param
     u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
     g, cdf = gelu(u)
     h2 = h1 + g @ params[f"{prefix}.ffn.2.w"] + params[f"{prefix}.ffn.2.b"]
-    return h2, (ln1c, attn_cache, ln2c, f, u, cdf)
+    return h2, (ln1c, attn_cache, ln2c, cdf)
 
 
 def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
                     params: Params, prefix: str, cfg: ModelConfig, grads: Params,
                     work: _Workspace) -> np.ndarray:
-    ln1c, attn_cache, ln2c, f, u, cdf = cache
+    ln1c, attn_cache, ln2c, cdf = cache
+    f = ln2c[0] * params[f"{prefix}.ln2.g"] + params[f"{prefix}.ln2.b"]
+    u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
     g = (0.5 * u) * (2.0 * cdf)          # gelu(u), bit for bit
     d_g = _dense_vjp(d_h2, g, params, grads, f"{prefix}.ffn.2")
     d_u = gelu_vjp(d_g, u, cdf)
@@ -477,7 +487,8 @@ def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
     grads[f"{prefix}.ln2.g"] += d_g2
     grads[f"{prefix}.ln2.b"] += d_b2
     d_h1 = d_h1 + d_h2
-    d_a = _attention_backward(d_h1, attn_cache, pack, rot, params, prefix, cfg, grads, work)
+    a = ln1c[0] * params[f"{prefix}.ln1.g"] + params[f"{prefix}.ln1.b"]
+    d_a = _attention_backward(d_h1, a, attn_cache, pack, rot, params, prefix, cfg, grads, work)
     d_h, d_g1, d_b1 = layer_norm_vjp(d_a, ln1c)
     grads[f"{prefix}.ln1.g"] += d_g1
     grads[f"{prefix}.ln1.b"] += d_b1
@@ -529,6 +540,11 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
              d_t_hat: np.ndarray | None = None) -> Params:
     """Reverse-mode gradients for every parameter, given each head's upstream
     gradient; deviation-head gradients flow through the batch centering.
+
+    A block caches each norm's (xhat, inv), the rotated q, k, v, -LSE and
+    context as token rows, and the FFN's CDF. Backward rebuilds the rest
+    bit for bit by re-evaluating affine maps and the window packing with
+    `params`, which must be the ones forward saw; it writes into no cache.
     """
     if not out.caches:
         raise InputError("backward needs the caches of a training-mode forward")

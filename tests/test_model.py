@@ -81,6 +81,17 @@ def spy_workspace(monkeypatch):
     return views
 
 
+def cached_arrays(cache):
+    """Every array in a nested tuple of caches."""
+    if isinstance(cache, np.ndarray):
+        return [cache]
+    return [arr for item in cache for arr in cached_arrays(item)]
+
+
+def shares_params(arr, params):
+    return any(np.shares_memory(arr, p) for p in params.values())
+
+
 def forward_and_grads(cfg, ds, geo, params, seed=4):
     rng = np.random.default_rng(seed)
     d_y = rng.normal(0, 1, (ds.n_spots, cfg.genes))
@@ -144,12 +155,13 @@ class TestWindowAttention:
         np.testing.assert_allclose(ctx_p, ctx[perm], rtol=0, atol=1e-12)
 
     def test_attention_rows_sum_to_one_over_occupied(self):
-        # the cached [q | -LSE] and [K^T; occ] rebuild the weights backward uses
+        # the windows backward packs from the cache rebuild its weights
         params = generic_params(TINY)
         rng = np.random.default_rng(6)
         a = rng.normal(0, 1, (7, 6))
-        ctx, (_, qa, kta, va, _), pack = self.attend(
+        ctx, cache, pack = self.attend(
             a, [0, 1, 0, 0, 1, 0, 2], self.cube_offsets(rng, 7), params)
+        qa, kta, va = model._windows(*cache[:4], pack)
         weights = np.exp(qa @ kta) * pack.occ[:, None, None, :]
         row_sums = weights.sum(-1).transpose(0, 2, 1)[pack.occ]    # (spots, heads)
         np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=1e-12)
@@ -242,6 +254,42 @@ class TestBackward:
                          d_t_hat=np.zeros_like(out.t_hat))
         for v in grads.values():
             np.testing.assert_array_equal(v, np.zeros_like(v))
+
+    @pytest.mark.parametrize("exp_limit", [model.EXP_LIMIT, 0.0])
+    def test_backward_is_repeatable(self, exp_limit, monkeypatch):
+        # backward packs its windows anew from the cached token rows: a write
+        # into a cached row, such as the -LSE column, would change the second call
+        monkeypatch.setattr(model, "EXP_LIMIT", exp_limit)
+        ds = tiny_dataset(seed=8, n=19)
+        params = generic_params(TINY, seed=8)
+        geo = build_geometry(ds.coords, TINY)
+        out = forward(ds.tokens, geo, params, TINY, train=True)
+        d_y = np.random.default_rng(4).normal(0, 1, out.y_hat.shape)
+        first, second = (backward(out, geo, params, TINY, d_y_hat=d_y, d_y_dev_hat=-d_y,
+                                  d_t_hat=out.t_hat) for _ in range(2))
+        for k in params:
+            np.testing.assert_array_equal(second[k], first[k], err_msg=k)
+
+    def test_block_cache_footprint(self):
+        # per spot: two layer norms' xhat and inv, rotated q, k, v, the context
+        # and -LSE per head, and the FFN's CDF; nothing backward can rebuild
+        # with one affine map (a, f, u) and no padded window
+        cfg = ModelConfig(in_dim=5, genes=3, dim=16, heads=2, stages=4, blocks=3,
+                          radii=(1, 2, 4), out_dim=4, t_dim=3)
+        ds = generate(SynthConfig(radius=10, jitter=0.05, dropout=0.05, seed=3, token_dim=5,
+                                  transcriptomic_dim=3, patterns=("boundary", "noise")))
+        assert 290 <= ds.n_spots <= 331
+        params = generic_params(cfg, seed=3)
+        out = forward(ds.tokens, build_geometry(ds.coords, cfg), params, cfg, train=True)
+        bound = ds.n_spots * (6 * cfg.dim + cfg.ffn_hidden + cfg.heads + 2) * 8
+        for cache in out.caches[-1]:
+            owners = {}
+            for arr in cached_arrays(cache):
+                if not shares_params(arr, params):
+                    while arr.base is not None:     # the buffer a view keeps alive
+                        arr = arr.base
+                    owners[id(arr)] = arr.nbytes
+            assert sum(owners.values()) <= bound
 
     def test_upstream_linearity(self):
         ds = tiny_dataset(seed=8)
@@ -376,7 +424,7 @@ def test_slide_rotation_matches_window_relative_offsets(window, pe):
         out, cache = model._attention_forward(a, pack, rot, params, prefix, cfg,
                                               model._Workspace())
         grads = zeros_like_params(params)
-        d_a = model._attention_backward(d_out, cache, pack, rot, params, prefix, cfg,
+        d_a = model._attention_backward(d_out, a, cache, pack, rot, params, prefix, cfg,
                                         grads, model._Workspace())
         return [out, d_a] + [grads[k] for k in grads if k.startswith(f"{prefix}.attn.")]
 
@@ -444,18 +492,11 @@ class TestQueryTiles:
                 cells = [size for name, size in calls if name in ("p", "dp")]
                 assert {name for name, _ in calls} - {"dh", "c"} == names
                 assert max(cells) <= tile
-            for block_cache, pack in zip(out.caches[-1], packs, strict=True):
-                # inputs, [q | -LSE], [K^T; occ] and [V | occ] windows and
-                # the context: no score or weight tensor is kept
-                m, s = pack.occ.shape
-                dh = cfg.head_dim
-                assert [a.shape for a in block_cache[1]] == [
-                    (ds.n_spots, cfg.dim), (m, cfg.heads, s, dh + 1),
-                    (m, cfg.heads, dh + 1, s), (m, cfg.heads, s, dh + 1),
-                    (ds.n_spots, cfg.dim)]
-                occ = np.broadcast_to(pack.occ[:, None], (m, cfg.heads, s))
-                np.testing.assert_array_equal(block_cache[1][2][:, :, dh], occ)
-                np.testing.assert_array_equal(block_cache[1][3][..., dh], occ)
+            # token rows and parameters only: no score, weight or padded
+            # (M, H, S', .) window tensor is kept
+            assert len(out.caches[-1]) == len(packs)
+            for arr in cached_arrays(out.caches[-1]):
+                assert len(arr) == ds.n_spots or shares_params(arr, params), arr.shape
             results.append((out, grads))
         (out, grads), (ref, ref_grads) = results
         for name in ("z", "y_hat", "y_dev_hat", "t_hat"):
