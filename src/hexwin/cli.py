@@ -22,7 +22,7 @@ from .losses import LossWeights
 from .metrics import evaluate, format_eval_report
 from .model import ModelConfig, build_geometry, config_from_dict, forward, \
     load_checkpoint, save_checkpoint, scale_and_cells
-from .render import heatmap_annotation, heatmap_image, partition_image, write_ppm
+from .render import draw_spots, heatmap_annotation, heatmap_colors, partition_image, write_ppm
 from .synth import SynthConfig, generate, load_dataset, save_dataset
 from .trainer import TrainConfig, grad_check, toy_grad_check_inputs, train
 from .windowing import check_partition, format_partition_records, partition, \
@@ -103,8 +103,7 @@ def cmd_partition(args) -> int:
     else:
         part = partition(ds.coords, cells, scale, args.k, args.shift,
                          strict=not args.lenient)
-    if args.verify:
-        check_partition(part, cells)
+    check_partition(part, cells)
     with open(args.out, "w") as fh:
         fh.write(format_partition_records(part, ds.spot_ids))
     if args.render:
@@ -184,17 +183,14 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_render(args) -> int:
     ds = load_dataset(args.dataset)
-    if args.source == "truth":
-        values = ds.expression
-    else:
-        values = _predict(ds, args.checkpoint)
+    values = _predict(ds, args.checkpoint) if args.checkpoint else ds.expression
     wanted = args.genes.split(",") if args.genes else ds.gene_names
     unknown = [name for name in wanted if name not in ds.gene_names]
     if unknown:
         raise InputError(f"unknown gene {unknown[0]!r}")
     for name in wanted:
         g = ds.gene_names.index(name)
-        img = heatmap_image(ds.coords, values[:, g], width=args.width)
+        img = draw_spots(ds.coords, heatmap_colors(values[:, g]), args.width)
         os.makedirs(args.out, exist_ok=True)  # after drawing, which checks the width
         write_ppm(os.path.join(args.out, f"{name}.ppm"), img)
         note = heatmap_annotation(name, values[:, g])
@@ -231,8 +227,6 @@ def build_parser() -> _Parser:
                    help="use a square tiling with this side instead of hex")
     p.add_argument("--shift", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--lenient", action="store_true")
-    p.add_argument("--verify", action="store_true",
-                   help="re-assert the slot-distance and partition invariants")
     p.add_argument("--out", required=True)
     p.add_argument("--render", help="also write a window-colored PPM here")
     p.set_defaults(fn=cmd_partition)
@@ -263,9 +257,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("render", help="write per-gene heatmap images")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--checkpoint")
+    p.add_argument("--checkpoint", help="draw its predictions; default the expression")
     p.add_argument("--genes", help="comma list; default every gene")
-    p.add_argument("--source", choices=("pred", "truth"), default="pred")
     p.add_argument("--width", type=_positive_int, default=400)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_render)
@@ -285,8 +278,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "render" and args.source == "pred" and not args.checkpoint:
-            raise UsageError("render --source pred requires --checkpoint")
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.fn(args)
     except UsageError as exc:

@@ -91,9 +91,6 @@ class ModelConfig:
         """Square window side per windowed stage: 2K spacings for radius K."""
         return tuple(2 * k for k in self.radii)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # config modules postpone annotations, so a field's type is its annotation string
 _JSON_SCALARS = {"int": int, "float": (int, float), "str": str, "bool": bool}
@@ -171,10 +168,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> Params:
         params[name] = (rng.uniform(-bound, bound, size=shape) if name.endswith(".w")
                         else np.full(shape, 1.0 if name.endswith(".g") else 0.0))
     return params
-
-
-def zeros_like_params(params: Params) -> Params:
-    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 def params_to_vector(params: Params) -> np.ndarray:
@@ -549,7 +542,7 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     if not out.caches:
         raise InputError("backward needs the caches of a training-mode forward")
     tokens, h, m1, cdf, z, zc, block_caches = out.caches
-    grads = zeros_like_params(params)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     d_z = _dense_vjp(d_y_hat, z, params, grads, "gene")
     if d_t_hat is not None:
         d_z += _dense_vjp(d_t_hat, z, params, grads, "tfa")
@@ -574,7 +567,7 @@ CHECKPOINT_MAGIC = b"HEXWIN-CKPT-v1\n"
 def save_checkpoint(path: str, params: Params, cfg: ModelConfig) -> None:
     """Self-describing container: magic, JSON header, packed float64 blobs."""
     header = {
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "tensors": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
         "version": 1,
     }

@@ -82,11 +82,6 @@ def heatmap_colors(values: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1).astype(np.uint8)
 
 
-def heatmap_image(coords: np.ndarray, values: np.ndarray,
-                  width: int = 400) -> np.ndarray:
-    return draw_spots(coords, heatmap_colors(values), width)
-
-
 def heatmap_annotation(name: str, values: np.ndarray) -> str:
     """The 'mean +/- std (min-max)' line that accompanies each heatmap."""
     values = np.asarray(values, dtype=np.float64)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InputError
 from .hexgeom import SQRT3, hex_disk, hex_distance
+from .model import MAX_PARAMS
 
 PATTERN_KINDS = ("boundary", "gradient", "sparse", "noise")
 
@@ -60,6 +61,13 @@ class SynthConfig:
                                      self.transcriptomic_dim, self.max_spots) < 0:
             raise InputError("token_dim must be >= 1 and expression_noise, token_noise, "
                              "transcriptomic_dim and max_spots >= 0")
+        # the whole disk's coords, tokens, embeddings and genes, held to the model's
+        # parameter budget before any of them is allocated
+        n_cells = 3 * self.radius * (self.radius + 1) + 1
+        width = 2 + self.token_dim + self.transcriptomic_dim + len(self.patterns)
+        if n_cells * width > MAX_PARAMS:
+            raise InputError(f"radius {self.radius} gives {n_cells} spots x {width} values "
+                             f"per spot, over the budget of {MAX_PARAMS} float64 values")
 
 
 @dataclass(frozen=True)

@@ -187,10 +187,6 @@ def train(ds: SpotDataset, cfg: ModelConfig, tcfg: TrainConfig) -> TrainResult:
                        geometry=geometry)
 
 
-def count_params(params: Params) -> int:
-    return int(sum(v.size for v in params.values()))
-
-
 def grad_check(ds: SpotDataset, cfg: ModelConfig, seed: int = 0) -> dict:
     """Compare the analytic gradient of the full objective against central
     finite differences (step 1e-5); returns per-parameter-group relative errors.
@@ -206,7 +202,7 @@ def grad_check(ds: SpotDataset, cfg: ModelConfig, seed: int = 0) -> dict:
     # identically, which turns the relative error into pure noise
     jig = np.random.default_rng(seed ^ 0x9E3779B9)
     params = {k: v + jig.normal(0.0, 0.02, v.shape) for k, v in params.items()}
-    n_params = count_params(params)
+    n_params = sum(v.size for v in params.values())
     if n_params >= 5000:
         raise InputError(f"{n_params} parameters is too many for finite "
                          f"differencing; keep the toy under 5000")
@@ -240,8 +236,3 @@ def toy_grad_check_inputs(seed: int = 0):
     cfg = ModelConfig(in_dim=8, genes=4, dim=12, heads=2, stages=2, blocks=1,
                       radii=(1,), out_dim=8, t_dim=4)
     return ds, cfg
-
-
-__all__ = ["TrainConfig", "TrainResult", "train", "grad_check", "objective",
-           "split_indices", "count_params", "toy_grad_check_inputs",
-           "format_log_line", "LOG_HEADER"]

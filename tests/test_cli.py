@@ -17,8 +17,9 @@ from hexwin.cli import _config, _train_config, build_parser, main
 from hexwin.errors import InputError
 from hexwin.model import (ModelConfig, build_geometry, init_params, load_checkpoint,
                           save_checkpoint)
-from hexwin.render import MAX_WIDTH, draw_spots
+from hexwin.render import MAX_WIDTH, draw_spots, heatmap_colors
 from hexwin.synth import SpotDataset, SynthConfig, load_dataset, save_dataset
+from hexwin.windowing import partition
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -54,7 +55,11 @@ SMALL_MODEL = {"dim": 6, "heads": 1, "stages": 2, "blocks": 2, "radii": [1],
 NAMED_FIELD = {"scalar-radii": "model.radii must be tuple[int, ...], got 3",
                "string-patterns": "synth.patterns must be tuple[str, ...], got 'sparse'",
                "fortran-order": "tokens.json: need dtype '<f8', order 'C'",
-               "retired-spacing": "unknown synth config key(s) spacing;"}
+               "retired-spacing": "unknown synth config key(s) spacing;",
+               "huge-radius": "radius 1000000 gives 3000003000001 spots x 13 values per spot, "
+                              "over the budget of 67108864 float64 values",
+               "huge-token-dim": "radius 3 gives 37 spots x 1000000000008 values per spot",
+               "huge-transcriptomic-dim": "radius 3 gives 37 spots x 1000000000010 values"}
 
 
 def assert_invalid_input(capsys, argv):
@@ -106,7 +111,7 @@ class TestPartition:
     def test_records_and_verify(self, dataset_dir, tmp_path, capsys):
         out = tmp_path / "part.tsv"
         assert main(["partition", "--dataset", str(dataset_dir), "--k", "1",
-                     "--shift", "0", "--out", str(out), "--verify"]) == 0
+                     "--shift", "0", "--out", str(out)]) == 0
         summary = capsys.readouterr().out.split(" -> ")[0].split(", ")
         windows = int(summary[0].split()[0])
         assert summary[1] == "7 slots"
@@ -129,7 +134,7 @@ class TestPartition:
         coords[5] = coords[4] + (0.05, 0.02)
         save_dataset(dataclasses.replace(ds, coords=coords), str(data))
         out = tmp_path / "part.tsv"
-        argv = ["partition", "--dataset", str(data), "--k", "1", "--verify", "--out", str(out)]
+        argv = ["partition", "--dataset", str(data), "--k", "1", "--out", str(out)]
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err.strip().splitlines()
@@ -139,6 +144,25 @@ class TestPartition:
         assert capsys.readouterr().out.split(", ")[-1].startswith(f"1 dropped -> {out}")
         records = out.read_text().splitlines()
         assert [r for r in records if "\t-1\t" in r] == ["s00005\t0\t0\t-1\t-1\tnan\tnan"]
+
+    def test_rejected_partition_is_exit_three(self, dataset_dir, tmp_path, capsys,
+                                              monkeypatch):
+        # every partition is re-checked before it is written: one whose spot 1
+        # takes spot 0's slot fails check_partition
+        def duplicate_slot(*args, **kwargs):
+            part = partition(*args, **kwargs)
+            part.window_of_spot[1] = part.window_of_spot[0]
+            part.slot_of_spot[1] = part.slot_of_spot[0]
+            return part
+
+        monkeypatch.setattr("hexwin.cli.partition", duplicate_slot)
+        out = tmp_path / "p.tsv"
+        capsys.readouterr()
+        assert main(["partition", "--dataset", str(dataset_dir), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric/consistency failure: "), err
+        assert "duplicate (window, slot)" in err[0]
+        assert not out.exists()
 
     def test_shifts_produce_different_assignments(self, dataset_dir, tmp_path):
         outs = []
@@ -198,6 +222,15 @@ class TestTrainEvalRender:
                      str(run / "checkpoint.bin"), "--out", str(rend)]) == 0
         assert len(list(rend.glob("*.ppm"))) == 3
 
+    def test_render_without_checkpoint_draws_truth(self, dataset_dir, tmp_path):
+        out = tmp_path / "imgs"
+        assert main(["render", "--dataset", str(dataset_dir), "--genes", "g001_gradient",
+                     "--width", "120", "--out", str(out)]) == 0
+        ds = load_dataset(str(dataset_dir))
+        want = draw_spots(ds.coords, heatmap_colors(ds.expression[:, 1]), 120)
+        assert (out / "g001_gradient.ppm").read_bytes() == (
+            f"P6\n120 {want.shape[0]}\n255\n".encode() + want.tobytes())
+
     def test_render_truth_constant_gene(self, tmp_path):
         n = 9
         rng = np.random.default_rng(0)
@@ -210,8 +243,8 @@ class TestTrainEvalRender:
         ddir = tmp_path / "d"
         save_dataset(ds, str(ddir))
         out = tmp_path / "imgs"
-        assert main(["render", "--dataset", str(ddir), "--source", "truth",
-                     "--genes", "flat", "--out", str(out)]) == 0
+        assert main(["render", "--dataset", str(ddir), "--genes", "flat",
+                     "--out", str(out)]) == 0
         note = (out / "flat.txt").read_text()
         assert "+/- 0.0000" in note
         rgb = read_ppm(str(out / "flat.ppm"))
@@ -318,7 +351,7 @@ class TestExitCodes:
     def test_render_width_over_cap_is_usage_error(self, dataset_dir, tmp_path, capsys):
         # a width this large would ask numpy for exbibytes; the cap fires first
         line = assert_invalid_input(capsys, ["render", "--dataset", str(dataset_dir),
-                                             "--source", "truth", "--width", "1000000000",
+                                             "--width", "1000000000",
                                              "--out", str(tmp_path / "imgs")])
         assert str(MAX_WIDTH) in line
         assert not (tmp_path / "imgs").exists()
@@ -327,7 +360,7 @@ class TestExitCodes:
 
     def test_render_unknown_gene_writes_nothing(self, dataset_dir, tmp_path, capsys):
         line = assert_invalid_input(capsys, ["render", "--dataset", str(dataset_dir),
-                                             "--source", "truth", "--genes", "g000_boundary,nope",
+                                             "--genes", "g000_boundary,nope",
                                              "--out", str(tmp_path / "imgs")])
         assert "unknown gene 'nope'" in line
         assert not (tmp_path / "imgs").exists()
@@ -418,12 +451,14 @@ class TestExitCodes:
         {"token_noise": -0.5}, {"transcriptomic_dim": -1}, {"max_spots": -3},
         {"token_dim": 0}, {"token_dim": -1}, {"patterns": []},
         {"boundary_high": float("nan")}, {"patterns": "sparse"}, {"jitt\r": 0.02},
-        {"spacing": 1.0},
+        {"spacing": 1.0}, {"radius": 1000000}, {"token_dim": 10 ** 12},
+        {"transcriptomic_dim": 10 ** 12},
     ], ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one",
             "negative-expression-noise", "negative-token-noise",
             "negative-transcriptomic-dim", "negative-max-spots", "zero-token-dim",
             "negative-token-dim", "no-patterns", "nan-boundary-high", "string-patterns",
-            "carriage-return-key", "retired-spacing"])
+            "carriage-return-key", "retired-spacing", "huge-radius", "huge-token-dim",
+            "huge-transcriptomic-dim"])
     def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit, request):
         cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, **edit})
         line = assert_invalid_input(capsys, ["generate", "--config", cfg,
@@ -604,11 +639,6 @@ class TestExitCodes:
                                              "--out", str(tmp_path / "p.tsv")])
         assert str(dataset_dir / name) in line and repr(ds.spot_ids[row]) in line
 
-    def test_render_pred_without_checkpoint_is_usage_error(self, dataset_dir,
-                                                           tmp_path):
-        assert main(["render", "--dataset", str(dataset_dir), "--out",
-                     str(tmp_path / "imgs")]) == 1
-
     @pytest.mark.parametrize("command", ["eval", "render"])
     @pytest.mark.parametrize("widths", [dict(in_dim=4, genes=3), dict(in_dim=5, genes=2)],
                              ids=["tokens", "genes"])
@@ -625,8 +655,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ["gradcheck", "--seeds", "0"],
-        ["render", "--source", "truth", "--width", "0"],
-        ["render", "--source", "truth", "--width", "-3"],
+        ["render", "--width", "0"],
+        ["render", "--width", "-3"],
     ], ids=["gradcheck-seeds", "render-width", "render-negative-width"])
     def test_non_positive_count_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                                argv):
@@ -676,6 +706,16 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("usage error: "), err
 
+    @pytest.mark.parametrize("argv", [["render", "--source", "truth"], ["partition", "--verify"]],
+                             ids=["render-source", "partition-verify"])
+    def test_removed_flag_is_usage_error(self, dataset_dir, tmp_path, capsys, argv):
+        # render's source follows --checkpoint and partition always verifies
+        capsys.readouterr()
+        assert main(argv + ["--dataset", str(dataset_dir), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and argv[1] in err[0], err
+        assert not (tmp_path / "o").exists()
+
     def test_duplicate_spot_id_is_usage_error(self, dataset_dir, tmp_path, capsys):
         path = dataset_dir / "spots.tsv"
         lines = path.read_text().splitlines()
@@ -697,7 +737,6 @@ class TestExitCodes:
         path.write_text("\t".join(header.split("\t")[:-1] + [name]) + "\n" + rows)
         before = sorted(tmp_path.rglob("*"))
         line = assert_invalid_input(capsys, ["render", "--dataset", str(dataset_dir),
-                                             "--source", "truth",
                                              "--out", str(tmp_path / "heat" / "maps")])
         assert sorted(tmp_path.rglob("*")) == before
         assert f"{path}: gene {name!r}: gene names must be" in line
@@ -788,7 +827,7 @@ FUZZ_TARGETS = [("run/checkpoint.bin", "eval"), ("data/tokens.json", "eval"),
 FUZZ_ARGV = {"eval": "eval --dataset {w}/data --checkpoint {w}/run/checkpoint.bin",
              "train": "train --dataset {w}/data --config {w}/cfg.json --steps 1 --out {w}/out",
              "generate": "generate --config {w}/cfg.json --out {w}/out",
-             "render": "render --dataset {w}/data --source truth --out {w}/out"}
+             "render": "render --dataset {w}/data --out {w}/out"}
 
 
 def file_bytes(root: Path) -> dict:

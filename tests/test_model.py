@@ -12,8 +12,7 @@ from hexwin import model
 from hexwin.errors import InputError
 from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_geometry,
                           forward, init_params, load_checkpoint, param_views,
-                          params_to_vector, save_checkpoint, scale_and_cells,
-                          zeros_like_params)
+                          params_to_vector, save_checkpoint, scale_and_cells)
 from hexwin.numerics import finite_diff_grad, relative_error
 from hexwin.rope import axial_to_cube, rotations
 from hexwin.synth import SynthConfig, generate
@@ -423,7 +422,7 @@ def test_slide_rotation_matches_window_relative_offsets(window, pe):
     def attend(pack, rot, prefix):
         out, cache = model._attention_forward(a, pack, rot, params, prefix, cfg,
                                               model._Workspace())
-        grads = zeros_like_params(params)
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
         d_a = model._attention_backward(d_out, a, cache, pack, rot, params, prefix, cfg,
                                         grads, model._Workspace())
         return [out, d_a] + [grads[k] for k in grads if k.startswith(f"{prefix}.attn.")]
@@ -726,13 +725,6 @@ def test_vector_round_trip():
     for k in params:
         np.testing.assert_array_equal(back[k], params[k])
     assert vec.size == sum(v.size for v in params.values())
-
-
-def test_zeros_like_params_matches_shapes():
-    params = init_params(TINY, 0)
-    zeros = zeros_like_params(params)
-    assert all(zeros[k].shape == params[k].shape for k in params)
-    assert all(np.all(zeros[k] == 0) for k in params)
 
 
 def test_geometry_small_n_fallbacks():

@@ -235,16 +235,28 @@ class TestErf:
         assert erf(np.empty((0, 4))).shape == (0, 4)
         assert erf(np.float64(0.5)).shape == ()
 
+    def test_exactly_one_from_six(self):
+        # the erfc tail is clamped at |z| = 8: floats spaced evenly in bit
+        # pattern over [6, 32] and [6, 1e308], and inf, read exactly +-1
+        bits = [np.linspace(*np.array([6.0, hi]).view(np.int64), 100_001).astype(np.int64)
+                for hi in (32.0, 1e308)]
+        x = np.append(np.concatenate(bits).view(np.float64), np.inf)
+        np.testing.assert_array_equal(erf(x), np.ones_like(x))
+        np.testing.assert_array_equal(erf(-x), -np.ones_like(x))
+
 
 def test_runtime_imports_no_scipy():
-    # scipy is a test-only oracle: the package and its CLI import numpy alone
+    # scipy is a test-only oracle: the package and its CLI import numpy alone;
+    # the package root re-exports nothing, so importing it loads no module
     src = str(Path(hexwin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", "import sys, hexwin, hexwin.cli; "
+    out = subprocess.run([sys.executable, "-c", "import sys, hexwin; "
+                          "print(sorted(m for m in sys.modules if m.startswith('hexwin.') "
+                          "or m.split('.')[0] == 'numpy')); import hexwin.cli; "
                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n"
 
 
 class TestGelu:

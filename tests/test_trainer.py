@@ -6,9 +6,8 @@ from hexwin.losses import LossWeights
 from hexwin.model import ModelConfig, build_geometry, init_params
 from hexwin.numerics import relative_error
 from hexwin.synth import SynthConfig, generate
-from hexwin.trainer import (TrainConfig, _loss_and_grads, count_params,
-                            grad_check, split_indices, toy_grad_check_inputs,
-                            train)
+from hexwin.trainer import (TrainConfig, _loss_and_grads, grad_check, split_indices,
+                            toy_grad_check_inputs, train)
 
 CFG = ModelConfig(in_dim=5, genes=3, dim=6, heads=1, stages=2, blocks=2,
                   radii=(1,), out_dim=4, t_dim=3)
@@ -125,13 +124,6 @@ class TestSplit:
 
 
 class TestGradCheck:
-    def test_toy_certification_single_seed(self):
-        ds, cfg = toy_grad_check_inputs(0)
-        assert ds.n_spots == 20
-        report = grad_check(ds, cfg, seed=0)
-        assert report["n_params"] < 5000
-        assert report["max_rel_error"] < 1e-4
-
     def test_parameter_budget_enforced(self):
         ds, _ = toy_grad_check_inputs(0)
         big = ModelConfig(in_dim=8, genes=4, dim=24, heads=2, stages=2,
@@ -149,23 +141,19 @@ class TestGradCheck:
         params = {k: v + jig.normal(0, 0.02, v.shape) for k, v in params.items()}
         rows = np.arange(ds.n_spots)
         _, grads, _ = _loss_and_grads(ds, rows, geometry, params, cfg, weights)
-        corrupted = {k: v.copy() for k, v in grads.items()}
-        corrupted["embed.w"] *= 1.01
 
-        from hexwin.model import param_views, params_to_vector
+        from hexwin.model import forward
         from hexwin.numerics import finite_diff_grad
         from hexwin.trainer import objective
-        from hexwin.model import forward
 
-        def total(vec):
-            p = param_views(vec, params)
-            out = forward(ds.tokens, geometry, p, cfg, train=True)
+        def total(w):  # only embed.w's coordinates are differenced
+            out = forward(ds.tokens, geometry, {**params, "embed.w": w}, cfg, train=True)
             rep, *_ = objective(out, ds, rows, weights)
             return rep.total
 
-        fd = param_views(finite_diff_grad(total, params_to_vector(params)), params)
-        clean = relative_error(grads["embed.w"], fd["embed.w"])
-        broken = relative_error(corrupted["embed.w"], fd["embed.w"])
+        fd = finite_diff_grad(total, params["embed.w"])
+        clean = relative_error(grads["embed.w"], fd)
+        broken = relative_error(1.01 * grads["embed.w"], fd)
         assert clean < 1e-4 < broken
 
     def test_config_validation(self):
@@ -174,6 +162,3 @@ class TestGradCheck:
         with pytest.raises(InputError):
             TrainConfig(lr=-1.0)
 
-    def test_count_params(self):
-        params = init_params(CFG, 0)
-        assert count_params(params) == sum(v.size for v in params.values())
