@@ -365,13 +365,23 @@ def _windows(q: np.ndarray, k: np.ndarray, v: np.ndarray, neg_c, pack: _Packing)
     return qa, kta, va
 
 
+def _qkv(a: np.ndarray, rot: np.ndarray, params: Params, prefix: str, cfg: ModelConfig):
+    """Rotated (N, H, dh) q, k, v token rows of norm output a; q carries 1/sqrt(head_dim).
+    Both passes call it, so backward's q, k, v are forward's bit for bit."""
+    n, dh = len(a), cfg.head_dim
+    q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
+               .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
+    return rotate(q, rot) * (1.0 / np.sqrt(dh)), rotate(k, rot), v
+
+
 def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,
                        prefix: str, cfg: ModelConfig, work: _Workspace):
     """Multi-head attention within each packed window; returns (out, cache).
 
-    q/k/v are projected and rotated by `rot` on the (N, dim) token rows and
-    only then gathered into windows; queries carry the 1/sqrt(head_dim)
-    score scale.
+    q/k/v are projected and rotated by `rot` on the (N, dim) token rows
+    (`_qkv`) and only then gathered into windows. The cache is each query's
+    -LSE as (N, H) rows and the (N, dim) context, nothing backward can
+    rebuild from `a` without the whole attention.
     Scores exist one (window, query, key) tile at a time, the tiles backward
     walks too, and are not kept; each query row's log-sum-exp is, so
     backward rebuilds any tile of weights in one pass (FlashAttention-2,
@@ -382,10 +392,7 @@ def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: P
     row's largest valid score, found in a max-only pass over the tiles.
     """
     n, dh = len(a), cfg.head_dim
-    q, k, v = ((a @ params[f"{prefix}.attn.{name}.w"] + params[f"{prefix}.attn.{name}.b"])
-               .reshape(n, cfg.heads, dh) for name in ("q", "k", "v"))
-    q = rotate(q, rot) * (1.0 / np.sqrt(dh))
-    k = rotate(k, rot)
+    q, k, v = _qkv(a, rot, params, prefix, cfg)
     qa, kta, va = _windows(q, k, v, 0.0, pack)     # qa is [q | -c], then [q | -LSE]
     ctx = np.zeros_like(va)                        # [numerator | row sum]
     tiles = _tiles(*pack.occ.shape, cfg.heads)
@@ -406,7 +413,7 @@ def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: P
     ctx[..., :dh] /= ctx[..., dh:]
     ctx_tok = ctx[pack.win, :, pack.slot, :dh].reshape(n, cfg.dim)
     out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    return out, (q, k, v, qa[pack.win, :, pack.slot, dh], ctx_tok)
+    return out, (qa[pack.win, :, pack.slot, dh], ctx_tok)
 
 
 def _attention_backward(d_out: np.ndarray, a: np.ndarray, cache, pack: _Packing,
@@ -414,6 +421,8 @@ def _attention_backward(d_out: np.ndarray, a: np.ndarray, cache, pack: _Packing,
                         grads: Params, work: _Workspace) -> np.ndarray:
     """FlashAttention-2 backward over (window group, query block, key block) tiles.
 
+    q, k and v are projected and rotated again from `a` by `_qkv`, as forward
+    did, and packed straight into windows; the cache holds -LSE and the context.
     An empty query slot's -LSE is 0 here, not forward's -log(row sum), but
     its dCtx row and -D are 0, so every tile term it enters is exactly 0.
     A tile's weights are P = exp([q | -LSE] [K^T; occ]) = exp(S - LSE), built
@@ -423,13 +432,13 @@ def _attention_backward(d_out: np.ndarray, a: np.ndarray, cache, pack: _Packing,
     passes (exp and one multiply) and adds only into its own rows of dQ and
     its own keys of dK and dV.
     """
-    q, k, v, neg_lse, ctx_tok = cache
+    neg_lse, ctx_tok = cache
     n, dh = len(a), cfg.head_dim
     d_ctx_tok = _dense_vjp(d_out, ctx_tok, params, grads,
                            f"{prefix}.attn.o").reshape(n, cfg.heads, dh)
     dca = _to_windows(d_ctx_tok, pack)             # [dCtx | -D]
     dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx_tok, ctx_tok.reshape(n, cfg.heads, dh))
-    qa, kta, va = _windows(q, k, v, neg_lse, pack)
+    qa, kta, va = _windows(*_qkv(a, rot, params, prefix, cfg), neg_lse, pack)
     vta = _transposed(va)                          # [V^T; occ]
     kw = _transposed(kta[:, :, :dh])               # K: dQ's matmul is slower on a strided view
     m, s = pack.occ.shape
@@ -472,11 +481,13 @@ def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
     ln1c, attn_cache, ln2c, cdf = cache
     f = ln2c[0] * params[f"{prefix}.ln2.g"] + params[f"{prefix}.ln2.b"]
     u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
-    g = (0.5 * u) * (2.0 * cdf)          # gelu(u), bit for bit
-    d_g = _dense_vjp(d_h2, g, params, grads, f"{prefix}.ffn.2")
+    # (0.5 * u) * (2.0 * cdf) is gelu(u), bit for bit; each FFN temporary
+    # goes after its last use, so none is alive in the attention backward
+    d_g = _dense_vjp(d_h2, (0.5 * u) * (2.0 * cdf), params, grads, f"{prefix}.ffn.2")
     d_u = gelu_vjp(d_g, u, cdf)
-    d_f = _dense_vjp(d_u, f, params, grads, f"{prefix}.ffn.1")
-    d_h1, d_g2, d_b2 = layer_norm_vjp(d_f, ln2c)
+    del d_g, u
+    d_h1, d_g2, d_b2 = layer_norm_vjp(_dense_vjp(d_u, f, params, grads, f"{prefix}.ffn.1"), ln2c)
+    del d_u, f
     grads[f"{prefix}.ln2.g"] += d_g2
     grads[f"{prefix}.ln2.b"] += d_b2
     d_h1 = d_h1 + d_h2
@@ -534,10 +545,11 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     """Reverse-mode gradients for every parameter, given each head's upstream
     gradient; deviation-head gradients flow through the batch centering.
 
-    A block caches each norm's (xhat, inv), the rotated q, k, v, -LSE and
-    context as token rows, and the FFN's CDF. Backward rebuilds the rest
-    bit for bit by re-evaluating affine maps and the window packing with
-    `params`, which must be the ones forward saw; it writes into no cache.
+    A block caches each norm's (xhat, inv), -LSE and context as token rows,
+    and the FFN's CDF. Backward rebuilds the rest bit for bit by
+    re-evaluating affine maps, the q/k/v projections and rotations and the
+    window packing with `params`, which must be the ones forward saw; it
+    writes into no cache.
     """
     if not out.caches:
         raise InputError("backward needs the caches of a training-mode forward")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -111,7 +112,7 @@ class TestWindowAttention:
         pack = model._compact_packing(win, np.arange(len(win)), int(win.max()) + 1)
         _, cache = model._attention_forward(a, pack, rotations(offsets, cfg.head_dim)[:, None],
                                             params, "s0b0", cfg, model._Workspace())
-        return cache[4], cache, pack
+        return cache[1], cache, pack
 
     @staticmethod
     def cube_offsets(rng, n):
@@ -154,13 +155,15 @@ class TestWindowAttention:
         np.testing.assert_allclose(ctx_p, ctx[perm], rtol=0, atol=1e-12)
 
     def test_attention_rows_sum_to_one_over_occupied(self):
-        # the windows backward packs from the cache rebuild its weights
+        # the windows backward packs from re-projected q, k, v and the cached
+        # -LSE rebuild its weights
         params = generic_params(TINY)
         rng = np.random.default_rng(6)
         a = rng.normal(0, 1, (7, 6))
-        ctx, cache, pack = self.attend(
-            a, [0, 1, 0, 0, 1, 0, 2], self.cube_offsets(rng, 7), params)
-        qa, kta, va = model._windows(*cache[:4], pack)
+        offsets = self.cube_offsets(rng, 7)
+        ctx, cache, pack = self.attend(a, [0, 1, 0, 0, 1, 0, 2], offsets, params)
+        qkv = model._qkv(a, rotations(offsets, TINY.head_dim)[:, None], params, "s0b0", TINY)
+        qa, kta, va = model._windows(*qkv, cache[0], pack)
         weights = np.exp(qa @ kta) * pack.occ[:, None, None, :]
         row_sums = weights.sum(-1).transpose(0, 2, 1)[pack.occ]    # (spots, heads)
         np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=1e-12)
@@ -269,18 +272,27 @@ class TestBackward:
         for k in params:
             np.testing.assert_array_equal(second[k], first[k], err_msg=k)
 
-    def test_block_cache_footprint(self):
-        # per spot: two layer norms' xhat and inv, rotated q, k, v, the context
-        # and -LSE per head, and the FFN's CDF; nothing backward can rebuild
-        # with one affine map (a, f, u) and no padded window
-        cfg = ModelConfig(in_dim=5, genes=3, dim=16, heads=2, stages=4, blocks=3,
-                          radii=(1, 2, 4), out_dim=4, t_dim=3)
+    MEMORY_CFG = ModelConfig(in_dim=5, genes=3, dim=16, heads=2, stages=4, blocks=3,
+                             radii=(1, 2, 4), out_dim=4, t_dim=3)
+
+    def memory_run(self):
+        """(dataset, geometry, params, training forward) on a ~318-spot slide."""
+        cfg = self.MEMORY_CFG
         ds = generate(SynthConfig(radius=10, jitter=0.05, dropout=0.05, seed=3, token_dim=5,
                                   transcriptomic_dim=3, patterns=("boundary", "noise")))
         assert 290 <= ds.n_spots <= 331
         params = generic_params(cfg, seed=3)
-        out = forward(ds.tokens, build_geometry(ds.coords, cfg), params, cfg, train=True)
-        bound = ds.n_spots * (6 * cfg.dim + cfg.ffn_hidden + cfg.heads + 2) * 8
+        geo = build_geometry(ds.coords, cfg)
+        return ds, geo, params, forward(ds.tokens, geo, params, cfg, train=True)
+
+    def test_block_cache_footprint(self):
+        # per spot: two layer norms' xhat and inv, the context and -LSE per
+        # head, and the FFN's CDF. Backward rebuilds the rest from these: the
+        # norm outputs a and f and the FFN's u with one affine map, q, k and v
+        # with their projections and rotations, and no padded window is kept
+        cfg = self.MEMORY_CFG
+        ds, _, params, out = self.memory_run()
+        bound = ds.n_spots * (3 * cfg.dim + cfg.ffn_hidden + cfg.heads + 2) * 8
         for cache in out.caches[-1]:
             owners = {}
             for arr in cached_arrays(cache):
@@ -289,6 +301,26 @@ class TestBackward:
                         arr = arr.base
                     owners[id(arr)] = arr.nbytes
             assert sum(owners.values()) <= bound
+
+    def test_backward_peak_memory(self):
+        # above what it is given, backward holds the gradients, the two score
+        # tiles ("p" and "dp") and one block's rebuilt activations and
+        # windows: ~586 floats per spot on this slide, bounded at 736 (~25%
+        # up). Keeping u, g, f and their gradients alive through the
+        # attention backward read ~874
+        cfg = self.MEMORY_CFG
+        ds, geo, params, out = self.memory_run()
+        d_y = np.random.default_rng(4).normal(0, 1, out.y_hat.shape)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            backward(out, geo, params, cfg, d_y_hat=d_y, d_y_dev_hat=-d_y, d_t_hat=out.t_hat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(v.nbytes for v in params.values())
+        bound = grad_bytes + 2 * model.TILE_CELLS * 8 + ds.n_spots * 736 * 8
+        assert peak - entry <= bound
 
     def test_upstream_linearity(self):
         ds = tiny_dataset(seed=8)
