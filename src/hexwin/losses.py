@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import InputError, ShapeError
 
+DEV_EPS = 1e-8      # added to each gene's deviation std in loss_dev_grad
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -85,12 +87,12 @@ def loss_tfa_grads(t_hat, t) -> tuple[float, np.ndarray]:
     return float(np.mean(1.0 - cos)), -d_cos / len(t_hat)
 
 
-def loss_dev_grad(y_dev_hat, y, eps: float = 1e-8):
+def loss_dev_grad(y_dev_hat, y):
     """Squared error between gene-standardized deviations of truth and prediction;
     returns (loss, d_y_dev_hat).
 
     Ground-truth deviations are the gene columns of y minus their means; both
-    deviation matrices are standardized per gene by (population std + eps).
+    deviation matrices are standardized per gene by (population std + DEV_EPS).
     """
     y_dev_hat, y = matching_pair(y_dev_hat, y, "loss_dev_grad")
     n, g = y.shape
@@ -98,11 +100,11 @@ def loss_dev_grad(y_dev_hat, y, eps: float = 1e-8):
         raise InputError("loss_dev_grad requires at least 2 spots")
     t_dev = y - y.mean(axis=0)
     t_std = np.sqrt(np.mean(t_dev ** 2, axis=0))
-    t_tilde = t_dev / (t_std + eps)
+    t_tilde = t_dev / (t_std + DEV_EPS)
     p = y_dev_hat
     p_mu = p.mean(axis=0)
     p_sigma = np.sqrt(np.mean((p - p_mu) ** 2, axis=0))
-    s = p_sigma + eps
+    s = p_sigma + DEV_EPS
     p_tilde = p / s
     diff = t_tilde - p_tilde
     loss = float(np.mean(diff ** 2))

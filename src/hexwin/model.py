@@ -328,11 +328,6 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _transposed(x: np.ndarray) -> np.ndarray:
-    """(M, H, S', dh) windows as a contiguous (M, H, dh, S') array."""
-    return np.ascontiguousarray(x.transpose(0, 1, 3, 2))
-
-
 def _tile_scores(qa: np.ndarray, kta: np.ndarray, ws: slice, rs: slice, ks: slice,
                  work: _Workspace) -> np.ndarray:
     """[q | -c] [K^T; occ] on one tile: S - c on occupied keys, 0 on empty ones.
@@ -374,14 +369,11 @@ def _qkv(a: np.ndarray, rot: np.ndarray, params: Params, prefix: str, cfg: Model
     return rotate(q, rot) * (1.0 / np.sqrt(dh)), rotate(k, rot), v
 
 
-def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,
-                       prefix: str, cfg: ModelConfig, work: _Workspace):
-    """Multi-head attention within each packed window; returns (out, cache).
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, pack: _Packing, work: _Workspace):
+    """Softmax attention of rotated, scaled (N, H, dh) q, k, v rows within each
+    packed window; returns the (N, H, dh) context and each query's (N, H) -LSE.
 
-    q/k/v are projected and rotated by `rot` on the (N, dim) token rows
-    (`_qkv`) and only then gathered into windows. The cache is each query's
-    -LSE as (N, H) rows and the (N, dim) context, nothing backward can
-    rebuild from `a` without the whole attention.
+    The rows are packed into windows here and the windows die on return.
     Scores exist one (window, query, key) tile at a time, the tiles backward
     walks too, and are not kept; each query row's log-sum-exp is, so
     backward rebuilds any tile of weights in one pass (FlashAttention-2,
@@ -391,11 +383,10 @@ def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: P
     is masked. c is 0 when no score of the block can overflow exp, else each
     row's largest valid score, found in a max-only pass over the tiles.
     """
-    n, dh = len(a), cfg.head_dim
-    q, k, v = _qkv(a, rot, params, prefix, cfg)
+    dh = q.shape[2]
     qa, kta, va = _windows(q, k, v, 0.0, pack)     # qa is [q | -c], then [q | -LSE]
     ctx = np.zeros_like(va)                        # [numerator | row sum]
-    tiles = _tiles(*pack.occ.shape, cfg.heads)
+    tiles = _tiles(*pack.occ.shape, q.shape[1])
     # Cauchy-Schwarz: no score of the block exceeds this bound in magnitude
     if math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k))) > EXP_LIMIT:
         peak = np.full(qa.shape[:3], -np.inf)
@@ -411,39 +402,34 @@ def _attention_forward(a: np.ndarray, pack: _Packing, rot: np.ndarray, params: P
         c += np.matmul(p, va[ws, :, ks], out=work.view("c", c.shape))
     qa[..., dh] -= np.log(ctx[..., dh])
     ctx[..., :dh] /= ctx[..., dh:]
-    ctx_tok = ctx[pack.win, :, pack.slot, :dh].reshape(n, cfg.dim)
-    out = ctx_tok @ params[f"{prefix}.attn.o.w"] + params[f"{prefix}.attn.o.b"]
-    return out, (qa[pack.win, :, pack.slot, dh], ctx_tok)
+    return ctx[pack.win, :, pack.slot, :dh], qa[pack.win, :, pack.slot, dh]
 
 
-def _attention_backward(d_out: np.ndarray, a: np.ndarray, cache, pack: _Packing,
-                        rot: np.ndarray, params: Params, prefix: str, cfg: ModelConfig,
-                        grads: Params, work: _Workspace) -> np.ndarray:
-    """FlashAttention-2 backward over (window group, query block, key block) tiles.
+def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing, work: _Workspace):
+    """Gradients (d_q, d_k, d_v) of `_attend` as (N, H, dh) rows from the
+    context, its gradient and `windows`, `_windows` of forward's q, k, v and
+    -LSE. Given the only reference to them, no window outlives the call.
 
-    q, k and v are projected and rotated again from `a` by `_qkv`, as forward
-    did, and packed straight into windows; the cache holds -LSE and the context.
-    An empty query slot's -LSE is 0 here, not forward's -log(row sum), but
-    its dCtx row and -D are 0, so every tile term it enters is exactly 0.
+    FlashAttention-2 backward over (window group, query block, key block)
+    tiles. An empty query slot's -LSE is 0 here, not forward's -log(row sum),
+    but its dCtx row and -D are 0, so every tile term it enters is exactly 0.
     A tile's weights are P = exp([q | -LSE] [K^T; occ]) = exp(S - LSE), built
     as in forward, and dS = P * ([dCtx | -D] [V^T; occ]) = P * (dP - D) with
-    the softmax vjp's row term D = rowsum(dCtx * Ctx), taken once per block
-    on the token rows; on empty keys dS is 0. So a tile makes two elementwise
-    passes (exp and one multiply) and adds only into its own rows of dQ and
-    its own keys of dK and dV.
+    the softmax vjp's row term D = rowsum(dCtx * Ctx), taken once on the
+    token rows; on empty keys dS is 0. So a tile makes two elementwise passes
+    (exp and one multiply) and adds only into its own rows of dQ and its own
+    keys of dK and dV.
     """
-    neg_lse, ctx_tok = cache
-    n, dh = len(a), cfg.head_dim
-    d_ctx_tok = _dense_vjp(d_out, ctx_tok, params, grads,
-                           f"{prefix}.attn.o").reshape(n, cfg.heads, dh)
-    dca = _to_windows(d_ctx_tok, pack)             # [dCtx | -D]
-    dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx_tok, ctx_tok.reshape(n, cfg.heads, dh))
-    qa, kta, va = _windows(*_qkv(a, rot, params, prefix, cfg), neg_lse, pack)
-    vta = _transposed(va)                          # [V^T; occ]
-    kw = _transposed(kta[:, :, :dh])               # K: dQ's matmul is slower on a strided view
-    m, s = pack.occ.shape
-    d_qw, d_kw, d_vw = (np.zeros((m, cfg.heads, s, dh)) for _ in range(3))
-    for ws, rs, ks in _tiles(m, s, cfg.heads):
+    dh = d_ctx.shape[2]
+    qa, kta = windows[:2]
+    vta = np.ascontiguousarray(windows[2].transpose(0, 1, 3, 2))     # [V^T; occ]
+    del windows                                    # frees [V | occ]
+    # K: dQ's matmul is slower on a strided view
+    kw = np.ascontiguousarray(kta[:, :, :dh].transpose(0, 1, 3, 2))
+    dca = _to_windows(d_ctx, pack)                 # [dCtx | -D]
+    dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx, ctx)
+    d_qw, d_kw, d_vw = (np.zeros(qa.shape[:3] + (dh,)) for _ in range(3))
+    for ws, rs, ks in _tiles(*pack.occ.shape, d_ctx.shape[1]):
         q_t, k_t, d_c = qa[ws, :, rs, :dh], kw[ws, :, ks], dca[ws, :, rs, :dh]
         p = _tile_scores(qa, kta, ws, rs, ks, work)
         np.exp(p, out=p)
@@ -455,30 +441,30 @@ def _attention_backward(d_out: np.ndarray, a: np.ndarray, cache, pack: _Packing,
         d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv)
         d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
         d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
-    inv = 1.0 / np.sqrt(dh)
-    d_q = rotate(d_qw[pack.win, :, pack.slot] * inv, rot, inverse=True)
-    d_k = rotate(d_kw[pack.win, :, pack.slot], rot, inverse=True)
-    d_v = d_vw[pack.win, :, pack.slot]
-    return sum(_dense_vjp(d_h.reshape(n, cfg.dim), a, params, grads, f"{prefix}.attn.{name}")
-               for name, d_h in (("q", d_q), ("k", d_k), ("v", d_v)))
+    return tuple(d[pack.win, :, pack.slot] for d in (d_qw, d_kw, d_vw))
 
 
 def _block_forward(h: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,
                    prefix: str, cfg: ModelConfig, work: _Workspace):
     a, ln1c = layer_norm_fwd(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    attn_out, attn_cache = _attention_forward(a, pack, rot, params, prefix, cfg, work)
-    h1 = h + attn_out
+    ctx, neg_lse = _attend(*_qkv(a, rot, params, prefix, cfg), pack, work)
+    h1 = h + (ctx.reshape(len(h), cfg.dim) @ params[f"{prefix}.attn.o.w"]
+              + params[f"{prefix}.attn.o.b"])
     f, ln2c = layer_norm_fwd(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
     g, cdf = gelu(u)
     h2 = h1 + g @ params[f"{prefix}.ffn.2.w"] + params[f"{prefix}.ffn.2.b"]
-    return h2, (ln1c, attn_cache, ln2c, cdf)
+    return h2, (ln1c, neg_lse, ctx, ln2c, cdf)
 
 
 def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
                     params: Params, prefix: str, cfg: ModelConfig, grads: Params,
                     work: _Workspace) -> np.ndarray:
-    ln1c, attn_cache, ln2c, cdf = cache
+    """The block input's gradient; adds the block's parameter gradients to grads.
+    q, k, v die once packed and the windows in `_attend_vjp`, so none is alive
+    in the inverse rotations and the q/k/v projection gradients after it."""
+    ln1c, neg_lse, ctx, ln2c, cdf = cache
+    n, dh = len(d_h2), cfg.head_dim
     f = ln2c[0] * params[f"{prefix}.ln2.g"] + params[f"{prefix}.ln2.b"]
     u = f @ params[f"{prefix}.ffn.1.w"] + params[f"{prefix}.ffn.1.b"]
     # (0.5 * u) * (2.0 * cdf) is gelu(u), bit for bit; each FFN temporary
@@ -491,8 +477,15 @@ def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
     grads[f"{prefix}.ln2.g"] += d_g2
     grads[f"{prefix}.ln2.b"] += d_b2
     d_h1 = d_h1 + d_h2
+    d_ctx = _dense_vjp(d_h1, ctx.reshape(n, cfg.dim), params, grads, f"{prefix}.attn.o")
     a = ln1c[0] * params[f"{prefix}.ln1.g"] + params[f"{prefix}.ln1.b"]
-    d_a = _attention_backward(d_h1, a, attn_cache, pack, rot, params, prefix, cfg, grads, work)
+    d_q, d_k, d_v = _attend_vjp(d_ctx.reshape(n, cfg.heads, dh), ctx,
+                                _windows(*_qkv(a, rot, params, prefix, cfg), neg_lse, pack),
+                                pack, work)
+    d_q = rotate(d_q * (1.0 / np.sqrt(dh)), rot, inverse=True)
+    d_k = rotate(d_k, rot, inverse=True)
+    d_a = sum(_dense_vjp(d.reshape(n, cfg.dim), a, params, grads, f"{prefix}.attn.{name}")
+              for name, d in (("q", d_q), ("k", d_k), ("v", d_v)))
     d_h, d_g1, d_b1 = layer_norm_vjp(d_a, ln1c)
     grads[f"{prefix}.ln1.g"] += d_g1
     grads[f"{prefix}.ln1.b"] += d_b1
@@ -546,10 +539,9 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     gradient; deviation-head gradients flow through the batch centering.
 
     A block caches each norm's (xhat, inv), -LSE and context as token rows,
-    and the FFN's CDF. Backward rebuilds the rest bit for bit by
-    re-evaluating affine maps, the q/k/v projections and rotations and the
-    window packing with `params`, which must be the ones forward saw; it
-    writes into no cache.
+    and the FFN's CDF. Backward rebuilds the rest bit for bit from `params`,
+    which must be the ones forward saw, and writes into no cache; one block's
+    windows at a time are alive, and only inside its `_attend_vjp`.
     """
     if not out.caches:
         raise InputError("backward needs the caches of a training-mode forward")

@@ -18,6 +18,7 @@ from .errors import NumericError, ShapeError
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-5      # added to each row's variance in layer_norm_fwd
 
 # Cephes' erf and erfc (Moshier, ndtr.c), highest power first
 ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
@@ -71,8 +72,7 @@ def masked_softmax_vjp(grad_out: np.ndarray, weights: np.ndarray, axis: int = -1
     return (grad_out - inner) * weights
 
 
-def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   eps: float = 1e-5):
+def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Normalize the last axis to zero mean / unit variance, then scale and
     shift; returns (out, cache for layer_norm_vjp)."""
     x = np.asarray(x, dtype=np.float64)
@@ -84,7 +84,7 @@ def layer_norm_fwd(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
         raise ShapeError(f"gain/bias must have shape ({x.shape[-1]},), "
                          f"got {gain.shape} and {bias.shape}")
     centered = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.mean(centered ** 2, axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt(np.mean(centered ** 2, axis=-1, keepdims=True) + LAYER_NORM_EPS)
     xhat = centered * inv
     return xhat * gain + bias, (xhat, inv, gain)
 

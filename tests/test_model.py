@@ -15,7 +15,7 @@ from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_
                           forward, init_params, load_checkpoint, param_views,
                           params_to_vector, save_checkpoint, scale_and_cells)
 from hexwin.numerics import finite_diff_grad, relative_error
-from hexwin.rope import axial_to_cube, rotations
+from hexwin.rope import axial_to_cube, rotate, rotations
 from hexwin.synth import SynthConfig, generate
 
 TINY = ModelConfig(in_dim=5, genes=3, dim=6, heads=1, stages=2, blocks=3,
@@ -103,85 +103,92 @@ def forward_and_grads(cfg, ds, geo, params, seed=4):
 
 
 class TestWindowAttention:
-    """Attention properties of the path training runs, on hand-built packings."""
+    """Properties of `_attend` and `_attend_vjp`, the attention op training
+    runs, on hand-built (N, H, dh) rows and packings."""
 
     @staticmethod
-    def attend(a, win, offsets, params, cfg=TINY):
-        """_attention_forward over windows `win` of rows `a`; returns (ctx, cache, pack)."""
+    def attend(q, k, v, win):
+        """_attend of rows q, k, v within windows `win`; returns (ctx, -LSE, pack)."""
         win = np.asarray(win, dtype=np.int64)
         pack = model._compact_packing(win, np.arange(len(win)), int(win.max()) + 1)
-        _, cache = model._attention_forward(a, pack, rotations(offsets, cfg.head_dim)[:, None],
-                                            params, "s0b0", cfg, model._Workspace())
-        return cache[1], cache, pack
+        return *model._attend(q, k, v, pack, model._Workspace()), pack
 
     @staticmethod
-    def cube_offsets(rng, n):
-        return axial_to_cube(rng.integers(-1, 2, (n, 2))).astype(float)
+    def rows(rng, n, heads=2, dh=3):
+        return tuple(rng.normal(0, 1, (n, heads, dh)) for _ in range(3))
 
     def test_single_occupied_slot_returns_value_projection(self):
         # window 1 holds one spot, padded to window 0's width of three slots
-        params = generic_params(TINY)
-        rng = np.random.default_rng(3)
-        a = rng.normal(0, 1, (4, 6))
-        ctx, _, pack = self.attend(a, [0, 0, 0, 1], self.cube_offsets(rng, 4), params)
+        q, k, v = self.rows(np.random.default_rng(3), 4)
+        ctx, _, pack = self.attend(q, k, v, [0, 0, 0, 1])
         assert pack.occ.shape == (2, 3) and pack.occ[1].sum() == 1
-        value = a[3] @ params["s0b0.attn.v.w"] + params["s0b0.attn.v.b"]
-        np.testing.assert_allclose(ctx[3], value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ctx[3], v[3], rtol=0, atol=1e-12)
 
     def test_identical_keys_average_values(self):
-        # zero key weights and zero offsets: every key in a window is the same
-        params = generic_params(TINY)
-        params["s0b0.attn.k.w"] = np.zeros_like(params["s0b0.attn.k.w"])
+        # every key of a window is the same row, so all its weights are equal
         rng = np.random.default_rng(4)
-        a = rng.normal(0, 1, (6, 6))
+        q, _, v = self.rows(rng, 6)
         win = np.array([1, 0, 1, 0, 0, 1])
-        ctx, _, _ = self.attend(a, win, np.zeros((6, 3)), params)
-        values = a @ params["s0b0.attn.v.w"] + params["s0b0.attn.v.b"]
+        k = rng.normal(0, 1, (2, 2, 3))[win]
+        ctx, _, _ = self.attend(q, k, v, win)
         for w in (0, 1):
-            mean = values[win == w].mean(axis=0)
-            np.testing.assert_allclose(ctx[win == w], np.broadcast_to(mean, (3, 6)),
+            mean = v[win == w].mean(axis=0)
+            np.testing.assert_allclose(ctx[win == w], np.broadcast_to(mean, (3, 2, 3)),
                                        rtol=0, atol=1e-12)
 
     def test_slot_permutation_equivariance(self):
-        params = generic_params(TINY)
         rng = np.random.default_rng(5)
         n = 9
-        a = rng.normal(0, 1, (n, 6))
+        q, k, v = self.rows(rng, n)
         win = np.array([0, 1, 2, 0, 1, 0, 0, 2, 1])
-        offsets = self.cube_offsets(rng, n)
-        ctx, _, _ = self.attend(a, win, offsets, params)
+        ctx, neg_lse, _ = self.attend(q, k, v, win)
         perm = rng.permutation(n)
-        ctx_p, _, _ = self.attend(a[perm], win[perm], offsets[perm], params)
+        ctx_p, neg_lse_p, _ = self.attend(q[perm], k[perm], v[perm], win[perm])
         np.testing.assert_allclose(ctx_p, ctx[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(neg_lse_p, neg_lse[perm], rtol=0, atol=1e-12)
 
     def test_attention_rows_sum_to_one_over_occupied(self):
-        # the windows backward packs from re-projected q, k, v and the cached
-        # -LSE rebuild its weights
-        params = generic_params(TINY)
-        rng = np.random.default_rng(6)
-        a = rng.normal(0, 1, (7, 6))
-        offsets = self.cube_offsets(rng, 7)
-        ctx, cache, pack = self.attend(a, [0, 1, 0, 0, 1, 0, 2], offsets, params)
-        qkv = model._qkv(a, rotations(offsets, TINY.head_dim)[:, None], params, "s0b0", TINY)
-        qa, kta, va = model._windows(*qkv, cache[0], pack)
+        # the windows backward packs from q, k, v and the -LSE rebuild the weights
+        q, k, v = self.rows(np.random.default_rng(6), 7)
+        ctx, neg_lse, pack = self.attend(q, k, v, [0, 1, 0, 0, 1, 0, 2])
+        qa, kta, va = model._windows(q, k, v, neg_lse, pack)
         weights = np.exp(qa @ kta) * pack.occ[:, None, None, :]
         row_sums = weights.sum(-1).transpose(0, 2, 1)[pack.occ]    # (spots, heads)
         np.testing.assert_allclose(row_sums, 1.0, rtol=0, atol=1e-12)
-        ctx_w = (weights @ va[..., :-1])[pack.win, :, pack.slot].reshape(7, 6)
+        ctx_w = (weights @ va[..., :-1])[pack.win, :, pack.slot]
         np.testing.assert_allclose(ctx_w, ctx, rtol=0, atol=1e-12)
 
     def test_poisoned_window_does_not_leak(self):
-        params = generic_params(TINY)
         rng = np.random.default_rng(7)
-        a = rng.normal(0, 1, (7, 6))
+        q, k, v = self.rows(rng, 7)
         win = np.array([0, 1, 1, 0, 1, 1, 1])
-        offsets = self.cube_offsets(rng, 7)
-        ctx, _, _ = self.attend(a, win, offsets, params)
-        poisoned = a.copy()
-        poisoned[win == 1] = 1e6
+        ctx, _, _ = self.attend(q, k, v, win)
+        poisoned = [x.copy() for x in (q, k, v)]
+        for x in poisoned:
+            x[win == 1] = 1e6
         # scores of 1e12 take the row-max fallback, so this is not bitwise
-        ctx_p, _, _ = self.attend(poisoned, win, offsets, params)
+        ctx_p, _, _ = self.attend(*poisoned, win)
         np.testing.assert_allclose(ctx_p[win == 0], ctx[win == 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("exp_limit", [model.EXP_LIMIT, 0.0])
+    def test_vjp_matches_finite_differences(self, exp_limit, monkeypatch):
+        # windows of 5, 3, 2 and 1 spots; at 8 score cells and 2 heads the
+        # widest window is cut into 2 x 2 (query x key) blocks
+        monkeypatch.setattr(model, "EXP_LIMIT", exp_limit)
+        monkeypatch.setattr(model, "TILE_CELLS", 8)
+        rng = np.random.default_rng(8)
+        win = np.array([0, 1, 0, 2, 0, 1, 3, 0, 1, 2, 0])
+        q, k, v = self.rows(rng, len(win))
+        d_ctx = rng.normal(0, 1, q.shape)
+        ctx, neg_lse, pack = self.attend(q, k, v, win)
+        (m, s), heads = pack.occ.shape, q.shape[1]
+        _, rs, ks = model._tiles(m, s, heads)[0]
+        assert s == 5 and rs.stop < s and ks.stop < s
+        grads = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack,
+                                  model._Workspace())
+        fd = finite_diff_grad(lambda x: float(np.sum(self.attend(*x, win)[0] * d_ctx)),
+                              np.stack([q, k, v]))
+        assert relative_error(np.stack(grads), fd) < 1e-7
 
 
 class TestForward:
@@ -305,9 +312,10 @@ class TestBackward:
     def test_backward_peak_memory(self):
         # above what it is given, backward holds the gradients, the two score
         # tiles ("p" and "dp") and one block's rebuilt activations and
-        # windows: ~586 floats per spot on this slide, bounded at 736 (~25%
-        # up). Keeping u, g, f and their gradients alive through the
-        # attention backward read ~874
+        # windows: ~502 floats per spot on this slide, bounded at 560 (~12%
+        # up). Keeping the windows alive through the q/k/v projection
+        # gradients read ~586, and the FFN temporaries through the
+        # attention backward ~874
         cfg = self.MEMORY_CFG
         ds, geo, params, out = self.memory_run()
         d_y = np.random.default_rng(4).normal(0, 1, out.y_hat.shape)
@@ -319,7 +327,7 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         grad_bytes = sum(v.nbytes for v in params.values())
-        bound = grad_bytes + 2 * model.TILE_CELLS * 8 + ds.n_spots * 736 * 8
+        bound = grad_bytes + 2 * model.TILE_CELLS * 8 + ds.n_spots * 560 * 8
         assert peak - entry <= bound
 
     def test_upstream_linearity(self):
@@ -449,15 +457,15 @@ def test_slide_rotation_matches_window_relative_offsets(window, pe):
     params = generic_params(cfg, seed=3)
     rng = np.random.default_rng(5)
     a = rng.normal(0, 1, (ds.n_spots, cfg.dim))
-    d_out = rng.normal(0, 1, (ds.n_spots, cfg.dim))
+    d_ctx = rng.normal(0, 1, (ds.n_spots, cfg.heads, cfg.head_dim))
 
     def attend(pack, rot, prefix):
-        out, cache = model._attention_forward(a, pack, rot, params, prefix, cfg,
-                                              model._Workspace())
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        d_a = model._attention_backward(d_out, a, cache, pack, rot, params, prefix, cfg,
-                                        grads, model._Workspace())
-        return [out, d_a] + [grads[k] for k in grads if k.startswith(f"{prefix}.attn.")]
+        # the context, -LSE and the gradients of the unrotated q, k and v
+        q, k, v = model._qkv(a, rot, params, prefix, cfg)
+        ctx, neg_lse = model._attend(q, k, v, pack, model._Workspace())
+        d_q, d_k, d_v = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack),
+                                          pack, model._Workspace())
+        return [ctx, neg_lse, rotate(d_q, rot, inverse=True), rotate(d_k, rot, inverse=True), d_v]
 
     prefixes = iter(model._block_prefixes(cfg))
     for parts, packs in zip(geo.partitions[:-1], geo.packings[:-1]):

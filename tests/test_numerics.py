@@ -9,6 +9,7 @@ from scipy.special import erf as scipy_erf
 from scipy.special import logsumexp
 
 import hexwin
+from hexwin import numerics
 from hexwin.errors import NumericError, ShapeError
 from hexwin.numerics import (ERF_BLOCK, erf, finite_diff_grad, gelu, gelu_vjp,
                              layer_norm_fwd, layer_norm_vjp, masked_softmax,
@@ -146,26 +147,31 @@ class TestLogSumExp:
 
 
 class TestLayerNorm:
+    @pytest.fixture
+    def exact(self, monkeypatch):
+        """No epsilon under the variance, so unit-variance rows come out exact."""
+        monkeypatch.setattr(numerics, "LAYER_NORM_EPS", 0.0)
+
     def test_constant_vector(self):
-        out = layer_norm_fwd(np.ones(3), np.ones(3), np.zeros(3), 1e-5)[0]
+        out = layer_norm_fwd(np.ones(3), np.ones(3), np.zeros(3))[0]
         np.testing.assert_allclose(out, np.zeros(3), atol=1e-12)
 
-    def test_already_normalized(self):
-        out = layer_norm_fwd(np.array([-1.0, 1.0]), np.ones(2), np.zeros(2), 0.0)[0]
+    def test_already_normalized(self, exact):
+        out = layer_norm_fwd(np.array([-1.0, 1.0]), np.ones(2), np.zeros(2))[0]
         np.testing.assert_allclose(out, [-1.0, 1.0], atol=1e-12)
 
-    def test_normalize_then_affine(self):
-        out = layer_norm_fwd(np.array([0.0, 2.0]), np.full(2, 2.0), np.ones(2), 0.0)[0]
+    def test_normalize_then_affine(self, exact):
+        out = layer_norm_fwd(np.array([0.0, 2.0]), np.full(2, 2.0), np.ones(2))[0]
         np.testing.assert_allclose(out, [-1.0, 3.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_scale_shift_invariance(self, seed):
+    def test_scale_shift_invariance(self, seed, exact):
         rng = np.random.default_rng(seed)
         x = rng.normal(0, 1, 16)
         a, b = float(rng.uniform(0.2, 5.0)), float(rng.normal(0, 3))
         g, z = np.ones(16), np.zeros(16)
-        np.testing.assert_allclose(layer_norm_fwd(x, g, z, 0.0)[0],
-                                   layer_norm_fwd(a * x + b, g, z, 0.0)[0], atol=1e-9)
+        np.testing.assert_allclose(layer_norm_fwd(x, g, z)[0],
+                                   layer_norm_fwd(a * x + b, g, z)[0], atol=1e-9)
 
     def test_zero_length_axis(self):
         with pytest.raises(ShapeError):
