@@ -98,11 +98,9 @@ def cmd_partition(args) -> int:
     ds = load_dataset(args.dataset)
     scale, cells = scale_and_cells(ds.coords)
     if args.square_side:
-        part = partition_square(ds.coords, cells, scale, args.square_side,
-                                args.shift, strict=not args.lenient)
+        part = partition_square(ds.coords, cells, scale, args.square_side, args.shift)
     else:
-        part = partition(ds.coords, cells, scale, args.k, args.shift,
-                         strict=not args.lenient)
+        part = partition(ds.coords, cells, scale, args.k, args.shift)
     check_partition(part, cells)
     with open(args.out, "w") as fh:
         fh.write(format_partition_records(part, ds.spot_ids))
@@ -110,8 +108,7 @@ def cmd_partition(args) -> int:
         write_ppm(args.render, partition_image(ds.coords, part.window_of_spot))
     occ = part.occupancy.sum(axis=1)
     print(f"{part.n_windows} windows, {part.n_slots} slots, largest {occ.max()}, "
-          f"fill {occ.sum() / part.occupancy.size:.3f}, "
-          f"{len(part.dropped)} dropped -> {args.out}")
+          f"fill {occ.sum() / part.occupancy.size:.3f} -> {args.out}")
     return EXIT_OK
 
 
@@ -226,7 +223,6 @@ def build_parser() -> _Parser:
     p.add_argument("--square-side", type=int, default=0,
                    help="use a square tiling with this side instead of hex")
     p.add_argument("--shift", type=int, default=0, choices=(0, 1, 2))
-    p.add_argument("--lenient", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--render", help="also write a window-colored PPM here")
     p.set_defaults(fn=cmd_partition)

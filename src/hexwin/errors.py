@@ -22,7 +22,7 @@ class CoverageError(RuntimeError):
 
 
 class SlotCollisionError(RuntimeError):
-    """Two spots mapped to the same (window, slot) in strict mode."""
+    """Two spots mapped to the same (window, slot) of one partition."""
 
 
 class NumericError(ArithmeticError):

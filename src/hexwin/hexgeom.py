@@ -124,16 +124,6 @@ def cartesian_to_axial_frac(points: np.ndarray, scale: LatticeScale) -> np.ndarr
     return np.stack([q, r], axis=-1)
 
 
-def axial_to_cartesian(cells: np.ndarray, scale: LatticeScale) -> np.ndarray:
-    """Cartesian positions of (fractional or integer) axial coordinates."""
-    cells = np.asarray(cells, dtype=np.float64)
-    q = cells[..., 0]
-    r = cells[..., 1]
-    x = SQRT3 * scale.s_spot * (q + 0.5 * r)
-    y = 1.5 * scale.s_spot * r
-    return np.stack([x, y], axis=-1) + scale.anchor
-
-
 def cube_round(frac: np.ndarray) -> np.ndarray:
     """Snap fractional axial coordinates to the nearest integer lattice cell.
 

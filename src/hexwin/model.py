@@ -251,7 +251,7 @@ def build_geometry(coords: np.ndarray, cfg: ModelConfig) -> Geometry:
          partition_square(coords, cells, scale, side, shift, stage=stage, block=block)
          for block, shift in enumerate(shift_schedule(cfg.blocks))]
         for stage, (radius, side) in enumerate(zip(cfg.radii, cfg.stage_sides()))]
-    # strict partitions place every spot
+    # every partition places every spot or has raised SlotCollisionError
     packings = [[_compact_packing(part.window_of_spot, part.slot_of_spot, part.n_windows)
                  for part in row] for row in partitions]
     # every global block takes all spots as one window, in row order

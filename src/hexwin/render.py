@@ -66,9 +66,7 @@ def partition_image(coords: np.ndarray, window_of_spot: np.ndarray,
                     width: int = 400) -> np.ndarray:
     """Spots colored by window index from the fixed palette."""
     win = np.asarray(window_of_spot, dtype=np.int64)
-    colors = PALETTE[np.where(win >= 0, win % len(PALETTE), 0)]
-    colors[win < 0] = (0, 0, 0)
-    return draw_spots(coords, colors, width)
+    return draw_spots(coords, PALETTE[win % len(PALETTE)], width)
 
 
 def heatmap_colors(values: np.ndarray) -> np.ndarray:

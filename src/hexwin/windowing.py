@@ -2,10 +2,11 @@
 
 Hexagonal windows: centers live on a coarse hexagonal lattice with spacing
 K * d_med, spots are assigned to their nearest (possibly shifted) center,
-and each assigned spot occupies the slot matching its integer cell offset
-from the center's cell. The slot set of radius K has 3K^2 + 3K + 1 entries
-shared by every window at a stage. A square tiling variant provides the
-geometry-mismatched ablation baseline.
+and each spot occupies the slot matching its integer cell offset from the
+center's cell. The slot set of radius K has 3K^2 + 3K + 1 entries shared by
+every window at a stage. A square tiling variant provides the
+geometry-mismatched ablation baseline. Either kind places every spot or
+raises: two spots in one (window, slot) are a SlotCollisionError.
 
 Successive blocks shift the whole center set by 0, e1/2, e2/2 where e1, e2
 are the coarse-lattice basis vectors; the cycle restarts at each stage.
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InputError, SlotCollisionError
-from .hexgeom import (SQRT3, LatticeScale, axial_to_cartesian, cells_for_points,
-                      cube_round, hex_disk, hex_distance)
+from .hexgeom import (SQRT3, LatticeScale, cells_for_points, cube_round, hex_disk,
+                      hex_distance)
 
 # Most slots one window may have (hex radius K <= 147, square side <= 128),
 # checked before anything O(K^2) is allocated; holds any slide of <= 65k spots
@@ -69,14 +70,15 @@ class WindowPartition:
     stage: int
     block: int
     window_of_spot: np.ndarray   # (N,) int
-    slot_of_spot: np.ndarray     # (N,) int, -1 for dropped spots
+    slot_of_spot: np.ndarray     # (N,) int
     occupancy: np.ndarray        # (M, S) bool
     centers: np.ndarray          # (M, 2) float
     center_cells: np.ndarray     # (M, 2) int
 
     @property
     def dropped(self) -> np.ndarray:
-        """Indices of the spots no window holds, in increasing order."""
+        """Indices of the spots no window holds: always empty, since a partition
+        places every spot or raises. perfbench/counters.py reads it."""
         return np.flatnonzero(self.window_of_spot < 0)
 
     @property
@@ -142,36 +144,19 @@ def _nearest_centers(coords: np.ndarray, scale: LatticeScale, radius: int,
     return cand[np.arange(len(cand)), d2.argmin(axis=1)]
 
 
-def _resolve_collisions(win, slot, n_slots, keep_metric, strict):
-    """Keep in each (window, slot) the spot with the smallest keep_metric
-    (ties: lower index) and drop the others; strict mode raises instead.
-
-    keep_metric: (N,) distance of each spot to its cell or subcell center.
-    Returns (window_of_spot, slot_of_spot), with -1 for dropped spots.
-    """
-    key = win * n_slots + slot
-    order = np.lexsort((keep_metric, key))
-    lose = order[1:][key[order[1:]] == key[order[:-1]]]
-    if not len(lose):
-        return win, slot
-    if strict:  # name the first spot, in index order, whose (window, slot) is taken
+def _finish_partition(kind, size, stage, block, win, slot, n_slots, centers,
+                      center_cells) -> WindowPartition:
+    """Mark the occupied slots; two spots in one (window, slot) raise
+    SlotCollisionError. Every window keeps a spot."""
+    occupancy = np.zeros((len(centers), n_slots), dtype=bool)
+    occupancy[win, slot] = True
+    if occupancy.sum() < len(win):
+        # name the first spot, in index order, whose (window, slot) is taken
+        key = win * n_slots + slot
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
         i = int(np.flatnonzero(first[inverse] != np.arange(len(key)))[0])
         raise SlotCollisionError(f"spots {first[inverse[i]]} and {i} both map to "
                                  f"window {win[i]} slot {slot[i]}")
-    win, slot = win.copy(), slot.copy()
-    win[lose] = slot[lose] = -1
-    return win, slot
-
-
-def _finish_partition(kind, size, stage, block, win, slot, n_slots, centers,
-                      center_cells, keep_metric, strict) -> WindowPartition:
-    """Resolve slot collisions and mark the occupied slots. Every window
-    keeps a spot."""
-    win, slot = _resolve_collisions(win, slot, n_slots, keep_metric, strict)
-    valid = win >= 0
-    occupancy = np.zeros((len(centers), n_slots), dtype=bool)
-    occupancy[win[valid], slot[valid]] = True
     return WindowPartition(kind=kind, size=size, stage=stage, block=block,
                            window_of_spot=win, slot_of_spot=slot,
                            occupancy=occupancy, centers=centers,
@@ -179,16 +164,13 @@ def _finish_partition(kind, size, stage, block, win, slot, n_slots, centers,
 
 
 def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
-              radius: int, shift: int, *, strict: bool = True,
-              stage: int = 0, block: int = 0) -> WindowPartition:
+              radius: int, shift: int, *, stage: int = 0, block: int = 0) -> WindowPartition:
     """Voronoi-style hexagonal window partition at one (stage, block).
 
     Every spot joins its nearest shifted center (ties: lowest lattice id)
     and occupies the slot matching its cell offset from the center cell. A
     spot whose offset exceeds the radius is a coverage-contract violation.
-    Two spots in one cell of one window collide: strict mode raises, lenient
-    mode keeps the spot nearer the cell center (ties: lower index) and drops
-    the other.
+    Two spots in one cell of one window collide and raise SlotCollisionError.
     """
     coords, cells = _check_args(coords, cells, radius, shift, "window radius",
                                 3 * radius * (radius + 1) + 1)
@@ -204,21 +186,19 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     offsets = build_slot_set(radius)
     slot_table = np.full((2 * radius + 1, 2 * radius + 1), -1, dtype=np.int64)
     slot_table[offsets[:, 0] + radius, offsets[:, 1] + radius] = np.arange(len(offsets))
-    keep_metric = np.linalg.norm(coords - axial_to_cartesian(cells, scale), axis=1)
     return _finish_partition("hex", radius, stage, block, win,
                              slot_table[off[:, 0] + radius, off[:, 1] + radius],
-                             len(offsets), centers, center_cells, keep_metric, strict)
+                             len(offsets), centers, center_cells)
 
 
 def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
-                     side: int, shift: int, *, strict: bool = True,
-                     stage: int = 0, block: int = 0) -> WindowPartition:
+                     side: int, shift: int, *, stage: int = 0,
+                     block: int = 0) -> WindowPartition:
     """Axis-aligned square tiling ablation with half-tile shifts.
 
     Tiles have edge side * d_med; each tile is subdivided into a
     (2*side) x (2*side) grid of half-spacing subcells acting as slots.
-    Two spots in one subcell collide: strict mode raises, lenient mode keeps
-    the spot nearer the subcell center (ties: lower index) and drops the other.
+    Two spots in one subcell collide and raise SlotCollisionError.
     """
     coords, cells = _check_args(coords, cells, side, shift, "square window side",
                                 4 * side * side)
@@ -230,34 +210,29 @@ def partition_square(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     sub = np.minimum(((u - tiles) * grid).astype(np.int64), grid - 1)
     uniq, win = _unique_rows(tiles)
     centers = scale.anchor + delta + (uniq + 0.5) * tile
-    subcell_center = (tiles + (sub + 0.5) / grid) * tile + scale.anchor + delta
-    keep_metric = np.linalg.norm(coords - subcell_center, axis=1)
     return _finish_partition("square", side, stage, block, win, sub[:, 1] * grid + sub[:, 0],
-                             grid * grid, centers, cells_for_points(centers, scale),
-                             keep_metric, strict)
+                             grid * grid, centers, cells_for_points(centers, scale))
 
 
 def check_partition(part: WindowPartition, cells: np.ndarray) -> None:
     """Re-assert the partition invariants; raises CoverageError on violation."""
     cells = np.asarray(cells, dtype=np.int64)
     win, slot = part.window_of_spot, part.slot_of_spot
-    idx = np.flatnonzero(win >= 0)
-    w, sl = win[idx], slot[idx]
     m, s = part.occupancy.shape
-    bad = idx[(w >= m) | (sl < 0) | (sl >= s)]
+    bad = np.flatnonzero((win < 0) | (win >= m) | (slot < 0) | (slot >= s))
     if len(bad):
         raise CoverageError(f"spot {bad[0]} has (window, slot) ({win[bad[0]]}, "
                             f"{slot[bad[0]]}) outside the {m} x {s} occupancy mask")
-    _, first, inverse = np.unique(w * s + sl, return_index=True, return_inverse=True)
-    bad = idx[first[inverse] != np.arange(len(idx))]
+    _, first, inverse = np.unique(win * s + slot, return_index=True, return_inverse=True)
+    bad = np.flatnonzero(first[inverse] != np.arange(len(win)))
     if len(bad):
         raise CoverageError(f"duplicate (window, slot) ({win[bad[0]]}, {slot[bad[0]]})")
-    bad = idx[~part.occupancy[w, sl]]
+    bad = np.flatnonzero(~part.occupancy[win, slot])
     if len(bad):
         raise CoverageError(f"occupancy mask does not cover spot {bad[0]}")
-    if int(part.occupancy.sum()) != len(idx):
+    if int(part.occupancy.sum()) != len(win):
         raise CoverageError("occupancy marks slots with no spot")
-    if part.kind == "hex" and np.any(hex_distance(cells[idx], part.center_cells[w]) > part.size):
+    if part.kind == "hex" and np.any(hex_distance(cells, part.center_cells[win]) > part.size):
         raise CoverageError("slot offset exceeds window radius")
 
 
@@ -293,7 +268,7 @@ def neighbor_coverage_rate(partitions: list[WindowPartition],
     covered = np.zeros(len(pairs), dtype=bool)
     for part in partitions:
         w = part.window_of_spot
-        covered |= (w[pairs[:, 0]] == w[pairs[:, 1]]) & (w[pairs[:, 0]] >= 0)
+        covered |= w[pairs[:, 0]] == w[pairs[:, 1]]
     return float(covered.mean())
 
 
@@ -302,10 +277,7 @@ def format_partition_records(part: WindowPartition, spot_ids) -> str:
     lines = ["spot_id\tstage\tblock\twindow\tslot\tcenter_x\tcenter_y"]
     for i, sid in enumerate(spot_ids):
         w = int(part.window_of_spot[i])
-        if w >= 0:
-            cx, cy = (float(v) for v in part.centers[w])
-            lines.append(f"{sid}\t{part.stage}\t{part.block}\t{w}\t"
-                         f"{int(part.slot_of_spot[i])}\t{cx!r}\t{cy!r}")
-        else:
-            lines.append(f"{sid}\t{part.stage}\t{part.block}\t-1\t-1\tnan\tnan")
+        cx, cy = (float(v) for v in part.centers[w])
+        lines.append(f"{sid}\t{part.stage}\t{part.block}\t{w}\t"
+                     f"{int(part.slot_of_spot[i])}\t{cx!r}\t{cy!r}")
     return "\n".join(lines) + "\n"

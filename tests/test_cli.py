@@ -117,16 +117,15 @@ class TestPartition:
         assert summary[1] == "7 slots"
         largest = int(summary[2].removeprefix("largest "))
         assert -(-37 // windows) <= largest <= 7
-        assert summary[3] == f"fill {37 / (windows * 7):.3f}"
-        assert summary[4] == "0 dropped"
+        assert summary[3] == f"fill {37 / (windows * 7):.3f}" and len(summary) == 4
         lines = out.read_text().splitlines()
         assert lines[0].split("\t") == ["spot_id", "stage", "block", "window",
                                         "slot", "center_x", "center_y"]
         assert len(lines) - 1 == 37
 
-    def test_collision_is_exit_three_unless_lenient(self, tmp_path, capsys):
-        # spot 5 moved next to spot 4 shares its cell: strict mode names both,
-        # lenient mode keeps spot 4 and writes spot 5 as unplaced
+    def test_collision_is_exit_three_and_lenient_is_unknown(self, tmp_path, capsys):
+        # spot 5 moved next to spot 4 shares its cell: the error names both, and
+        # no flag places one of them anyway
         data = tmp_path / "data"
         assert main(["generate", "--seed", "1", "--out", str(data)]) == 0
         ds = load_dataset(str(data))
@@ -140,10 +139,13 @@ class TestPartition:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and re.search(r"spots 4 and 5 both map to window \d+ slot \d+$",
                                            err[0]), err
-        assert main(argv + ["--lenient"]) == 0
-        assert capsys.readouterr().out.split(", ")[-1].startswith(f"1 dropped -> {out}")
-        records = out.read_text().splitlines()
-        assert [r for r in records if "\t-1\t" in r] == ["s00005\t0\t0\t-1\t-1\tnan\tnan"]
+        # training builds the same stage-0 partition first
+        assert main(["train", "--dataset", str(data), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err.strip().splitlines() == err
+        assert main(argv + ["--lenient"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: ") and "--lenient" in err[0], err
+        assert not out.exists()
 
     def test_rejected_partition_is_exit_three(self, dataset_dir, tmp_path, capsys,
                                               monkeypatch):
