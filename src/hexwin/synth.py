@@ -218,8 +218,13 @@ def save_dataset(ds: SpotDataset, outdir: str) -> None:
     with open(os.path.join(outdir, "spots.tsv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_matrix(os.path.join(outdir, "tokens"), ds.tokens)
+    stem = os.path.join(outdir, "transcriptomic")
     if ds.transcriptomic is not None:
-        _write_matrix(os.path.join(outdir, "transcriptomic"), ds.transcriptomic)
+        _write_matrix(stem, ds.transcriptomic)
+    else:   # an earlier slide's embeddings would load as this one's
+        for name in (stem + ".bin", stem + ".json"):
+            if os.path.exists(name):
+                os.remove(name)
 
 
 def load_dataset(indir: str) -> SpotDataset:
@@ -259,18 +264,20 @@ def load_dataset(indir: str) -> SpotDataset:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
     tokens = _read_matrix(os.path.join(indir, "tokens"))
-    tpath = os.path.join(indir, "transcriptomic.bin")
-    transcriptomic = (_read_matrix(os.path.join(indir, "transcriptomic"))
-                      if os.path.exists(tpath) else None)
-    ds = SpotDataset(coords=coords, tokens=tokens, expression=expression,
-                     transcriptomic=transcriptomic, spot_ids=spot_ids,
-                     gene_names=gene_names)
+    tstem = os.path.join(indir, "transcriptomic")
+    # either file of the pair makes it present, so a lone one is reported missing its mate
+    transcriptomic = (_read_matrix(tstem) if os.path.exists(tstem + ".bin")
+                      or os.path.exists(tstem + ".json") else None)
     for where, arr in ((path, np.hstack([coords, expression])),
-                       (os.path.join(indir, "tokens.bin"), tokens), (tpath, transcriptomic)):
+                       (os.path.join(indir, "tokens.bin"), tokens), (tstem + ".bin", transcriptomic)):
+        if arr is not None and len(arr) != len(spot_ids):
+            raise InputError(f"{where} has {len(arr)} rows, spots.tsv has {len(spot_ids)} spots")
         bad = [] if arr is None else np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if len(bad):
             raise InputError(f"{where}: spot {spot_ids[bad[0]]!r} has a non-finite value")
-    return ds
+    return SpotDataset(coords=coords, tokens=tokens, expression=expression,
+                       transcriptomic=transcriptomic, spot_ids=spot_ids,
+                       gene_names=gene_names)
 
 
 def _write_matrix(stem: str, arr: np.ndarray) -> None:

@@ -1,12 +1,13 @@
 """Shifted window partitions over spot arrays.
 
 Hexagonal windows: centers live on a coarse hexagonal lattice with spacing
-K * d_med, spots are assigned to their nearest (possibly shifted) center,
-and each spot occupies the slot matching its integer cell offset from the
-center's cell. The slot set of radius K has 3K^2 + 3K + 1 entries shared by
-every window at a stage. A square tiling variant provides the
-geometry-mismatched ablation baseline. Either kind places every spot or
-raises: two spots in one (window, slot) are a SlotCollisionError.
+K * d_med (`_center_lattice` is its one definition), spots are assigned to
+their nearest (possibly shifted) center, and each spot occupies the slot
+matching its integer cell offset from the center's cell. The slots of
+radius K are `hex_disk(K)`, 3K^2 + 3K + 1 offsets shared by every window at
+a stage. A square tiling variant provides the geometry-mismatched ablation
+baseline. Either kind places every spot or raises: two spots in one
+(window, slot) are a SlotCollisionError.
 
 Successive blocks shift the whole center set by 0, e1/2, e2/2 where e1, e2
 are the coarse-lattice basis vectors; the cycle restarts at each stage.
@@ -25,32 +26,6 @@ from .hexgeom import (SQRT3, LatticeScale, cells_for_points, cube_round, hex_dis
 # Most slots one window may have (hex radius K <= 147, square side <= 128),
 # checked before anything O(K^2) is allocated; holds any slide of <= 65k spots
 MAX_SLOTS = 1 << 16
-
-
-def build_slot_set(radius: int) -> np.ndarray:
-    """The (S, 2) read-only int array of the 3K^2 + 3K + 1 cell offsets with
-    max(|dq|,|dr|,|dq+dr|) <= K, in lexicographic order: one window's slots."""
-    if not (0 <= radius and 3 * radius * (radius + 1) + 1 <= MAX_SLOTS):
-        raise InputError(f"slot radius must be >= 0 with at most {MAX_SLOTS} slots, got {radius}")
-    arr = hex_disk(radius)
-    arr.setflags(write=False)
-    return arr
-
-
-def center_basis(scale: LatticeScale, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis vectors of the coarse center lattice for window radius K."""
-    s_center = radius * scale.s_spot
-    e1 = np.array([0.0, SQRT3 * s_center])
-    e2 = np.array([1.5 * s_center, (SQRT3 / 2.0) * s_center])
-    return e1, e2
-
-
-def shift_delta(scale: LatticeScale, radius: int, shift: int) -> np.ndarray:
-    """Center translation for shift id 0, 1 or 2: 0, e1/2, e2/2."""
-    if shift not in (0, 1, 2):
-        raise InputError("shift must be 0, 1 or 2")
-    e1, e2 = center_basis(scale, radius)
-    return (np.zeros(2), 0.5 * e1, 0.5 * e2)[shift]
 
 
 def shift_schedule(n_blocks: int) -> list[int]:
@@ -119,29 +94,15 @@ def _unique_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids[first], inverse
 
 
-def _center_positions(ids, scale: LatticeScale, radius: int, shift: int) -> np.ndarray:
-    """Cartesian positions of shifted coarse-lattice centers with ids (alpha, beta)."""
-    e1, e2 = center_basis(scale, radius)
-    return (scale.anchor + ids[..., :1] * e1 + ids[..., 1:] * e2
-            + shift_delta(scale, radius, shift))
-
-
-def _nearest_centers(coords: np.ndarray, scale: LatticeScale, radius: int,
-                     shift: int) -> np.ndarray:
-    """(N, 2) lattice ids (alpha, beta) of each spot's nearest shifted center;
-    distance ties go to the lower id.
-
-    Cube rounding the fractional (alpha, beta) finds the nearest center of the
-    hexagonal center lattice up to rounding error, so the exact distances to
-    it and its six neighbours decide.
-    """
-    e1, e2 = center_basis(scale, radius)
-    basis_inv = np.linalg.inv(np.stack([e1, e2], axis=1))
-    frac = (coords - scale.anchor - shift_delta(scale, radius, shift)) @ basis_inv.T
-    cand = cube_round(frac)[:, None, :] + _NEAREST_AND_RING
-    d2 = ((coords[:, None, :] - _center_positions(cand, scale, radius, shift)) ** 2
-          ).sum(axis=-1)
-    return cand[np.arange(len(cand)), d2.argmin(axis=1)]
+def _center_lattice(scale: LatticeScale, radius: int,
+                    shift: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Basis e1, e2 of the coarse center lattice for window radius K, and the
+    translation delta of shift id 0, 1 or 2: 0, e1/2 or e2/2. The center with
+    lattice id (alpha, beta) sits at anchor + alpha*e1 + beta*e2 + delta."""
+    s_center = radius * scale.s_spot
+    e1 = np.array([0.0, SQRT3 * s_center])
+    e2 = np.array([1.5 * s_center, (SQRT3 / 2.0) * s_center])
+    return e1, e2, (np.zeros(2), 0.5 * e1, 0.5 * e2)[shift]
 
 
 def _finish_partition(kind, size, stage, block, win, slot, n_slots, centers,
@@ -174,8 +135,15 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
     """
     coords, cells = _check_args(coords, cells, radius, shift, "window radius",
                                 3 * radius * (radius + 1) + 1)
-    ids, win = _unique_rows(_nearest_centers(coords, scale, radius, shift))
-    centers = _center_positions(ids, scale, radius, shift)
+    e1, e2, delta = _center_lattice(scale, radius, shift)
+    # cube rounding the fractional (alpha, beta) finds the nearest center up to
+    # rounding error, so the exact distances to it and its six neighbours decide
+    frac = (coords - scale.anchor - delta) @ np.linalg.inv(np.stack([e1, e2], axis=1)).T
+    cand = cube_round(frac)[:, None, :] + _NEAREST_AND_RING
+    pos = scale.anchor + cand[..., :1] * e1 + cand[..., 1:] * e2 + delta
+    d2 = ((coords[:, None, :] - pos) ** 2).sum(axis=-1)
+    ids, win = _unique_rows(cand[np.arange(len(cand)), d2.argmin(axis=1)])
+    centers = scale.anchor + ids[:, :1] * e1 + ids[:, 1:] * e2 + delta
     center_cells = cells_for_points(centers, scale)
     off = cells - center_cells[win]
     dist = hex_distance(off, np.zeros(2, dtype=np.int64))
@@ -183,7 +151,7 @@ def partition(coords: np.ndarray, cells: np.ndarray, scale: LatticeScale,
         i = int(np.argmax(dist > radius))
         raise CoverageError(f"spot {i} sits {int(dist[i])} cells from its nearest center "
                             f"(radius {radius}); coverage contract violated")
-    offsets = build_slot_set(radius)
+    offsets = hex_disk(radius)
     slot_table = np.full((2 * radius + 1, 2 * radius + 1), -1, dtype=np.int64)
     slot_table[offsets[:, 0] + radius, offsets[:, 1] + radius] = np.arange(len(offsets))
     return _finish_partition("hex", radius, stage, block, win,

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from hexwin import hexgeom
 from hexwin.hexgeom import (SQRT3, LatticeScale, cells_for_points, cube_round,
                             estimate_scale, hex_distance)
 from hexwin.losses import LossWeights, loss_dev_grad, loss_pearson_grad, loss_total
@@ -20,7 +21,7 @@ from hexwin.model import (ModelConfig, build_geometry, forward, init_params,
 from hexwin.rope import apply_hex_rope, axial_to_cube, per_axis
 from hexwin.synth import SynthConfig, generate
 from hexwin.trainer import TrainConfig, grad_check, toy_grad_check_inputs, train
-from hexwin.windowing import build_slot_set, check_partition, partition
+from hexwin.windowing import check_partition, partition
 from oracles import axial_to_cartesian
 
 PASS = "ACCEPTANCE {:>2}: PASS - {}"
@@ -118,7 +119,7 @@ def test_criterion_1_geometry_oracles():
 
 def test_criterion_2_slot_set_cardinality():
     for k in range(9):
-        ss = build_slot_set(k)
+        ss = hexgeom.hex_disk(k)    # a radius-k window's slots
         enum = {(dq, dr) for dq in range(-k, k + 1) for dr in range(-k, k + 1)
                 if max(abs(dq), abs(dr), abs(dq + dr)) <= k}
         assert len(ss) == len(enum) == 3 * k * k + 3 * k + 1

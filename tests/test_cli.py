@@ -278,6 +278,17 @@ class TestTrainEvalRender:
         params, mcfg = load_checkpoint(str(run / "checkpoint.bin"))
         assert mcfg.t_dim == 2 and params["tfa.w"].shape == (mcfg.out_dim, 2)
 
+    def test_regenerated_slide_without_embeddings_has_none(self, dataset_dir, tmp_path):
+        # the first slide's embeddings must not load as the second one's
+        cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, "transcriptomic_dim": 0})
+        assert main(["generate", "--config", cfg, "--out", str(dataset_dir)]) == 0
+        assert not list(dataset_dir.glob("transcriptomic.*"))
+        assert load_dataset(str(dataset_dir)).transcriptomic is None
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(dataset_dir), "--steps", "1",
+                     "--out", str(run)]) == 0
+        assert load_checkpoint(str(run / "checkpoint.bin"))[1].t_dim == 0
+
     def test_loss_off_flag(self, dataset_dir, tmp_path):
         cfg = write_config(tmp_path / "mc.json", model=SMALL_MODEL,
                            train={"steps": 2, "lr": 0.005, "seed": 1})
@@ -299,6 +310,28 @@ class TestExitCodes:
     def test_missing_dataset_is_io_error(self, tmp_path):
         assert main(["partition", "--dataset", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "x.tsv")]) == 2
+
+    @pytest.mark.parametrize("kept,missing", [("transcriptomic.json", "transcriptomic.bin"),
+                                              ("transcriptomic.bin", "transcriptomic.json")])
+    def test_lone_embedding_file_is_io_error(self, dataset_dir, tmp_path, capsys,
+                                             kept, missing):
+        (dataset_dir / missing).unlink()
+        capsys.readouterr()
+        assert main(["partition", "--dataset", str(dataset_dir),
+                     "--out", str(tmp_path / "p.tsv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: "), err
+        assert str(dataset_dir / missing) in err[0]
+
+    @pytest.mark.parametrize("stem", ["tokens", "transcriptomic"])
+    def test_row_count_mismatch_names_the_file(self, dataset_dir, tmp_path, capsys, stem):
+        arr = np.fromfile(dataset_dir / f"{stem}.bin", dtype="<f8").reshape(37, -1)[:36]
+        arr.tofile(dataset_dir / f"{stem}.bin")
+        (dataset_dir / f"{stem}.json").write_text(json.dumps(
+            {"dtype": "<f8", "order": "C", "shape": list(arr.shape)}))
+        line = assert_invalid_input(capsys, ["partition", "--dataset", str(dataset_dir),
+                                             "--out", str(tmp_path / "p.tsv")])
+        assert line == f"invalid input: {dataset_dir / stem}.bin has 36 rows, spots.tsv has 37 spots"
 
     def test_numeric_failure_is_exit_three(self, dataset_dir, tmp_path, monkeypatch):
         # a token corrupted past the loader's finiteness check makes training

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexwin import hexgeom
 from hexwin.errors import CoverageError, InputError, SlotCollisionError
 from hexwin.hexgeom import SQRT3, LatticeScale, cells_for_points, estimate_scale, hex_distance
-from hexwin.model import ModelConfig, build_geometry
+from hexwin.model import ModelConfig, build_geometry, scale_and_cells
 from hexwin.synth import SynthConfig, generate
-from hexwin.windowing import (MAX_SLOTS, _unique_rows, build_slot_set,
-                              center_basis, check_partition, format_partition_records,
-                              neighbor_coverage_rate, partition,
-                              partition_square, shift_delta, shift_schedule,
-                              six_neighbor_pairs)
+from hexwin.windowing import (MAX_SLOTS, _unique_rows, check_partition,
+                              format_partition_records, neighbor_coverage_rate, partition,
+                              partition_square, shift_schedule, six_neighbor_pairs)
 from oracles import axial_to_cartesian
 
 UNIT = LatticeScale(1.0, (0.0, 0.0))
@@ -40,12 +39,22 @@ def lattice_points(radius, scale=UNIT, jitter=0.0, seed=0):
     return pts
 
 
+def center_lattice(scale, radius, shift):
+    """README's window-center lattice, defined here apart from the package:
+    e1 = (0, sqrt3*K*s), e2 = (1.5*K*s, (sqrt3/2)*K*s) with hexagon side
+    s = d_med/sqrt3, translated by 0, e1/2 or e2/2 for shift 0, 1 or 2. The
+    float operations run in partition's order, so centers compare exactly."""
+    ks = radius * (scale.d_med / math.sqrt(3.0))
+    e1 = np.array([0.0, math.sqrt(3.0) * ks])
+    e2 = np.array([1.5 * ks, (math.sqrt(3.0) / 2.0) * ks])
+    return e1, e2, [np.zeros(2), 0.5 * e1, 0.5 * e2][shift]
+
+
 def brute_force_centers(pts, scale, radius, shift):
     """Every shifted center over an (alpha, beta) box around the bounding box,
     plus each spot's nearest and second-nearest center index (ties: lower
     index, i.e. lower (alpha, beta))."""
-    e1, e2 = center_basis(scale, radius)
-    delta = shift_delta(scale, radius, shift)
+    e1, e2, delta = center_lattice(scale, radius, shift)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     corners = np.array([lo, [hi[0], lo[1]], [lo[0], hi[1]], hi])
     ab = (corners - scale.anchor - delta) @ np.linalg.inv(np.stack([e1, e2], axis=1)).T
@@ -70,20 +79,22 @@ def same_grouping(win_a, win_b):
 
 
 class TestSlotSet:
+    """A radius-K window's slots are hexgeom.hex_disk(K)."""
+
     def test_radius_zero(self):
-        ss = build_slot_set(0)
+        ss = hexgeom.hex_disk(0)
         assert len(ss) == 1
         np.testing.assert_array_equal(ss, [[0, 0]])
 
     def test_radius_one_has_seven(self):
-        assert len(build_slot_set(1)) == 7
+        assert len(hexgeom.hex_disk(1)) == 7
 
     def test_radius_three_has_thirty_seven(self):
-        assert len(build_slot_set(3)) == 37
+        assert len(hexgeom.hex_disk(3)) == 37
 
     @pytest.mark.parametrize("k", range(9))
     def test_cardinality_formula_vs_enumeration(self, k):
-        ss = build_slot_set(k)
+        ss = hexgeom.hex_disk(k)
         # independent oracle: cells within graph distance k of the origin
         disk = {(int(q), int(r)) for q, r in hex_disk(6 * max(k, 1))
                 if hex_distance(np.array([q, r]), np.zeros(2, dtype=int)) <= k}
@@ -91,18 +102,8 @@ class TestSlotSet:
         assert {tuple(o) for o in ss} == disk
 
     def test_deterministic_lexicographic_order(self):
-        off = build_slot_set(2)
+        off = hexgeom.hex_disk(2)
         assert sorted(map(tuple, off)) == list(map(tuple, off))
-
-    def test_negative_radius(self):
-        with pytest.raises(InputError):
-            build_slot_set(-1)
-
-    def test_slot_budget(self):
-        assert len(build_slot_set(147)) == 3 * 147 * 148 + 1 <= MAX_SLOTS
-        for k in (148, 10 ** 6):   # rejected before the O(K^2) offset list is built
-            with pytest.raises(InputError, match=f"got {k}$"):
-                build_slot_set(k)
 
     @pytest.mark.parametrize("kind,size", [("hex", 148), ("hex", 10 ** 6),
                                            ("square", 129), ("square", 10 ** 6)])
@@ -131,11 +132,10 @@ class TestCenters:
     def test_shift_translates_centers(self):
         pts = lattice_points(6)
         cells = cells_for_points(pts, UNIT)
-        e1, e2 = center_basis(UNIT, 2)
-        to_ab = np.linalg.inv(np.stack([e1, e2], axis=1))
         for shift in (0, 1, 2):
+            e1, e2, delta = center_lattice(UNIT, 2, shift)
             centers = partition(pts, cells, UNIT, 2, shift).centers
-            ab = (centers - UNIT.anchor - shift_delta(UNIT, 2, shift)) @ to_ab.T
+            ab = (centers - UNIT.anchor - delta) @ np.linalg.inv(np.stack([e1, e2], axis=1)).T
             np.testing.assert_allclose(ab, np.round(ab), atol=1e-9)
 
     def test_every_spot_near_a_center(self):
@@ -304,11 +304,14 @@ class TestShiftMachinery:
         assert shift_schedule(1) == [0]
 
     def test_basis_lengths(self):
-        e1, e2 = center_basis(UNIT, 3)
-        assert np.linalg.norm(e1) == pytest.approx(3 * UNIT.d_med)
-        assert np.linalg.norm(e2) == pytest.approx(3 * UNIT.d_med)
-        cosang = e1 @ e2 / (np.linalg.norm(e1) * np.linalg.norm(e2))
-        assert cosang == pytest.approx(0.5)
+        # window centers lie K * d_med apart: the nearest two of the partition's
+        # centers on a radius-10 lattice, at shift 0
+        pts = lattice_points(10)
+        cells = cells_for_points(pts, UNIT)
+        for k in (1, 2, 3, 4):
+            centers = partition(pts, cells, UNIT, k, 0).centers
+            gaps = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
+            assert gaps[~np.eye(len(centers), dtype=bool)].min() == pytest.approx(k * UNIT.d_med)
 
     def test_neighbor_coverage_rate_by_stage(self):
         pts = lattice_points(10, jitter=0.02, seed=1)
@@ -385,12 +388,6 @@ def test_six_neighbor_pairs_match_dict_oracle():
     assert six_neighbor_pairs(np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
 
 
-def test_slot_set_is_frozen():
-    ss = build_slot_set(1)
-    with pytest.raises(ValueError):
-        ss[0, 0] = 5
-
-
 def oracle_assignment(pts, cells, scale, kind, size, shift):
     """Per spot, one at a time: its (window, slot) key and its window center.
 
@@ -440,7 +437,7 @@ def test_partition_properties_on_random_lattices(radius, jitter, spacing, origin
 
     keys, centers = oracle_assignment(pts, cells, scale, kind, size, shift)
     windows = sorted({key[:-2] for key in keys})
-    offsets = build_slot_set(size).tolist()
+    offsets = hexgeom.hex_disk(size).tolist()
 
     def window_and_slot(key):
         slot = offsets.index(list(key[1:])) if kind == "hex" else key[3] * 2 * size + key[2]
@@ -469,31 +466,50 @@ def test_partition_properties_on_random_lattices(radius, jitter, spacing, origin
         assert hex_distance(cells[kept], part.center_cells[part.window_of_spot]).max() <= size
 
 
-# sha256 over (window_of_spot, slot_of_spot, occupancy) of every partition
-# build_geometry makes on the acceptance suite's learnability slide; a change
-# that moves any partition on purpose updates these
+# sha256 over (window_of_spot, slot_of_spot, occupancy, centers, center_cells)
+# of every partition build_geometry makes on the acceptance suite's
+# learnability slide; a change that moves any partition on purpose updates these
 PINNED_PARTITIONS = {
-    "hex": "d473cb7685f66ac99a321f1172de86ea3a89ce0b838042562da4dcf34a98cbbd",
-    "square": "ead0b12179b5a2739f02f54bbf9fb167db749324db90991198f483249c0c9e63",
+    "hex": "7221152eba7438418b553c4e021d16faa653872815b636db2ea725287e346c6e",
+    "square": "aee9340153b5f9a0c32dad7d585c549ee6fdb8cd082575e4648abffcbb9e8119",
 }
+# sha256 over format_partition_records of that slide's hex partitions at
+# K = 1, 2, 4 and square partitions at sides 2, 4, 8, each at shifts 0-2
+PINNED_RECORDS = "bdd7e9f5a3b685eb9fa6188c5630df684030a9be807abc368fe1a1c98b4aa130"
+
+
+def learnability_slide():
+    return generate(SynthConfig(radius=10, jitter=0.05, dropout=0.05, seed=7, assay_seed=1234,
+                                patterns=("boundary",) * 4 + ("gradient",) * 4
+                                + ("sparse",) * 4 + ("noise",) * 4,
+                                token_dim=32, token_noise=0.05, boundary_high=6.0,
+                                transcriptomic_dim=16))
 
 
 @pytest.mark.parametrize("window", ["hex", "square"])
 def test_build_geometry_partitions_are_pinned(window):
-    ds = generate(SynthConfig(radius=10, jitter=0.05, dropout=0.05, seed=7, assay_seed=1234,
-                              patterns=("boundary",) * 4 + ("gradient",) * 4
-                              + ("sparse",) * 4 + ("noise",) * 4,
-                              token_dim=32, token_noise=0.05, boundary_high=6.0,
-                              transcriptomic_dim=16))
     cfg = ModelConfig(in_dim=32, genes=16, dim=32, heads=4, stages=4, blocks=3,
                       radii=(1, 2, 4), out_dim=16, t_dim=16, window=window)
     digest = hashlib.sha256()
-    for row in build_geometry(ds.coords, cfg).partitions[:-1]:
+    for row in build_geometry(learnability_slide().coords, cfg).partitions[:-1]:
         for part in row:
             for array in (part.window_of_spot.astype("<i8"), part.slot_of_spot.astype("<i8"),
-                          part.occupancy):
+                          part.occupancy, part.centers.astype("<f8"),
+                          part.center_cells.astype("<i8")):
                 digest.update(array.tobytes())
     assert digest.hexdigest() == PINNED_PARTITIONS[window]
+
+
+def test_partition_records_are_pinned():
+    ds = learnability_slide()
+    scale, cells = scale_and_cells(ds.coords)
+    digest = hashlib.sha256()
+    for build, sizes in ((partition, (1, 2, 4)), (partition_square, (2, 4, 8))):
+        for size in sizes:
+            for shift in (0, 1, 2):
+                part = build(ds.coords, cells, scale, size, shift)
+                digest.update(format_partition_records(part, ds.spot_ids).encode())
+    assert digest.hexdigest() == PINNED_RECORDS
 
 
 @pytest.mark.parametrize("spread", [3, 1 << 40])
