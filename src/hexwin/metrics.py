@@ -30,11 +30,13 @@ def midranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, bool]:
+def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray,
+                     ranks: np.ndarray | None = None) -> tuple[float, bool]:
     """Probability a positive outranks a negative (ties count half).
 
     Returns (auc, degenerate); degenerate is True when only one class is
-    present, in which case the auc defaults to 0.5.
+    present, in which case the auc defaults to 0.5. `ranks`, when given,
+    must be midranks(scores): one rank pass then serves several labelings.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=bool).ravel()
@@ -44,7 +46,7 @@ def mann_whitney_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[float, boo
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5, True
-    ranks = midranks(scores)
+    ranks = midranks(scores) if ranks is None else ranks
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg)), False
 
@@ -102,16 +104,20 @@ def evaluate(y_hat: np.ndarray, y: np.ndarray, gene_names=None,
     n, g = y.shape
     names = list(gene_names) if gene_names is not None else [f"g{i:03d}" for i in range(g)]
     med = float(np.median(y))
-    auc0, deg0 = mann_whitney_auc(y_hat.ravel(), y.ravel() > 0.0)
-    auc5, deg5 = mann_whitney_auc(y_hat.ravel(), y.ravel() > med)
+    # each score vector is ranked once, for both of its labelings
+    flat = y_hat.ravel()
+    ranks = midranks(flat)
+    auc0, deg0 = mann_whitney_auc(flat, y.ravel() > 0.0, ranks)
+    auc5, deg5 = mann_whitney_auc(flat, y.ravel() > med, ranks)
     per_pcc = _column_pcc(y_hat, y)
     per_mi = np.array([_discrete_mi(quantile_bins(y_hat[:, j], bins),
                                     quantile_bins(y[:, j], bins), bins)
                        for j in range(g)]) if n >= bins else np.full(g, np.nan)
-    per_a0 = np.array([mann_whitney_auc(y_hat[:, j], y[:, j] > 0.0)[0]
-                       for j in range(g)])
-    per_a5 = np.array([mann_whitney_auc(y_hat[:, j], y[:, j] > med)[0]
-                       for j in range(g)])
+    per_a0, per_a5 = np.zeros(g), np.zeros(g)
+    for j in range(g):
+        ranks = midranks(y_hat[:, j])
+        per_a0[j] = mann_whitney_auc(y_hat[:, j], y[:, j] > 0.0, ranks)[0]
+        per_a5[j] = mann_whitney_auc(y_hat[:, j], y[:, j] > med, ranks)[0]
     mi_f = float(np.nanmean(per_mi)) if n >= bins else float("nan")
     pcc_s = pcc_spotwise(y_hat, y) if g >= 2 else float("nan")
     return EvalReport(pcc_f=float(per_pcc.mean()), pcc_s=pcc_s,

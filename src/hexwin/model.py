@@ -18,13 +18,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import InputError, ShapeError
 from .hexgeom import LatticeScale, cells_for_points, estimate_scale
-from .numerics import gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp
+from .numerics import _run_pair, _split, gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp
 # unused here; stay importable from hexwin.model for perfbench's tracer
 from .numerics import masked_softmax, masked_softmax_vjp  # noqa: F401
 from .rope import apply_hex_rope, apply_hex_rope_vjp, apply_rope_2d, apply_rope_2d_vjp  # noqa: F401
@@ -328,6 +329,28 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
+_worker_work = _Workspace()        # the worker thread's tile buffers
+
+
+def _row_blocks(tiles: list, s: int) -> list[list]:
+    """`_tiles` grouped by (window, query-row) block, when each window is cut
+    into several key blocks and the rows call for a split over two threads;
+    otherwise []."""
+    n_k = -(-s // tiles[0][2].stop)           # key blocks per window
+    if n_k < 2 or not _split(s):
+        return []
+    return [tiles[i:i + n_k] for i in range(0, len(tiles), n_k)]
+
+
+def _each(fn, parts: list, work: _Workspace) -> None:
+    """fn(part, workspace) on one part here, or on two at once: the first
+    here with `work`, the second on the worker with its own workspace."""
+    if len(parts) == 1:
+        fn(parts[0], work)
+    else:
+        _run_pair(lambda: fn(parts[0], work), lambda: fn(parts[1], _worker_work))
+
+
 def _tile_scores(qa: np.ndarray, kta: np.ndarray, ws: slice, rs: slice, ks: slice,
                  work: _Workspace) -> np.ndarray:
     """[q | -c] [K^T; occ] on one tile: S - c on occupied keys, 0 on empty ones.
@@ -387,19 +410,32 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, pack: _Packing, work: _
     qa, kta, va = _windows(q, k, v, 0.0, pack)     # qa is [q | -c], then [q | -LSE]
     ctx = np.zeros_like(va)                        # [numerator | row sum]
     tiles = _tiles(*pack.occ.shape, q.shape[1])
-    # Cauchy-Schwarz: no score of the block exceeds this bound in magnitude
-    if math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k))) > EXP_LIMIT:
-        peak = np.full(qa.shape[:3], -np.inf)
+    # a cut window splits by query-row blocks: each thread owns its rows, and
+    # every row adds up its key blocks in the serial order
+    rows, parts = _row_blocks(tiles, pack.occ.shape[1]), [tiles]
+    if rows:
+        cut = len(rows) // 2 * len(rows[0])
+        parts = [tiles[:cut], tiles[cut:]]
+
+    def max_pass(tiles, work):
         for ws, rs, ks in tiles:
             p = _tile_scores(qa, kta, ws, rs, ks, work)
             np.copyto(p, -np.inf, where=~pack.occ[ws, None, None, ks])
             np.maximum(peak[ws, :, rs], p.max(axis=-1), out=peak[ws, :, rs])
+
+    def exp_pass(tiles, work):
+        for ws, rs, ks in tiles:
+            p = _tile_scores(qa, kta, ws, rs, ks, work)
+            np.exp(p, out=p)
+            c = ctx[ws, :, rs]
+            c += np.matmul(p, va[ws, :, ks], out=work.view("c", c.shape))
+
+    # Cauchy-Schwarz: no score of the block exceeds this bound in magnitude
+    if math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k))) > EXP_LIMIT:
+        peak = np.full(qa.shape[:3], -np.inf)
+        _each(max_pass, parts, work)
         qa[..., dh] = -peak
-    for ws, rs, ks in tiles:
-        p = _tile_scores(qa, kta, ws, rs, ks, work)
-        np.exp(p, out=p)
-        c = ctx[ws, :, rs]
-        c += np.matmul(p, va[ws, :, ks], out=work.view("c", c.shape))
+    _each(exp_pass, parts, work)
     qa[..., dh] -= np.log(ctx[..., dh])
     ctx[..., :dh] /= ctx[..., dh:]
     return ctx[pack.win, :, pack.slot, :dh], qa[pack.win, :, pack.slot, dh]
@@ -429,7 +465,8 @@ def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing, wor
     dca = _to_windows(d_ctx, pack)                 # [dCtx | -D]
     dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx, ctx)
     d_qw, d_kw, d_vw = (np.zeros(qa.shape[:3] + (dh,)) for _ in range(3))
-    for ws, rs, ks in _tiles(*pack.occ.shape, d_ctx.shape[1]):
+
+    def tile_vjp(ws, rs, ks, work):
         q_t, k_t, d_c = qa[ws, :, rs, :dh], kw[ws, :, ks], dca[ws, :, rs, :dh]
         p = _tile_scores(qa, kta, ws, rs, ks, work)
         np.exp(p, out=p)
@@ -441,6 +478,39 @@ def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing, wor
         d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv)
         d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
         d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
+
+    tiles = _tiles(*pack.occ.shape, d_ctx.shape[1])
+    rows = _row_blocks(tiles, pack.occ.shape[1])
+    if not rows:
+        for tile in tiles:
+            tile_vjp(*tile, work)
+        return tuple(d[pack.win, :, pack.slot] for d in (d_qw, d_kw, d_vw))
+    # A cut window splits by key blocks, so each dK and dV block has one owner
+    # and adds up its row blocks in order. A row block's dQ takes the first
+    # half's key blocks, then the second's: the second thread starts a row
+    # block once the first has set that block's event, so dQ's sums keep the
+    # serial order too. The first sets every event on its way out, even on an
+    # error, so the second never waits forever.
+    half = (len(rows[0]) + 1) // 2
+    done = [threading.Event() for _ in rows]
+
+    def first():
+        try:
+            for row, event in zip(rows, done):
+                for tile in row[:half]:
+                    tile_vjp(*tile, work)
+                event.set()
+        finally:
+            for event in done:
+                event.set()
+
+    def second():
+        for row, event in zip(rows, done):
+            event.wait()
+            for tile in row[half:]:
+                tile_vjp(*tile, _worker_work)
+
+    _run_pair(first, second)
     return tuple(d[pack.win, :, pack.slot] for d in (d_qw, d_kw, d_vw))
 
 

@@ -1,6 +1,7 @@
 """Dense float64 tensor helpers: masked softmax, layer norm, the error function
-and the smooth nonlinearity built on it, and the central finite-difference
-oracle used by every gradient test.
+and the smooth nonlinearity built on it, the central finite-difference
+oracle used by every gradient test, and the runner that splits one large
+job over this thread and one worker thread.
 
 Arrays are plain C-contiguous numpy float64; boolean arrays act as occupancy
 masks and must broadcast against what they mask. No function mutates its
@@ -10,6 +11,8 @@ not taped.
 
 from __future__ import annotations
 
+import contextvars
+import os
 from typing import Callable
 
 import numpy as np
@@ -33,6 +36,54 @@ ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887
           1.65666309194161350182E3, 5.57535340817727675546E2)
 # elements per pass of erf: its 256 KiB buffers stay in a core's L2 cache
 ERF_BLOCK = 1 << 15
+
+# Fewest rows (spots) of a job that is split over two threads: the global
+# attention block and the GELU of an (N, F) activation. Smaller jobs run on
+# the calling thread alone, in the serial loops. One training step of the
+# acceptance model, every job split against none (interleaved medians of 12
+# in one process, 2-vCPU x86_64 VM, OpenBLAS at 1 thread): N = 315: 65.2 ->
+# 84.5 ms (1/12 faster); 600: 133 -> 153 ms (3/12); 867: 208 -> 208 ms
+# (8/12); 1,198: 323 -> 301 ms (11/12); 2,323: 751 -> 598 ms (12/12).
+SPLIT_ROWS = 1000
+
+_worker = None          # the second thread's ThreadPoolExecutor, started on first use
+
+
+def _forget_worker():
+    global _worker
+    _worker = None
+
+
+# a forked child inherits the executor but not its thread
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _split(rows: int) -> bool:
+    """Whether a job over `rows` rows runs as two parts at once: it is large
+    enough and this process may run on at least two CPUs."""
+    return rows >= SPLIT_ROWS and len(os.sched_getaffinity(0)) >= 2
+
+
+def _run_pair(here: Callable[[], None], there: Callable[[], None]) -> None:
+    """Run here() on this thread and there() on the worker thread at once.
+
+    there() runs in a copy of this thread's context, so an np.errstate in
+    force here holds there too (a new thread starts at numpy's defaults and
+    only warns). An exception either part raises is raised here, once both
+    have ended; neither part may wait on the other without a way out.
+    """
+    global _worker
+    if _worker is None:
+        # imported here: ~5 ms and 0.6 MiB that a process with no large job skips
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(1, thread_name_prefix="hexwin")
+    future = _worker.submit(contextvars.copy_context().run, there)
+    try:
+        here()
+    except BaseException:
+        future.exception()      # waits: there() may still write into shared arrays
+        raise
+    future.result()
 
 
 def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -113,8 +164,9 @@ def _horner(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """The error function, elementwise: Cephes' double-precision erf in numpy.
+def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The error function, elementwise: Cephes' double-precision erf in numpy;
+    written into `out`, a C-contiguous float64 array of x's size, when given.
 
     z T(z^2) / U(z^2), Cephes' form for |z| <= 1, runs over the whole array
     one cache-sized block at a time. The |z| > 1 entries are then overwritten
@@ -126,7 +178,7 @@ def erf(x: np.ndarray) -> np.ndarray:
     """
     z = np.asarray(x, dtype=np.float64)
     flat = z.reshape(-1)
-    out = np.empty(flat.size)
+    out = np.empty(flat.size) if out is None else out.reshape(-1)
     tail = np.empty(flat.size, dtype=bool)
     sq = np.empty(min(flat.size, ERF_BLOCK))
     den = np.empty_like(sq)
@@ -155,26 +207,59 @@ def erf(x: np.ndarray) -> np.ndarray:
     return out.reshape(z.shape)
 
 
+def _halves(fn: Callable[..., None], *arrays: np.ndarray) -> None:
+    """fn on the flattened equal-shape arrays, or on their two halves at once
+    (cut on an ERF_BLOCK boundary) when their rows call for a split; fn is
+    elementwise, so the cut changes no output bit."""
+    rows = len(arrays[0]) if arrays[0].ndim else 1
+    flats = [a.reshape(-1) for a in arrays]       # outputs are C-contiguous: views
+    n = flats[0].size
+    cut = (n // 2 + ERF_BLOCK // 2) // ERF_BLOCK * ERF_BLOCK
+    if not (0 < cut < n and _split(rows)):
+        fn(*flats)
+        return
+    _run_pair(lambda: fn(*(a[:cut] for a in flats)), lambda: fn(*(a[cut:] for a in flats)))
+
+
+def _gelu_into(x: np.ndarray, g: np.ndarray, cdf: np.ndarray) -> None:
+    # Phi = 0.5 * (1 + erf(x / sqrt 2)) and (0.5 * x) * (2 * Phi), in place:
+    # 1 + erf lies in [0, 2] and is never subnormal, so 2 * Phi is it exactly
+    erf(np.multiply(x, INV_SQRT2, out=g), out=cdf)
+    cdf += 1.0
+    np.multiply(x, 0.5, out=g)
+    g *= cdf
+    cdf *= 0.5
+
+
 def gelu(x: np.ndarray):
     """Exact GELU x * Phi(x), with the standard normal CDF: returns (gelu, Phi).
 
     ``(0.5 * x) * (2 * Phi)`` rebuilds the first bit for bit, so a caller
     keeps Phi alone for ``gelu_vjp``.
     """
-    # in place, Phi = 0.5 * (1 + erf(x / sqrt 2)) and (0.5 * x) * (2 * Phi):
-    # 1 + erf lies in [0, 2] and is never subnormal, so 2 * Phi is it exactly
-    cdf = erf(x * INV_SQRT2)
-    cdf += 1.0
-    g = 0.5 * x
-    g *= cdf
-    cdf *= 0.5
+    x = np.asarray(x, dtype=np.float64)
+    g, cdf = np.empty(x.shape), np.empty(x.shape)
+    _halves(_gelu_into, x, g, cdf)
     return g, cdf
+
+
+def _gelu_vjp_into(d: np.ndarray, x: np.ndarray, cdf: np.ndarray, out: np.ndarray) -> None:
+    # d * (cdf + x * pdf), pdf = exp(-0.5 * x * x) * INV_SQRT_2PI, in place
+    np.multiply(x, -0.5, out=out)
+    out *= x
+    np.exp(out, out=out)
+    out *= INV_SQRT_2PI
+    out *= x
+    out += cdf
+    out *= d
 
 
 def gelu_vjp(grad_out: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """Gradient of gelu at x, given its CDF output Phi(x)."""
-    pdf = np.exp(-0.5 * x * x) * INV_SQRT_2PI
-    return grad_out * (cdf + x * pdf)
+    d, x, cdf = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (grad_out, x, cdf)))
+    out = np.empty(x.shape)
+    _halves(_gelu_vjp_into, d, x, cdf, out)
+    return out
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:

@@ -25,6 +25,7 @@ from .hexgeom import SQRT3, hex_disk, hex_distance
 from .model import MAX_PARAMS
 
 PATTERN_KINDS = ("boundary", "gradient", "sparse", "noise")
+JITTER_MAX = 0.05            # largest Gaussian jitter sigma, in lattice spacings
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,13 @@ class SynthConfig:
     def __post_init__(self):
         if self.radius < 0:
             raise InputError("radius must be >= 0")
-        if not 0.0 <= self.jitter < 0.3:
-            raise InputError("jitter must lie in [0, 0.3) to keep cells unambiguous")
+        # every offset carries the anchor spot's jitter too, so its variance
+        # doubles: radius-28 slides put two spots in one cell in 0/80 builds
+        # at 0.05 and 0.06, 4/80 at 0.07 and 50/80 at 0.1
+        if not 0.0 <= self.jitter <= JITTER_MAX:
+            raise InputError(f"jitter must lie in [0, {JITTER_MAX}]: the anchor spot's own "
+                             f"jitter doubles every offset's variance, and above "
+                             f"{JITTER_MAX} spots start to share a lattice cell")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError("dropout must lie in [0, 1)")
         if not self.patterns or not set(self.patterns) <= set(PATTERN_KINDS):

@@ -59,7 +59,8 @@ NAMED_FIELD = {"scalar-radii": "model.radii must be tuple[int, ...], got 3",
                "huge-radius": "radius 1000000 gives 3000003000001 spots x 13 values per spot, "
                               "over the budget of 67108864 float64 values",
                "huge-token-dim": "radius 3 gives 37 spots x 1000000000008 values per spot",
-               "huge-transcriptomic-dim": "radius 3 gives 37 spots x 1000000000010 values"}
+               "huge-transcriptomic-dim": "radius 3 gives 37 spots x 1000000000010 values",
+               "jitter-above-bound": "jitter must lie in [0, 0.05]: the anchor spot's own"}
 
 
 def assert_invalid_input(capsys, argv):
@@ -487,13 +488,13 @@ class TestExitCodes:
         {"token_dim": 0}, {"token_dim": -1}, {"patterns": []},
         {"boundary_high": float("nan")}, {"patterns": "sparse"}, {"jitt\r": 0.02},
         {"spacing": 1.0}, {"radius": 1000000}, {"token_dim": 10 ** 12},
-        {"transcriptomic_dim": 10 ** 12},
+        {"transcriptomic_dim": 10 ** 12}, {"jitter": 0.1},
     ], ids=["unknown-key", "negative-seed", "assay-seed-below-minus-one",
             "negative-expression-noise", "negative-token-noise",
             "negative-transcriptomic-dim", "negative-max-spots", "zero-token-dim",
             "negative-token-dim", "no-patterns", "nan-boundary-high", "string-patterns",
             "carriage-return-key", "retired-spacing", "huge-radius", "huge-token-dim",
-            "huge-transcriptomic-dim"])
+            "huge-transcriptomic-dim", "jitter-above-bound"])
     def test_unknown_synth_key_is_usage_error(self, tmp_path, capsys, edit, request):
         cfg = write_config(tmp_path / "c.json", synth={**SMALL_SYNTH, **edit})
         line = assert_invalid_input(capsys, ["generate", "--config", cfg,

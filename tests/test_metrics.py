@@ -154,6 +154,25 @@ class TestAucVariants:
 
 
 class TestEvalReport:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_aucs_equal_one_rank_pass_per_labeling(self, tied):
+        # evaluate ranks each score vector once for both labelings; every
+        # AUC equals mann_whitney_auc's own, bit for bit
+        rng = np.random.default_rng(5)
+        y = np.abs(rng.normal(0, 1, (50, 4)))
+        y[rng.random(y.shape) < 0.3] = 0.0
+        y_hat = y + rng.normal(0, 0.5, y.shape)
+        if tied:
+            y_hat, y = np.round(y_hat, 1), np.round(y, 1)
+            assert len(np.unique(y_hat)) < y_hat.size / 2
+        rep = evaluate(y_hat, y)
+        med = np.median(y)
+        for value, threshold in ((rep.auc_0vnz, 0.0), (rep.auc_q50, med)):
+            assert value == mann_whitney_auc(y_hat, y > threshold)[0]
+        for per_gene, threshold in ((rep.per_gene_auc_0vnz, 0.0), (rep.per_gene_auc_q50, med)):
+            want = [mann_whitney_auc(y_hat[:, j], y[:, j] > threshold)[0] for j in range(4)]
+            np.testing.assert_array_equal(per_gene, want)
+
     def test_report_on_identity(self):
         rng = np.random.default_rng(0)
         y = np.abs(rng.normal(0, 1, (40, 4)))

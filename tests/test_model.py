@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hexwin import model
+from hexwin import model, numerics, trainer
 from hexwin.errors import InputError
 from hexwin.model import (ForwardOutput, ModelConfig, _Packing, backward, build_geometry,
                           forward, init_params, load_checkpoint, param_views,
@@ -605,6 +608,141 @@ class TestQueryTiles:
         for k in params:
             np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12,
                                        atol=1e-12, err_msg=k)
+
+
+def split_over_threads(monkeypatch, on: bool):
+    """Split every job of two or more rows over two threads (on), or none."""
+    monkeypatch.setattr(numerics, "SPLIT_ROWS", 2 if on else 1 << 62)
+
+
+def tile_threads(monkeypatch):
+    """The names of the threads that build score tiles."""
+    names = set()
+    real = model._tile_scores
+
+    def spy(*args):
+        names.add(threading.current_thread().name)
+        return real(*args)
+    monkeypatch.setattr(model, "_tile_scores", spy)
+    return names
+
+
+def count_pairs(monkeypatch):
+    """A list that gains one entry per job handed to the worker thread."""
+    calls = []
+    real = numerics._run_pair
+
+    def spy(here, there):
+        calls.append(1)
+        return real(here, there)
+    monkeypatch.setattr(numerics, "_run_pair", spy)
+    monkeypatch.setattr(model, "_run_pair", spy)
+    return calls
+
+
+@pytest.fixture()
+def interleaved():
+    """Switch threads every microsecond, so two parts interleave even on tiny tiles."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+@pytest.mark.usefixtures("interleaved")
+class TestTwoThreads:
+    """A cut window's tiles, split over this thread and the worker, give the
+    serial bits: forward by query-row blocks, backward by key blocks."""
+
+    @pytest.mark.parametrize("exp_limit", [model.EXP_LIMIT, 0.0])
+    @pytest.mark.parametrize("win", [np.zeros(30, dtype=np.int64), np.arange(30) % 4],
+                             ids=["global", "four-windows"])
+    def test_attend_and_vjp_match_serial(self, exp_limit, win, monkeypatch):
+        # 8 score cells and 2 heads cut every window into 2 x 2 (query x key) tiles
+        monkeypatch.setattr(model, "EXP_LIMIT", exp_limit)
+        monkeypatch.setattr(model, "TILE_CELLS", 8)
+        threads = tile_threads(monkeypatch)
+        rng = np.random.default_rng(11)
+        q, k, v, d_ctx = (rng.normal(0, 1, (30, 2, 3)) for _ in range(4))
+        pack = model._compact_packing(win, np.arange(30), int(win.max()) + 1)
+        results = []
+        for on in (False, True):
+            split_over_threads(monkeypatch, on)
+            threads.clear()
+            ctx, neg_lse = model._attend(q, k, v, pack, model._Workspace())
+            grads = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack,
+                                      model._Workspace())
+            assert len(threads) == 1 + on
+            results.append((ctx, neg_lse, *grads))
+        for serial, split in zip(*results):
+            np.testing.assert_array_equal(split, serial)
+
+    @pytest.mark.parametrize("exp_limit", [model.EXP_LIMIT, 0.0])
+    @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
+                                           ("square", "rope2d")])
+    def test_loss_and_grads_match_serial(self, window, pe, exp_limit, monkeypatch):
+        cfg = ModelConfig(in_dim=5, genes=3, dim=12, heads=2, stages=4, blocks=3,
+                          radii=(1, 2, 4), out_dim=4, t_dim=3, window=window, pe=pe)
+        ds = generate(SynthConfig(radius=5, jitter=0.05, dropout=0.05, seed=13,
+                                  token_dim=5, transcriptomic_dim=3,
+                                  patterns=("boundary", "gradient", "noise")))
+        params = generic_params(cfg, seed=13)
+        geo = build_geometry(ds.coords, cfg)
+        monkeypatch.setattr(model, "EXP_LIMIT", exp_limit)
+        monkeypatch.setattr(model, "TILE_CELLS", 64)
+        monkeypatch.setattr(numerics, "ERF_BLOCK", 64)   # GELU's (N, 48) splits too
+        pairs = count_pairs(monkeypatch)
+        results = []
+        for on in (False, True):
+            split_over_threads(monkeypatch, on)
+            pairs.clear()
+            results.append(trainer._loss_and_grads(ds, np.arange(ds.n_spots), geo, params, cfg,
+                                                   trainer.LossWeights()))
+            assert bool(pairs) == on
+        (report, grads, y_hat), (report2, grads2, y_hat2) = results
+        assert report2 == report
+        np.testing.assert_array_equal(y_hat2, y_hat)
+        for name in params:
+            np.testing.assert_array_equal(grads2[name], grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("where", ["MainThread", "hexwin"])
+    def test_tile_error_on_either_thread_is_raised_here(self, where, monkeypatch):
+        # backward's second thread waits for the first: an error on either
+        # one ends the call, and the next call runs as before
+        monkeypatch.setattr(model, "TILE_CELLS", 8)
+        split_over_threads(monkeypatch, True)
+        rng = np.random.default_rng(12)
+        q, k, v, d_ctx = (rng.normal(0, 1, (30, 2, 3)) for _ in range(4))
+        pack = model._compact_packing(np.zeros(30, dtype=np.int64), np.arange(30), 1)
+        ctx, neg_lse = model._attend(q, k, v, pack, model._Workspace())
+
+        def vjp():
+            return model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack,
+                                     model._Workspace())
+        want = vjp()
+        real = model._tile_scores
+
+        def failing(*args):
+            if threading.current_thread().name.startswith(where):
+                raise KeyError(where)
+            return real(*args)
+        monkeypatch.setattr(model, "_tile_scores", failing)
+        with pytest.raises(KeyError, match=where):
+            vjp()
+        monkeypatch.setattr(model, "_tile_scores", real)
+        for got, serial in zip(vjp(), want):
+            np.testing.assert_array_equal(got, serial)
+
+    def test_one_cpu_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        split_over_threads(monkeypatch, True)
+        monkeypatch.setattr(model, "TILE_CELLS", 8)
+        monkeypatch.setattr(numerics, "ERF_BLOCK", 16)
+        pairs = count_pairs(monkeypatch)
+        ds = tiny_dataset(seed=9, n=19)
+        geo = build_geometry(ds.coords, TINY)
+        forward_and_grads(TINY, ds, geo, generic_params(TINY, seed=9))
+        assert pairs == []
 
 
 class TestExpBound:

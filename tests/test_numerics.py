@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -260,9 +261,11 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", "import sys, hexwin; "
                           "print(sorted(m for m in sys.modules if m.startswith('hexwin.') "
                           "or m.split('.')[0] == 'numpy')); import hexwin.cli; "
-                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                          "import threading; print(threading.active_count())"],
                          env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout == "[]\n[]\n"
+    # and starts no thread: the worker starts with the first job split over two
+    assert out.stdout == "[]\n[]\n1\n"
 
 
 class TestGelu:
@@ -297,6 +300,73 @@ class TestGelu:
         np.testing.assert_array_equal((0.5 * x) * (2.0 * cdf), g)
         pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
         np.testing.assert_array_equal(gelu_vjp(upstream, x, cdf), upstream * (phi + x * pdf))
+
+
+class TestTwoThreadGelu:
+    """GELU and its vjp over two ERF_BLOCK-aligned halves, one per thread."""
+
+    @pytest.fixture(autouse=True)
+    def interleaved(self):
+        # switch threads every microsecond, so the halves interleave
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(old)
+
+    @staticmethod
+    def split(monkeypatch, on):
+        monkeypatch.setattr(numerics, "ERF_BLOCK", 16)
+        monkeypatch.setattr(numerics, "SPLIT_ROWS", 2 if on else 1 << 62)
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(8)
+        x = rng.normal(0, 3, (50, 7))
+        x[-1, -4:] = (-40.0, -8.0, 8.0, 40.0)      # erf's tail, in the second half
+        return x, rng.normal(0, 1, x.shape)
+
+    def test_halves_match_serial(self, monkeypatch):
+        x, upstream = self.inputs()
+        threads = set()
+        for name in ("erf", "_gelu_vjp_into"):
+            def spy(*args, real=getattr(numerics, name), **kwargs):
+                threads.add(threading.current_thread().name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(numerics, name, spy)
+        results = []
+        for on in (False, True):
+            self.split(monkeypatch, on)
+            threads.clear()
+            g, cdf = gelu(x)
+            results.append((g, cdf, gelu_vjp(upstream, x, cdf)))
+            assert len(threads) == 1 + on
+        for serial, split in zip(*results):
+            np.testing.assert_array_equal(split, serial)
+
+    def test_worker_overflow_raises_here(self, monkeypatch):
+        # a plain worker thread would run at numpy's default error state and
+        # only warn; it runs in a copy of this thread's context instead
+        self.split(monkeypatch, True)
+        x, upstream = self.inputs()
+        x[-1, -1] = 1e200                          # x * x overflows in the second half
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            gelu_vjp(upstream, x, np.full_like(x, 0.5))
+
+    def test_worker_error_raises_here_and_next_call_runs(self, monkeypatch):
+        self.split(monkeypatch, True)
+        x, upstream = self.inputs()
+        want = gelu_vjp(upstream, x, gelu(x)[1])
+        real = numerics._gelu_vjp_into
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise KeyError("worker")
+            real(*args)
+        monkeypatch.setattr(numerics, "_gelu_vjp_into", failing)
+        with pytest.raises(KeyError, match="worker"):
+            gelu_vjp(upstream, x, gelu(x)[1])
+        monkeypatch.setattr(numerics, "_gelu_vjp_into", real)
+        np.testing.assert_array_equal(gelu_vjp(upstream, x, gelu(x)[1]), want)
 
 
 def test_relative_error_zero_for_zero_pair():

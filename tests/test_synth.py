@@ -5,7 +5,8 @@ import pytest
 
 from hexwin.errors import InputError
 from hexwin.hexgeom import cells_for_points, estimate_scale, hex_distance
-from hexwin.synth import (SpotDataset, SynthConfig, generate, hex_patch_cells,
+from hexwin.model import ModelConfig, build_geometry
+from hexwin.synth import (JITTER_MAX, SpotDataset, SynthConfig, generate, hex_patch_cells,
                           load_dataset, mock_transcriptomic, save_dataset)
 
 
@@ -40,8 +41,19 @@ class TestGenerate:
             generate(SynthConfig(radius=0, dropout=0.98, seed=0))
 
     def test_jitter_bound_enforced(self):
-        with pytest.raises(InputError):
-            SynthConfig(radius=2, jitter=0.5)
+        for jitter in (-0.01, 0.051, 0.1, 0.5):
+            with pytest.raises(InputError, match="share a lattice cell"):
+                SynthConfig(radius=2, jitter=jitter)
+
+    @pytest.mark.parametrize("window", ["hex", "square"])
+    def test_largest_jitter_builds_without_collision(self, window):
+        # build_geometry raises SlotCollisionError unless every partition of a
+        # radius-28 slide (N ~ 2.3k) places each spot in a slot of its own
+        cfg = ModelConfig(in_dim=4, genes=1, window=window, pe="rope2d")
+        for seed in range(4):
+            ds = generate(SynthConfig(radius=28, jitter=JITTER_MAX, dropout=0.05, seed=seed,
+                                      patterns=("noise",), token_dim=4, transcriptomic_dim=0))
+            build_geometry(ds.coords, cfg)
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(InputError):
@@ -95,7 +107,7 @@ class TestRoundTrip:
         # jitter; the rate is reported either way
         hits = total = 0
         for seed in range(20):
-            ds = generate(SynthConfig(radius=10, jitter=0.1, dropout=0.0,
+            ds = generate(SynthConfig(radius=10, jitter=JITTER_MAX, dropout=0.0,
                                       seed=seed, patterns=("noise",)))
             scale = estimate_scale(ds.coords, 6)
             cells = cells_for_points(ds.coords, scale)
@@ -103,7 +115,7 @@ class TestRoundTrip:
             hits += int(np.all(cells == want, axis=1).sum())
             total += ds.n_spots
         rate = hits / total
-        print(f"\nround-trip recovery at jitter 0.1: {rate:.4f}")
+        print(f"\nround-trip recovery at jitter {JITTER_MAX}: {rate:.4f}")
         assert rate >= 0.99
 
 

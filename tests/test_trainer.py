@@ -1,6 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from hexwin import numerics
 from hexwin.errors import InputError, NumericError
 from hexwin.losses import LossWeights
 from hexwin.model import ModelConfig, build_geometry, init_params
@@ -106,6 +109,24 @@ class TestTrainLoop:
         w = LossWeights()
         assert total == pytest.approx(w.mse * mse + w.pearson * pearson
                                       + w.tfa * tfa + w.dev * dev, abs=1e-12)
+
+
+def test_acceptance_slide_step_stays_on_one_thread(monkeypatch):
+    # below numerics.SPLIT_ROWS a training step runs today's serial loops:
+    # the acceptance slide (N ~ 311) hands no job to the worker thread
+    def refuse(*args, **kwargs):
+        raise AssertionError("job handed to the worker thread")
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+    cfg = ModelConfig(in_dim=32, genes=16, dim=32, heads=4, stages=4, blocks=3,
+                      radii=(1, 2, 4), out_dim=16, t_dim=16)
+    patterns = ("boundary",) * 4 + ("gradient",) * 4 + ("sparse",) * 4 + ("noise",) * 4
+    ds = generate(SynthConfig(radius=10, jitter=0.05, dropout=0.05, seed=7, assay_seed=1234,
+                              patterns=patterns, token_dim=32, token_noise=0.05,
+                              boundary_high=6.0, transcriptomic_dim=16))
+    assert 290 <= ds.n_spots < numerics.SPLIT_ROWS
+    report, _, _ = _loss_and_grads(ds, np.arange(ds.n_spots), build_geometry(ds.coords, cfg),
+                                   init_params(cfg, 7), cfg, LossWeights())
+    assert np.isfinite(report.total)
 
 
 class TestSplit:
