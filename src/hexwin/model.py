@@ -280,11 +280,12 @@ def _to_windows(x: np.ndarray, pack: _Packing) -> np.ndarray:
 
 
 # Score cells (windows x heads x query rows x keys) in one attention tile,
-# 512 KiB of float64. Measured when every block took its own tile buffers:
-# glibc hands freed buffers of 1 MiB and more back to the OS, so larger tiles
-# faulted in again on every call: at 2^17 cells training on the ~300-spot
-# acceptance slide took ~5x the minor page faults of 2^16 and ran ~5% slower
-# on a 2-core host; 2^15 made 2.3k-spot training ~25% slower.
+# 512 KiB of float64. Measured when every block took its own tile buffers
+# (each thread now keeps its own, see _buffer): glibc hands freed buffers of
+# 1 MiB and more back to the OS, so larger tiles faulted in again on every
+# call: at 2^17 cells training on the ~300-spot acceptance slide took ~5x the
+# minor page faults of 2^16 and ran ~5% slower on a 2-core host; 2^15 made
+# 2.3k-spot training ~25% slower.
 TILE_CELLS = 1 << 16
 
 # Largest bound on a block's |scores| for which forward takes exp(S) with no
@@ -310,49 +311,44 @@ def _tiles(m: int, s: int, heads: int) -> list[tuple[slice, slice, slice]]:
             for k0 in range(0, s, cols)]
 
 
-class _Workspace:
-    """Flat float64 buffers that every attention block of one pass reuses.
-
-    Tile buffers taken once per pass, not once per block, are not handed
-    back to the OS between blocks, so no block faults them in again.
-    """
-
-    def __init__(self):
-        self._bufs: dict[str, np.ndarray] = {}
-
-    def view(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """Buffer `name` as a C-contiguous array of `shape`, grown on demand."""
-        size = math.prod(shape)
-        buf = self._bufs.get(name)
-        if buf is None or buf.size < size:
-            buf = self._bufs[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
-_worker_work = _Workspace()        # the worker thread's tile buffers
-
-
-def _row_blocks(tiles: list, s: int) -> list[list]:
-    """`_tiles` grouped by (window, query-row) block, when each window is cut
-    into several key blocks and the rows call for a split over two threads;
-    otherwise []."""
+def _tile_parts(m: int, s: int, heads: int) -> list[list]:
+    """`_tiles` as one part, or as two halves of the (window, query-row)
+    blocks when each window is cut into several key blocks and has at least
+    numerics.SPLIT_ROWS rows. Forward and backward cut the same halves."""
+    tiles = _tiles(m, s, heads)
     n_k = -(-s // tiles[0][2].stop)           # key blocks per window
     if n_k < 2 or not _split(s):
-        return []
-    return [tiles[i:i + n_k] for i in range(0, len(tiles), n_k)]
+        return [tiles]
+    cut = len(tiles) // n_k // 2 * n_k
+    return [tiles[:cut], tiles[cut:]]
 
 
-def _each(fn, parts: list, work: _Workspace) -> None:
-    """fn(part, workspace) on one part here, or on two at once: the first
-    here with `work`, the second on the worker with its own workspace."""
+def _each(fn, parts: list) -> None:
+    """fn(part) for each of one or two parts; two run at once (`_run_pair`)."""
     if len(parts) == 1:
-        fn(parts[0], work)
+        fn(parts[0])
     else:
-        _run_pair(lambda: fn(parts[0], work), lambda: fn(parts[1], _worker_work))
+        _run_pair(lambda: fn(parts[0]), lambda: fn(parts[1]))
 
 
-def _tile_scores(qa: np.ndarray, kta: np.ndarray, ws: slice, rs: slice, ks: slice,
-                 work: _Workspace) -> np.ndarray:
+_local = threading.local()          # each thread's tile buffers
+
+
+def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's buffer `name` as a C-contiguous float64 array of `shape`.
+
+    A buffer grows on demand and is kept across blocks and calls, so no tile
+    faults its memory in again.
+    """
+    size = math.prod(shape)
+    buf = getattr(_local, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_local, name, buf)
+    return buf[:size].reshape(shape)
+
+
+def _tile_scores(qa: np.ndarray, kta: np.ndarray, ws: slice, rs: slice, ks: slice) -> np.ndarray:
     """[q | -c] [K^T; occ] on one tile: S - c on occupied keys, 0 on empty ones.
 
     c is the per-row term in the extra query column, so exp of the result is
@@ -361,7 +357,7 @@ def _tile_scores(qa: np.ndarray, kta: np.ndarray, ws: slice, rs: slice, ks: slic
     [V^T; occ] in backward.
     """
     q_t, k_t = qa[ws, :, rs], kta[ws, :, :, ks]
-    return np.matmul(q_t, k_t, out=work.view("p", q_t.shape[:3] + k_t.shape[3:]))
+    return np.matmul(q_t, k_t, out=_buffer("p", q_t.shape[:3] + k_t.shape[3:]))
 
 
 def _dense_vjp(d_out: np.ndarray, x: np.ndarray, params: Params, grads: Params,
@@ -392,7 +388,7 @@ def _qkv(a: np.ndarray, rot: np.ndarray, params: Params, prefix: str, cfg: Model
     return rotate(q, rot) * (1.0 / np.sqrt(dh)), rotate(k, rot), v
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, pack: _Packing, work: _Workspace):
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, pack: _Packing):
     """Softmax attention of rotated, scaled (N, H, dh) q, k, v rows within each
     packed window; returns the (N, H, dh) context and each query's (N, H) -LSE.
 
@@ -409,39 +405,34 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, pack: _Packing, work: _
     dh = q.shape[2]
     qa, kta, va = _windows(q, k, v, 0.0, pack)     # qa is [q | -c], then [q | -LSE]
     ctx = np.zeros_like(va)                        # [numerator | row sum]
-    tiles = _tiles(*pack.occ.shape, q.shape[1])
-    # a cut window splits by query-row blocks: each thread owns its rows, and
-    # every row adds up its key blocks in the serial order
-    rows, parts = _row_blocks(tiles, pack.occ.shape[1]), [tiles]
-    if rows:
-        cut = len(rows) // 2 * len(rows[0])
-        parts = [tiles[:cut], tiles[cut:]]
+    # each part owns its query rows, which add up their key blocks in order
+    parts = _tile_parts(*pack.occ.shape, q.shape[1])
 
-    def max_pass(tiles, work):
+    def max_pass(tiles):
         for ws, rs, ks in tiles:
-            p = _tile_scores(qa, kta, ws, rs, ks, work)
+            p = _tile_scores(qa, kta, ws, rs, ks)
             np.copyto(p, -np.inf, where=~pack.occ[ws, None, None, ks])
             np.maximum(peak[ws, :, rs], p.max(axis=-1), out=peak[ws, :, rs])
 
-    def exp_pass(tiles, work):
+    def exp_pass(tiles):
         for ws, rs, ks in tiles:
-            p = _tile_scores(qa, kta, ws, rs, ks, work)
+            p = _tile_scores(qa, kta, ws, rs, ks)
             np.exp(p, out=p)
             c = ctx[ws, :, rs]
-            c += np.matmul(p, va[ws, :, ks], out=work.view("c", c.shape))
+            c += np.matmul(p, va[ws, :, ks], out=_buffer("c", c.shape))
 
     # Cauchy-Schwarz: no score of the block exceeds this bound in magnitude
     if math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k))) > EXP_LIMIT:
         peak = np.full(qa.shape[:3], -np.inf)
-        _each(max_pass, parts, work)
+        _each(max_pass, parts)
         qa[..., dh] = -peak
-    _each(exp_pass, parts, work)
+    _each(exp_pass, parts)
     qa[..., dh] -= np.log(ctx[..., dh])
     ctx[..., :dh] /= ctx[..., dh:]
     return ctx[pack.win, :, pack.slot, :dh], qa[pack.win, :, pack.slot, dh]
 
 
-def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing, work: _Workspace):
+def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing):
     """Gradients (d_q, d_k, d_v) of `_attend` as (N, H, dh) rows from the
     context, its gradient and `windows`, `_windows` of forward's q, k, v and
     -LSE. Given the only reference to them, no window outlives the call.
@@ -454,7 +445,9 @@ def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing, wor
     the softmax vjp's row term D = rowsum(dCtx * Ctx), taken once on the
     token rows; on empty keys dS is 0. So a tile makes two elementwise passes
     (exp and one multiply) and adds only into its own rows of dQ and its own
-    keys of dK and dV.
+    keys of dK and dV. Each part of `_tile_parts` owns its query rows of dQ
+    and adds into its own dK and dV; the second part's are then added into
+    the first's.
     """
     dh = d_ctx.shape[2]
     qa, kta = windows[:2]
@@ -464,60 +457,35 @@ def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing, wor
     kw = np.ascontiguousarray(kta[:, :, :dh].transpose(0, 1, 3, 2))
     dca = _to_windows(d_ctx, pack)                 # [dCtx | -D]
     dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx, ctx)
-    d_qw, d_kw, d_vw = (np.zeros(qa.shape[:3] + (dh,)) for _ in range(3))
+    d_qw = np.zeros(qa.shape[:3] + (dh,))
+    parts = _tile_parts(*pack.occ.shape, d_ctx.shape[1])
+    d_kvs = [np.zeros((2,) + d_qw.shape) for _ in parts]      # each part's dK and dV
 
-    def tile_vjp(ws, rs, ks, work):
-        q_t, k_t, d_c = qa[ws, :, rs, :dh], kw[ws, :, ks], dca[ws, :, rs, :dh]
-        p = _tile_scores(qa, kta, ws, rs, ks, work)
-        np.exp(p, out=p)
-        d_s = np.matmul(dca[ws, :, rs], vta[ws, :, :, ks], out=work.view("dp", p.shape))
-        d_s *= p
-        # views of the gradients, so += adds in place with no write-back copy
-        d_q_t, d_k_t, d_v_t = d_qw[ws, :, rs], d_kw[ws, :, ks], d_vw[ws, :, ks]
-        d_kv = work.view("dh", d_k_t.shape)
-        d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv)
-        d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv)
-        d_q_t += np.matmul(d_s, k_t, out=work.view("dh", q_t.shape))
+    def vjp_pass(part):
+        tiles, d_kv = part
+        for ws, rs, ks in tiles:
+            q_t, k_t, d_c = qa[ws, :, rs, :dh], kw[ws, :, ks], dca[ws, :, rs, :dh]
+            p = _tile_scores(qa, kta, ws, rs, ks)
+            np.exp(p, out=p)
+            d_s = np.matmul(dca[ws, :, rs], vta[ws, :, :, ks], out=_buffer("dp", p.shape))
+            d_s *= p
+            # views of the gradients, so += adds in place with no write-back copy
+            d_q_t, d_k_t, d_v_t = d_qw[ws, :, rs], d_kv[0, ws, :, ks], d_kv[1, ws, :, ks]
+            d_kv_t = _buffer("dh", d_k_t.shape)
+            d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv_t)
+            d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv_t)
+            d_q_t += np.matmul(d_s, k_t, out=_buffer("dh", q_t.shape))
 
-    tiles = _tiles(*pack.occ.shape, d_ctx.shape[1])
-    rows = _row_blocks(tiles, pack.occ.shape[1])
-    if not rows:
-        for tile in tiles:
-            tile_vjp(*tile, work)
-        return tuple(d[pack.win, :, pack.slot] for d in (d_qw, d_kw, d_vw))
-    # A cut window splits by key blocks, so each dK and dV block has one owner
-    # and adds up its row blocks in order. A row block's dQ takes the first
-    # half's key blocks, then the second's: the second thread starts a row
-    # block once the first has set that block's event, so dQ's sums keep the
-    # serial order too. The first sets every event on its way out, even on an
-    # error, so the second never waits forever.
-    half = (len(rows[0]) + 1) // 2
-    done = [threading.Event() for _ in rows]
-
-    def first():
-        try:
-            for row, event in zip(rows, done):
-                for tile in row[:half]:
-                    tile_vjp(*tile, work)
-                event.set()
-        finally:
-            for event in done:
-                event.set()
-
-    def second():
-        for row, event in zip(rows, done):
-            event.wait()
-            for tile in row[half:]:
-                tile_vjp(*tile, _worker_work)
-
-    _run_pair(first, second)
-    return tuple(d[pack.win, :, pack.slot] for d in (d_qw, d_kw, d_vw))
+    _each(vjp_pass, list(zip(parts, d_kvs)))
+    for d_kv in d_kvs[1:]:
+        d_kvs[0] += d_kv
+    return tuple(d[pack.win, :, pack.slot] for d in (d_qw, *d_kvs[0]))
 
 
 def _block_forward(h: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,
-                   prefix: str, cfg: ModelConfig, work: _Workspace):
+                   prefix: str, cfg: ModelConfig):
     a, ln1c = layer_norm_fwd(h, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    ctx, neg_lse = _attend(*_qkv(a, rot, params, prefix, cfg), pack, work)
+    ctx, neg_lse = _attend(*_qkv(a, rot, params, prefix, cfg), pack)
     h1 = h + (ctx.reshape(len(h), cfg.dim) @ params[f"{prefix}.attn.o.w"]
               + params[f"{prefix}.attn.o.b"])
     f, ln2c = layer_norm_fwd(h1, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
@@ -528,8 +496,7 @@ def _block_forward(h: np.ndarray, pack: _Packing, rot: np.ndarray, params: Param
 
 
 def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
-                    params: Params, prefix: str, cfg: ModelConfig, grads: Params,
-                    work: _Workspace) -> np.ndarray:
+                    params: Params, prefix: str, cfg: ModelConfig, grads: Params) -> np.ndarray:
     """The block input's gradient; adds the block's parameter gradients to grads.
     q, k, v die once packed and the windows in `_attend_vjp`, so none is alive
     in the inverse rotations and the q/k/v projection gradients after it."""
@@ -551,7 +518,7 @@ def _block_backward(d_h2: np.ndarray, cache, pack: _Packing, rot: np.ndarray,
     a = ln1c[0] * params[f"{prefix}.ln1.g"] + params[f"{prefix}.ln1.b"]
     d_q, d_k, d_v = _attend_vjp(d_ctx.reshape(n, cfg.heads, dh), ctx,
                                 _windows(*_qkv(a, rot, params, prefix, cfg), neg_lse, pack),
-                                pack, work)
+                                pack)
     d_q = rotate(d_q * (1.0 / np.sqrt(dh)), rot, inverse=True)
     d_k = rotate(d_k, rot, inverse=True)
     d_a = sum(_dense_vjp(d.reshape(n, cfg.dim), a, params, grads, f"{prefix}.attn.{name}")
@@ -583,9 +550,8 @@ def forward(tokens: np.ndarray, geometry: Geometry, params: Params,
         raise ShapeError(f"tokens must be (N, {cfg.in_dim}), got {tokens.shape}")
     h = tokens @ params["embed.w"] + params["embed.b"]
     block_caches = []
-    work = _Workspace()
     for prefix, pack in _blocks(geometry, cfg):
-        h, cache = _block_forward(h, pack, geometry.rot, params, prefix, cfg, work)
+        h, cache = _block_forward(h, pack, geometry.rot, params, prefix, cfg)
         if train:
             block_caches.append(cache)
     m1 = h @ params["proj.1.w"] + params["proj.1.b"]
@@ -627,9 +593,8 @@ def backward(out: ForwardOutput, geometry: Geometry, params: Params,
     d_mg = _dense_vjp(d_z, mg, params, grads, "proj.2")
     d_m1 = gelu_vjp(d_mg, m1, cdf)
     d_h = _dense_vjp(d_m1, h, params, grads, "proj.1")
-    work = _Workspace()
     for (prefix, pack), cache in zip(reversed(_blocks(geometry, cfg)), reversed(block_caches)):
-        d_h = _block_backward(d_h, cache, pack, geometry.rot, params, prefix, cfg, grads, work)
+        d_h = _block_backward(d_h, cache, pack, geometry.rot, params, prefix, cfg, grads)
     grads["embed.w"] += tokens.T @ d_h
     grads["embed.b"] += d_h.sum(axis=0)
     return grads

@@ -1,7 +1,9 @@
 """Dense float64 tensor helpers: masked softmax, layer norm, the error function
 and the smooth nonlinearity built on it, the central finite-difference
-oracle used by every gradient test, and the runner that splits one large
-job over this thread and one worker thread.
+oracle used by every gradient test, and the runner that takes a large job's
+two parts at once, on this thread and one worker thread, where the process
+may use two CPUs. Whether a job has two parts depends on its size alone, so
+the results never depend on the CPU count.
 
 Arrays are plain C-contiguous numpy float64; boolean arrays act as occupancy
 masks and must broadcast against what they mask. No function mutates its
@@ -37,11 +39,13 @@ ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887
 # elements per pass of erf: its 256 KiB buffers stay in a core's L2 cache
 ERF_BLOCK = 1 << 15
 
-# Fewest rows (spots) of a job that is split over two threads: the global
-# attention block and the GELU of an (N, F) activation. Smaller jobs run on
-# the calling thread alone, in the serial loops. One training step of the
-# acceptance model, every job split against none (interleaved medians of 12
-# in one process, 2-vCPU x86_64 VM, OpenBLAS at 1 thread): N = 315: 65.2 ->
+# Fewest rows (spots) of a job that runs as two parts: the global attention
+# block and the GELU of an (N, F) activation. Smaller jobs run in the serial
+# loops. The parts run at once when the process may use two CPUs, else one
+# after the other. Attention backward adds each part's tiles into its own dK
+# and dV, so this also sets how those sums are grouped. One training step of
+# the acceptance model, every job split against none (interleaved medians of
+# 12 in one process, 2-vCPU x86_64 VM, OpenBLAS at 1 thread): N = 315: 65.2 ->
 # 84.5 ms (1/12 faster); 600: 133 -> 153 ms (3/12); 867: 208 -> 208 ms
 # (8/12); 1,198: 323 -> 301 ms (11/12); 2,323: 751 -> 598 ms (12/12).
 SPLIT_ROWS = 1000
@@ -54,25 +58,31 @@ def _forget_worker():
     _worker = None
 
 
-# a forked child inherits the executor but not its thread
-os.register_at_fork(after_in_child=_forget_worker)
+# a forked child inherits the executor but not its thread (no fork on Windows)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _split(rows: int) -> bool:
-    """Whether a job over `rows` rows runs as two parts at once: it is large
-    enough and this process may run on at least two CPUs."""
-    return rows >= SPLIT_ROWS and len(os.sched_getaffinity(0)) >= 2
+    """Whether a job over `rows` rows runs as two parts."""
+    return rows >= SPLIT_ROWS
 
 
 def _run_pair(here: Callable[[], None], there: Callable[[], None]) -> None:
-    """Run here() on this thread and there() on the worker thread at once.
+    """Run here() on this thread and there() on the worker thread at once,
+    or there() after here() when this process may use only one CPU.
 
     there() runs in a copy of this thread's context, so an np.errstate in
     force here holds there too (a new thread starts at numpy's defaults and
     only warns). An exception either part raises is raised here, once both
-    have ended; neither part may wait on the other without a way out.
+    have ended; neither part may wait on the other.
     """
     global _worker
+    affinity = getattr(os, "sched_getaffinity", None)      # Linux only
+    if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+        here()
+        there()
+        return
     if _worker is None:
         # imported here: ~5 ms and 0.6 MiB that a process with no large job skips
         from concurrent.futures import ThreadPoolExecutor
@@ -208,9 +218,9 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _halves(fn: Callable[..., None], *arrays: np.ndarray) -> None:
-    """fn on the flattened equal-shape arrays, or on their two halves at once
-    (cut on an ERF_BLOCK boundary) when their rows call for a split; fn is
-    elementwise, so the cut changes no output bit."""
+    """fn on the flattened equal-shape arrays, or on their two halves (cut on
+    an ERF_BLOCK boundary, see _run_pair) when their rows call for a split;
+    fn is elementwise, so the cut changes no output bit."""
     rows = len(arrays[0]) if arrays[0].ndim else 1
     flats = [a.reshape(-1) for a in arrays]       # outputs are C-contiguous: views
     n = flats[0].size

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -72,15 +73,15 @@ def spy_tile_scores(monkeypatch):
     return calls
 
 
-def spy_workspace(monkeypatch):
-    """Record (name, cells) of every _Workspace buffer a pass takes."""
+def spy_buffers(monkeypatch):
+    """Record (name, cells) of every tile buffer (model._buffer) a pass takes."""
     views = []
-    real = model._Workspace.view
+    real = model._buffer
 
-    def spy(self, name, shape):
+    def spy(name, shape):
         views.append((name, math.prod(shape)))
-        return real(self, name, shape)
-    monkeypatch.setattr(model._Workspace, "view", spy)
+        return real(name, shape)
+    monkeypatch.setattr(model, "_buffer", spy)
     return views
 
 
@@ -114,7 +115,7 @@ class TestWindowAttention:
         """_attend of rows q, k, v within windows `win`; returns (ctx, -LSE, pack)."""
         win = np.asarray(win, dtype=np.int64)
         pack = model._compact_packing(win, np.arange(len(win)), int(win.max()) + 1)
-        return *model._attend(q, k, v, pack, model._Workspace()), pack
+        return *model._attend(q, k, v, pack), pack
 
     @staticmethod
     def rows(rng, n, heads=2, dh=3):
@@ -187,8 +188,7 @@ class TestWindowAttention:
         (m, s), heads = pack.occ.shape, q.shape[1]
         _, rs, ks = model._tiles(m, s, heads)[0]
         assert s == 5 and rs.stop < s and ks.stop < s
-        grads = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack,
-                                  model._Workspace())
+        grads = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack)
         fd = finite_diff_grad(lambda x: float(np.sum(self.attend(*x, win)[0] * d_ctx)),
                               np.stack([q, k, v]))
         assert relative_error(np.stack(grads), fd) < 1e-7
@@ -465,9 +465,9 @@ def test_slide_rotation_matches_window_relative_offsets(window, pe):
     def attend(pack, rot, prefix):
         # the context, -LSE and the gradients of the unrotated q, k and v
         q, k, v = model._qkv(a, rot, params, prefix, cfg)
-        ctx, neg_lse = model._attend(q, k, v, pack, model._Workspace())
+        ctx, neg_lse = model._attend(q, k, v, pack)
         d_q, d_k, d_v = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack),
-                                          pack, model._Workspace())
+                                          pack)
         return [ctx, neg_lse, rotate(d_q, rot, inverse=True), rotate(d_k, rot, inverse=True), d_v]
 
     prefixes = iter(model._block_prefixes(cfg))
@@ -506,10 +506,10 @@ class TestQueryTiles:
         d_y = rng.normal(0, 1, (ds.n_spots, 3))
         d_dev = rng.normal(0, 1, (ds.n_spots, 3))
         d_t = rng.normal(0, 1, (ds.n_spots, 3))
-        # every score tile is a workspace buffer ("p" weights, "dp" their
+        # every score tile is a tile buffer ("p" weights, "dp" their
         # gradient); scores this small never take the shifted pre-pass, so
         # forward and backward each build every tile's weights once
-        views = spy_workspace(monkeypatch)
+        views = spy_buffers(monkeypatch)
         scored = spy_tile_scores(monkeypatch)
         packs = [pack for row in geo.packings for pack in row]
         results = []
@@ -558,7 +558,7 @@ class TestQueryTiles:
         ref, ref_grads = forward_and_grads(cfg, ds, geo, params)
         tile = cfg.heads * ds.n_spots // 3
         monkeypatch.setattr(model, "TILE_CELLS", tile)
-        views = spy_workspace(monkeypatch)
+        views = spy_buffers(monkeypatch)
         out, grads = forward_and_grads(cfg, ds, geo, params)
         cells = [size for name, size in views if name in ("p", "dp")]
         assert cells and max(cells) <= tile
@@ -611,8 +611,13 @@ class TestQueryTiles:
 
 
 def split_over_threads(monkeypatch, on: bool):
-    """Split every job of two or more rows over two threads (on), or none."""
+    """Cut every job of two or more rows into two parts (on), or none."""
     monkeypatch.setattr(numerics, "SPLIT_ROWS", 2 if on else 1 << 62)
+
+
+def set_cpus(monkeypatch, n: int):
+    """Let the process see `n` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def tile_threads(monkeypatch):
@@ -627,17 +632,21 @@ def tile_threads(monkeypatch):
     return names
 
 
-def count_pairs(monkeypatch):
-    """A list that gains one entry per job handed to the worker thread."""
-    calls = []
-    real = numerics._run_pair
-
-    def spy(here, there):
-        calls.append(1)
-        return real(here, there)
-    monkeypatch.setattr(numerics, "_run_pair", spy)
-    monkeypatch.setattr(model, "_run_pair", spy)
-    return calls
+def assert_split_matches(split, ref, rtol=None):
+    """(outputs, gradients) of a split run against a reference run: bit for
+    bit, or each gradient within rtol of the reference by `relative_error`
+    when rtol is given (outputs always bit for bit)."""
+    (outputs, grads), (ref_outputs, ref_grads) = split, ref
+    for got, want in zip(outputs, ref_outputs, strict=True):
+        if isinstance(got, np.ndarray):
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want
+    for got, want in zip(grads, ref_grads, strict=True):
+        if rtol is None:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert relative_error(got, want) <= rtol
 
 
 @pytest.fixture()
@@ -649,10 +658,19 @@ def interleaved():
     sys.setswitchinterval(old)
 
 
+def loss_and_grads(ds, geo, params, cfg):
+    """(forward outputs, gradients) of one training step on every spot."""
+    report, grads, y_hat = trainer._loss_and_grads(ds, np.arange(ds.n_spots), geo, params, cfg,
+                                                   trainer.LossWeights())
+    return (report, y_hat), [grads[name] for name in params]
+
+
 @pytest.mark.usefixtures("interleaved")
 class TestTwoThreads:
-    """A cut window's tiles, split over this thread and the worker, give the
-    serial bits: forward by query-row blocks, backward by key blocks."""
+    """A cut window's tiles split into two halves of query-row blocks, in
+    forward and backward alike; backward's halves keep their own dK and dV.
+    The bits depend on the split, never on the CPU count: the worker gives a
+    one-CPU run's bits, and forward gives the unsplit bits too."""
 
     @pytest.mark.parametrize("exp_limit", [model.EXP_LIMIT, 0.0])
     @pytest.mark.parametrize("win", [np.zeros(30, dtype=np.int64), np.arange(30) % 4],
@@ -665,17 +683,17 @@ class TestTwoThreads:
         rng = np.random.default_rng(11)
         q, k, v, d_ctx = (rng.normal(0, 1, (30, 2, 3)) for _ in range(4))
         pack = model._compact_packing(win, np.arange(30), int(win.max()) + 1)
-        results = []
-        for on in (False, True):
+        results = {}
+        for on, cpus in ((True, 2), (True, 1), (False, 2)):
             split_over_threads(monkeypatch, on)
+            set_cpus(monkeypatch, cpus)
             threads.clear()
-            ctx, neg_lse = model._attend(q, k, v, pack, model._Workspace())
-            grads = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack,
-                                      model._Workspace())
-            assert len(threads) == 1 + on
-            results.append((ctx, neg_lse, *grads))
-        for serial, split in zip(*results):
-            np.testing.assert_array_equal(split, serial)
+            ctx, neg_lse = model._attend(q, k, v, pack)
+            grads = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack)
+            assert len(threads) == 1 + (on and cpus == 2)
+            results[on, cpus] = (ctx, neg_lse), grads
+        assert_split_matches(results[True, 2], results[True, 1])
+        assert_split_matches(results[True, 2], results[False, 2], rtol=1e-12)
 
     @pytest.mark.parametrize("exp_limit", [model.EXP_LIMIT, 0.0])
     @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
@@ -691,34 +709,49 @@ class TestTwoThreads:
         monkeypatch.setattr(model, "EXP_LIMIT", exp_limit)
         monkeypatch.setattr(model, "TILE_CELLS", 64)
         monkeypatch.setattr(numerics, "ERF_BLOCK", 64)   # GELU's (N, 48) splits too
-        pairs = count_pairs(monkeypatch)
-        results = []
-        for on in (False, True):
+        threads = tile_threads(monkeypatch)
+        results = {}
+        for on, cpus in ((True, 2), (True, 1), (False, 2)):
             split_over_threads(monkeypatch, on)
-            pairs.clear()
-            results.append(trainer._loss_and_grads(ds, np.arange(ds.n_spots), geo, params, cfg,
-                                                   trainer.LossWeights()))
-            assert bool(pairs) == on
-        (report, grads, y_hat), (report2, grads2, y_hat2) = results
-        assert report2 == report
-        np.testing.assert_array_equal(y_hat2, y_hat)
-        for name in params:
-            np.testing.assert_array_equal(grads2[name], grads[name], err_msg=name)
+            set_cpus(monkeypatch, cpus)
+            threads.clear()
+            results[on, cpus] = loss_and_grads(ds, geo, params, cfg)
+            assert len(threads) == 1 + (on and cpus == 2)
+        assert_split_matches(results[True, 2], results[True, 1])
+        assert_split_matches(results[True, 2], results[False, 2], rtol=1e-12)
+
+    def test_without_sched_getaffinity_matches_one_cpu(self, monkeypatch):
+        # os.sched_getaffinity exists on Linux only; elsewhere the CPU count
+        # comes from os.cpu_count()
+        ds = tiny_dataset(seed=9, n=19)
+        geo = build_geometry(ds.coords, TINY)
+        params = generic_params(TINY, seed=9)
+        split_over_threads(monkeypatch, True)
+        monkeypatch.setattr(model, "TILE_CELLS", 8)
+        monkeypatch.setattr(numerics, "ERF_BLOCK", 16)
+        set_cpus(monkeypatch, 1)
+        want = loss_and_grads(ds, geo, params, TINY)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threads = tile_threads(monkeypatch)
+        got = loss_and_grads(ds, geo, params, TINY)
+        assert len(threads) == 2
+        assert_split_matches(got, want)
 
     @pytest.mark.parametrize("where", ["MainThread", "hexwin"])
     def test_tile_error_on_either_thread_is_raised_here(self, where, monkeypatch):
-        # backward's second thread waits for the first: an error on either
-        # one ends the call, and the next call runs as before
+        # an error in either half ends the call once both have ended, and
+        # the next call runs as before
         monkeypatch.setattr(model, "TILE_CELLS", 8)
         split_over_threads(monkeypatch, True)
+        set_cpus(monkeypatch, 2)
         rng = np.random.default_rng(12)
         q, k, v, d_ctx = (rng.normal(0, 1, (30, 2, 3)) for _ in range(4))
         pack = model._compact_packing(np.zeros(30, dtype=np.int64), np.arange(30), 1)
-        ctx, neg_lse = model._attend(q, k, v, pack, model._Workspace())
+        ctx, neg_lse = model._attend(q, k, v, pack)
 
         def vjp():
-            return model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack,
-                                     model._Workspace())
+            return model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack)
         want = vjp()
         real = model._tile_scores
 
@@ -734,15 +767,39 @@ class TestTwoThreads:
             np.testing.assert_array_equal(got, serial)
 
     def test_one_cpu_runs_serially(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        set_cpus(monkeypatch, 1)
         split_over_threads(monkeypatch, True)
         monkeypatch.setattr(model, "TILE_CELLS", 8)
         monkeypatch.setattr(numerics, "ERF_BLOCK", 16)
-        pairs = count_pairs(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("job handed to the worker thread")
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
         ds = tiny_dataset(seed=9, n=19)
         geo = build_geometry(ds.coords, TINY)
         forward_and_grads(TINY, ds, geo, generic_params(TINY, seed=9))
-        assert pairs == []
+
+
+def test_real_tiles_on_two_cpus_match_one_cpu(monkeypatch):
+    # a ~1.2k-spot slide at the real TILE_CELLS and SPLIT_ROWS: with 4 heads
+    # the global block is cut into 128 x 128 tiles, split into two halves
+    cfg = ModelConfig(in_dim=5, genes=3, dim=16, heads=4, stages=2, blocks=2,
+                      radii=(1,), out_dim=4, t_dim=3, pe="rope2d")
+    ds = generate(SynthConfig(radius=20, jitter=0.05, dropout=0.05, seed=17, token_dim=5,
+                              transcriptomic_dim=3, patterns=("boundary", "gradient", "noise")))
+    assert numerics.SPLIT_ROWS <= ds.n_spots <= 1300
+    _, rs, ks = model._tiles(1, ds.n_spots, cfg.heads)[0]
+    assert (rs.stop, ks.stop) == (128, 128)
+    geo = build_geometry(ds.coords, cfg)
+    params = generic_params(cfg, seed=17)
+    threads = tile_threads(monkeypatch)
+    results = []
+    for cpus in (2, 1):
+        set_cpus(monkeypatch, cpus)
+        threads.clear()
+        results.append(loss_and_grads(ds, geo, params, cfg))
+        assert len(threads) == cpus
+    assert_split_matches(*results)
 
 
 class TestExpBound:

@@ -252,20 +252,32 @@ class TestErf:
         np.testing.assert_array_equal(erf(-x), -np.ones_like(x))
 
 
-def test_runtime_imports_no_scipy():
-    # scipy is a test-only oracle: the package and its CLI import numpy alone;
-    # the package root re-exports nothing, so importing it loads no module
+def run_python(code: str):
+    """Run `code` in a fresh interpreter that imports this checkout's hexwin."""
     src = str(Path(hexwin.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", "import sys, hexwin; "
-                          "print(sorted(m for m in sys.modules if m.startswith('hexwin.') "
-                          "or m.split('.')[0] == 'numpy')); import hexwin.cli; "
-                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-                          "import threading; print(threading.active_count())"],
-                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only oracle: the package and its CLI import numpy alone;
+    # the package root re-exports nothing, so importing it loads no module
+    out = run_python("import sys, hexwin; "
+                     "print(sorted(m for m in sys.modules if m.startswith('hexwin.') "
+                     "or m.split('.')[0] == 'numpy')); import hexwin.cli; "
+                     "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                     "import threading; print(threading.active_count())")
+    assert out.returncode == 0, out.stderr
     # and starts no thread: the worker starts with the first job split over two
     assert out.stdout == "[]\n[]\n1\n"
+
+
+def test_cli_imports_without_register_at_fork():
+    # os.register_at_fork exists on Unix only (not on Windows)
+    out = run_python("import os; del os.register_at_fork; import hexwin.cli")
+    assert out.returncode == 0, out.stderr
 
 
 class TestGelu:

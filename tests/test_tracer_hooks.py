@@ -11,7 +11,9 @@ too, not only when the benchmark checks its operations.
 import importlib
 import importlib.util
 import json
+import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -90,3 +92,49 @@ def test_trace_mode_records_and_restores(monkeypatch, tmp_path):
     assert {"model.forward", *(f"windowing.partition_s.stage{s}" for s in range(3))} <= names
     assert {key for key, fn in hooked.items()
             if getattr(importlib.import_module(key[0]), key[1]) is not fn} == set()
+
+
+def test_spans_open_on_the_main_thread_when_split(monkeypatch):
+    # the tracer keeps one span stack, so the worker thread must never call a
+    # function it patches; force every split on a small slide and check
+    from hexwin import model, numerics, trainer
+    from hexwin.synth import SynthConfig, generate
+
+    monkeypatch.setattr(numerics, "SPLIT_ROWS", 2)
+    monkeypatch.setattr(numerics, "ERF_BLOCK", 64)
+    monkeypatch.setattr(model, "TILE_CELLS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    tile_threads = set()
+    real_scores = model._tile_scores
+
+    def spy(*args):
+        tile_threads.add(threading.current_thread().name)
+        return real_scores(*args)
+    monkeypatch.setattr(model, "_tile_scores", spy)
+    workloads = load_workloads(monkeypatch)
+    tracer_module = importlib.import_module("tracer")
+    tracer = tracer_module.Tracer(workloads.stage_sizes(), workloads.LEARN_MODEL.stages - 1)
+    opened_on = []
+    real_open = tracer.open
+
+    def open_span(name):
+        opened_on.append(threading.current_thread())
+        return real_open(name)
+    monkeypatch.setattr(tracer, "open", open_span)
+    cfg = model.ModelConfig(in_dim=5, genes=3, dim=12, heads=2, stages=4, blocks=3,
+                            radii=(1, 2, 4), out_dim=4, t_dim=3)
+    ds = generate(SynthConfig(radius=5, jitter=0.05, dropout=0.05, seed=13, token_dim=5,
+                              transcriptomic_dim=3, patterns=("boundary", "gradient", "noise")))
+    params = model.init_params(cfg, 13)
+    tracer.install()
+    try:
+        with tracer.span("trainer.train"):
+            geo = trainer.build_geometry(ds.coords, cfg)
+            trainer._loss_and_grads(ds, np.arange(ds.n_spots), geo, params, cfg,
+                                    trainer.LossWeights())
+    finally:
+        tracer.uninstall()
+    assert any(name.startswith("hexwin") for name in tile_threads)
+    assert {"model.forward", "model.backward", "numerics.gelu_s"} <= set(tracer.names)
+    assert set(opened_on) == {threading.main_thread()}
+    assert np.isfinite(tracer.self_time_gap())
