@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, ShapeError
 from .hexgeom import LatticeScale, cells_for_points, estimate_scale
-from .numerics import _run_pair, _split, gelu, gelu_vjp, layer_norm_fwd, layer_norm_vjp
+from .numerics import gelu, gelu_vjp, in_halves, layer_norm_fwd, layer_norm_vjp
 # unused here; stay importable from hexwin.model for perfbench's tracer
 from .numerics import masked_softmax, masked_softmax_vjp  # noqa: F401
 from .rope import apply_hex_rope, apply_hex_rope_vjp, apply_rope_2d, apply_rope_2d_vjp  # noqa: F401
@@ -295,40 +295,22 @@ TILE_CELLS = 1 << 16
 EXP_LIMIT = 600.0
 
 
-def _tiles(m: int, s: int, heads: int) -> list[tuple[slice, slice, slice]]:
-    """The (window, query-row, key) slices of every tile; the first is the largest.
+def _tiles(m: int, s: int, heads: int) -> list[tuple[slice, slice, list[slice]]]:
+    """The tile schedule: every (window, query-row) block with the key slices
+    of its tiles; the first tile is the largest.
 
     Whole windows are grouped while they fit in TILE_CELLS. A window too
     large for one tile, such as the global one, is cut into square
     (query x key) blocks, with as many query rows as the budget leaves (at
-    least one of each).
+    least one of each). Each row block owns its query rows, which add up
+    their key blocks in order, so `in_halves` cuts between row blocks.
     """
     n_win = min(m, max(1, TILE_CELLS // (heads * s * s)))
     cols = min(s, max(1, math.isqrt(TILE_CELLS // heads)))
     rows = min(s, max(1, TILE_CELLS // (n_win * heads * cols)))
-    return [(slice(w0, w0 + n_win), slice(r0, r0 + rows), slice(k0, k0 + cols))
-            for w0 in range(0, m, n_win) for r0 in range(0, s, rows)
-            for k0 in range(0, s, cols)]
-
-
-def _tile_parts(m: int, s: int, heads: int) -> list[list]:
-    """`_tiles` as one part, or as two halves of the (window, query-row)
-    blocks when each window is cut into several key blocks and has at least
-    numerics.SPLIT_ROWS rows. Forward and backward cut the same halves."""
-    tiles = _tiles(m, s, heads)
-    n_k = -(-s // tiles[0][2].stop)           # key blocks per window
-    if n_k < 2 or not _split(s):
-        return [tiles]
-    cut = len(tiles) // n_k // 2 * n_k
-    return [tiles[:cut], tiles[cut:]]
-
-
-def _each(fn, parts: list) -> None:
-    """fn(part) for each of one or two parts; two run at once (`_run_pair`)."""
-    if len(parts) == 1:
-        fn(parts[0])
-    else:
-        _run_pair(lambda: fn(parts[0]), lambda: fn(parts[1]))
+    keys = [slice(k0, k0 + cols) for k0 in range(0, s, cols)]
+    return [(slice(w0, w0 + n_win), slice(r0, r0 + rows), keys)
+            for w0 in range(0, m, n_win) for r0 in range(0, s, rows)]
 
 
 _local = threading.local()          # each thread's tile buffers
@@ -337,8 +319,10 @@ _local = threading.local()          # each thread's tile buffers
 def _buffer(name: str, shape: tuple[int, ...]) -> np.ndarray:
     """This thread's buffer `name` as a C-contiguous float64 array of `shape`.
 
-    A buffer grows on demand and is kept across blocks and calls, so no tile
-    faults its memory in again.
+    A buffer grows on demand and lives as long as its thread: the calling
+    thread's are kept across blocks and calls, so none of its tiles faults
+    its memory in again; a split's second thread, and its buffers, last one
+    call.
     """
     size = math.prod(shape)
     buf = getattr(_local, name, None)
@@ -402,31 +386,33 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, pack: _Packing):
     is masked. c is 0 when no score of the block can overflow exp, else each
     row's largest valid score, found in a max-only pass over the tiles.
     """
-    dh = q.shape[2]
+    (m, s), dh = pack.occ.shape, q.shape[2]
     qa, kta, va = _windows(q, k, v, 0.0, pack)     # qa is [q | -c], then [q | -LSE]
     ctx = np.zeros_like(va)                        # [numerator | row sum]
-    # each part owns its query rows, which add up their key blocks in order
-    parts = _tile_parts(*pack.occ.shape, q.shape[1])
+    blocks = _tiles(m, s, q.shape[1])
 
-    def max_pass(tiles):
-        for ws, rs, ks in tiles:
-            p = _tile_scores(qa, kta, ws, rs, ks)
-            np.copyto(p, -np.inf, where=~pack.occ[ws, None, None, ks])
-            np.maximum(peak[ws, :, rs], p.max(axis=-1), out=peak[ws, :, rs])
+    def max_pass(half):
+        for ws, rs, keys in half:
+            top = peak[ws, :, rs]
+            for ks in keys:
+                p = _tile_scores(qa, kta, ws, rs, ks)
+                np.copyto(p, -np.inf, where=~pack.occ[ws, None, None, ks])
+                np.maximum(top, p.max(axis=-1), out=top)
 
-    def exp_pass(tiles):
-        for ws, rs, ks in tiles:
-            p = _tile_scores(qa, kta, ws, rs, ks)
-            np.exp(p, out=p)
+    def exp_pass(half):
+        for ws, rs, keys in half:
             c = ctx[ws, :, rs]
-            c += np.matmul(p, va[ws, :, ks], out=_buffer("c", c.shape))
+            for ks in keys:
+                p = _tile_scores(qa, kta, ws, rs, ks)
+                np.exp(p, out=p)
+                c += np.matmul(p, va[ws, :, ks], out=_buffer("c", c.shape))
 
     # Cauchy-Schwarz: no score of the block exceeds this bound in magnitude
     if math.sqrt(np.max(np.vecdot(q, q)) * np.max(np.vecdot(k, k))) > EXP_LIMIT:
         peak = np.full(qa.shape[:3], -np.inf)
-        _each(max_pass, parts)
+        in_halves(max_pass, blocks, s)
         qa[..., dh] = -peak
-    _each(exp_pass, parts)
+    in_halves(exp_pass, blocks, s)
     qa[..., dh] -= np.log(ctx[..., dh])
     ctx[..., :dh] /= ctx[..., dh:]
     return ctx[pack.win, :, pack.slot, :dh], qa[pack.win, :, pack.slot, dh]
@@ -445,9 +431,9 @@ def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing):
     the softmax vjp's row term D = rowsum(dCtx * Ctx), taken once on the
     token rows; on empty keys dS is 0. So a tile makes two elementwise passes
     (exp and one multiply) and adds only into its own rows of dQ and its own
-    keys of dK and dV. Each part of `_tile_parts` owns its query rows of dQ
-    and adds into its own dK and dV; the second part's are then added into
-    the first's.
+    keys of dK and dV. Each half of `in_halves` owns its query rows of dQ
+    and allocates and adds into its own dK and dV; the second half's are
+    then added into the first's.
     """
     dh = d_ctx.shape[2]
     qa, kta = windows[:2]
@@ -458,28 +444,29 @@ def _attend_vjp(d_ctx: np.ndarray, ctx: np.ndarray, windows, pack: _Packing):
     dca = _to_windows(d_ctx, pack)                 # [dCtx | -D]
     dca[pack.win, :, pack.slot, dh] = -np.vecdot(d_ctx, ctx)
     d_qw = np.zeros(qa.shape[:3] + (dh,))
-    parts = _tile_parts(*pack.occ.shape, d_ctx.shape[1])
-    d_kvs = [np.zeros((2,) + d_qw.shape) for _ in parts]      # each part's dK and dV
+    (m, s), heads = pack.occ.shape, d_ctx.shape[1]
 
-    def vjp_pass(part):
-        tiles, d_kv = part
-        for ws, rs, ks in tiles:
-            q_t, k_t, d_c = qa[ws, :, rs, :dh], kw[ws, :, ks], dca[ws, :, rs, :dh]
-            p = _tile_scores(qa, kta, ws, rs, ks)
-            np.exp(p, out=p)
-            d_s = np.matmul(dca[ws, :, rs], vta[ws, :, :, ks], out=_buffer("dp", p.shape))
-            d_s *= p
-            # views of the gradients, so += adds in place with no write-back copy
-            d_q_t, d_k_t, d_v_t = d_qw[ws, :, rs], d_kv[0, ws, :, ks], d_kv[1, ws, :, ks]
-            d_kv_t = _buffer("dh", d_k_t.shape)
-            d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv_t)
-            d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv_t)
-            d_q_t += np.matmul(d_s, k_t, out=_buffer("dh", q_t.shape))
+    def vjp_pass(half):
+        d_kv = np.zeros((2,) + d_qw.shape)        # this half's dK and dV
+        for ws, rs, keys in half:
+            q_t, d_c, d_q_t = qa[ws, :, rs, :dh], dca[ws, :, rs, :dh], d_qw[ws, :, rs]
+            for ks in keys:
+                p = _tile_scores(qa, kta, ws, rs, ks)
+                np.exp(p, out=p)
+                d_s = np.matmul(dca[ws, :, rs], vta[ws, :, :, ks], out=_buffer("dp", p.shape))
+                d_s *= p
+                # views of the gradients, so += adds in place with no write-back copy
+                d_k_t, d_v_t = d_kv[0, ws, :, ks], d_kv[1, ws, :, ks]
+                d_kv_t = _buffer("dh", d_k_t.shape)
+                d_v_t += np.matmul(p.transpose(0, 1, 3, 2), d_c, out=d_kv_t)
+                d_k_t += np.matmul(d_s.transpose(0, 1, 3, 2), q_t, out=d_kv_t)
+                d_q_t += np.matmul(d_s, kw[ws, :, ks], out=_buffer("dh", q_t.shape))
+        return d_kv
 
-    _each(vjp_pass, list(zip(parts, d_kvs)))
-    for d_kv in d_kvs[1:]:
-        d_kvs[0] += d_kv
-    return tuple(d[pack.win, :, pack.slot] for d in (d_qw, *d_kvs[0]))
+    d_kv, *second = in_halves(vjp_pass, _tiles(m, s, heads), s)
+    for d in second:
+        d_kv += d
+    return tuple(d[pack.win, :, pack.slot] for d in (d_qw, *d_kv))
 
 
 def _block_forward(h: np.ndarray, pack: _Packing, rot: np.ndarray, params: Params,

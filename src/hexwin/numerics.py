@@ -1,9 +1,9 @@
 """Dense float64 tensor helpers: masked softmax, layer norm, the error function
 and the smooth nonlinearity built on it, the central finite-difference
-oracle used by every gradient test, and the runner that takes a large job's
-two parts at once, on this thread and one worker thread, where the process
-may use two CPUs. Whether a job has two parts depends on its size alone, so
-the results never depend on the CPU count.
+oracle used by every gradient test, and `in_halves`, the one runner that
+cuts a large job in two and runs the second half on a short-lived thread
+where the process may use two CPUs. Whether a job is cut depends on its
+size alone, so the results never depend on the CPU count.
 
 Arrays are plain C-contiguous numpy float64; boolean arrays act as occupancy
 masks and must broadcast against what they mask. No function mutates its
@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import contextvars
 import os
-from typing import Callable
+import threading
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,61 +40,52 @@ ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887
 # elements per pass of erf: its 256 KiB buffers stay in a core's L2 cache
 ERF_BLOCK = 1 << 15
 
-# Fewest rows (spots) of a job that runs as two parts: the global attention
-# block and the GELU of an (N, F) activation. Smaller jobs run in the serial
-# loops. The parts run at once when the process may use two CPUs, else one
-# after the other. Attention backward adds each part's tiles into its own dK
-# and dV, so this also sets how those sums are grouped. One training step of
-# the acceptance model, every job split against none (interleaved medians of
-# 12 in one process, 2-vCPU x86_64 VM, OpenBLAS at 1 thread): N = 315: 65.2 ->
-# 84.5 ms (1/12 faster); 600: 133 -> 153 ms (3/12); 867: 208 -> 208 ms
-# (8/12); 1,198: 323 -> 301 ms (11/12); 2,323: 751 -> 598 ms (12/12).
+# Fewest rows (spots) of a job that `in_halves` cuts in two: the global
+# attention block and the GELU of an (N, F) activation. Smaller jobs run in
+# the serial loops. The halves run at once when the process may use two
+# CPUs, else one after the other. Attention backward adds each half's tiles
+# into its own dK and dV, so this also sets how those sums are grouped. One
+# training step of the acceptance model, every job split against none
+# (interleaved medians of 12 in one process, 2-vCPU x86_64 VM, OpenBLAS at 1
+# thread): N = 315: 65.2 -> 84.5 ms (1/12 faster); 600: 133 -> 153 ms
+# (3/12); 867: 208 -> 208 ms (8/12); 1,198: 323 -> 301 ms (11/12); 2,323:
+# 751 -> 598 ms (12/12).
 SPLIT_ROWS = 1000
 
-_worker = None          # the second thread's ThreadPoolExecutor, started on first use
 
+def in_halves(fn: Callable[[Sequence], object], items: Sequence, rows: int) -> list:
+    """[fn(items)], or [fn(first half), fn(second half)] when the job has at
+    least SPLIT_ROWS rows and two or more items.
 
-def _forget_worker():
-    global _worker
-    _worker = None
-
-
-# a forked child inherits the executor but not its thread (no fork on Windows)
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _split(rows: int) -> bool:
-    """Whether a job over `rows` rows runs as two parts."""
-    return rows >= SPLIT_ROWS
-
-
-def _run_pair(here: Callable[[], None], there: Callable[[], None]) -> None:
-    """Run here() on this thread and there() on the worker thread at once,
-    or there() after here() when this process may use only one CPU.
-
-    there() runs in a copy of this thread's context, so an np.errstate in
-    force here holds there too (a new thread starts at numpy's defaults and
-    only warns). An exception either part raises is raised here, once both
-    have ended; neither part may wait on the other.
+    The second half runs on a new thread named "hexwin", joined before this
+    returns, while this thread runs the first; on one CPU this thread runs
+    it after the first. It runs in a copy of this thread's context, so an
+    np.errstate in force here holds there too (a new thread starts at
+    numpy's defaults and only warns). An exception either half raises is
+    raised here, once both have ended; neither half may wait on the other.
     """
-    global _worker
+    half = len(items) // 2
+    if rows < SPLIT_ROWS or half == 0:
+        return [fn(items)]
     affinity = getattr(os, "sched_getaffinity", None)      # Linux only
     if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
-        here()
-        there()
-        return
-    if _worker is None:
-        # imported here: ~5 ms and 0.6 MiB that a process with no large job skips
-        from concurrent.futures import ThreadPoolExecutor
-        _worker = ThreadPoolExecutor(1, thread_name_prefix="hexwin")
-    future = _worker.submit(contextvars.copy_context().run, there)
+        return [fn(items[:half]), fn(items[half:])]
+    second = {}
+
+    def run():
+        try:
+            second["out"] = fn(items[half:])
+        except BaseException as exc:
+            second["exc"] = exc
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,), name="hexwin")
+    thread.start()
     try:
-        here()
-    except BaseException:
-        future.exception()      # waits: there() may still write into shared arrays
-        raise
-    future.result()
+        first = fn(items[:half])
+    finally:
+        thread.join()           # the second half may still write into shared arrays
+    if "exc" in second:
+        raise second["exc"]
+    return [first, second["out"]]
 
 
 def masked_softmax(scores: np.ndarray, valid: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -217,20 +209,6 @@ def erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out.reshape(z.shape)
 
 
-def _halves(fn: Callable[..., None], *arrays: np.ndarray) -> None:
-    """fn on the flattened equal-shape arrays, or on their two halves (cut on
-    an ERF_BLOCK boundary, see _run_pair) when their rows call for a split;
-    fn is elementwise, so the cut changes no output bit."""
-    rows = len(arrays[0]) if arrays[0].ndim else 1
-    flats = [a.reshape(-1) for a in arrays]       # outputs are C-contiguous: views
-    n = flats[0].size
-    cut = (n // 2 + ERF_BLOCK // 2) // ERF_BLOCK * ERF_BLOCK
-    if not (0 < cut < n and _split(rows)):
-        fn(*flats)
-        return
-    _run_pair(lambda: fn(*(a[:cut] for a in flats)), lambda: fn(*(a[cut:] for a in flats)))
-
-
 def _gelu_into(x: np.ndarray, g: np.ndarray, cdf: np.ndarray) -> None:
     # Phi = 0.5 * (1 + erf(x / sqrt 2)) and (0.5 * x) * (2 * Phi), in place:
     # 1 + erf lies in [0, 2] and is never subnormal, so 2 * Phi is it exactly
@@ -249,7 +227,10 @@ def gelu(x: np.ndarray):
     """
     x = np.asarray(x, dtype=np.float64)
     g, cdf = np.empty(x.shape), np.empty(x.shape)
-    _halves(_gelu_into, x, g, cdf)
+    flats = [a.reshape(-1) for a in (x, g, cdf)]       # the outputs as views
+    # elementwise, so the halves' cut (on an ERF_BLOCK boundary) changes no bit
+    in_halves(lambda blocks: _gelu_into(*(a[blocks.start:blocks.stop] for a in flats)),
+              range(0, x.size, ERF_BLOCK), len(x) if x.ndim else 1)
     return g, cdf
 
 
@@ -268,7 +249,9 @@ def gelu_vjp(grad_out: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray
     """Gradient of gelu at x, given its CDF output Phi(x)."""
     d, x, cdf = np.broadcast_arrays(*(np.asarray(a, dtype=np.float64) for a in (grad_out, x, cdf)))
     out = np.empty(x.shape)
-    _halves(_gelu_vjp_into, d, x, cdf, out)
+    flats = [a.reshape(-1) for a in (d, x, cdf, out)]
+    in_halves(lambda blocks: _gelu_vjp_into(*(a[blocks.start:blocks.stop] for a in flats)),
+              range(0, x.size, ERF_BLOCK), len(x) if x.ndim else 1)
     return out
 
 

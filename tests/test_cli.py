@@ -20,6 +20,24 @@ from hexwin.model import (ModelConfig, build_geometry, init_params, load_checkpo
 from hexwin.render import MAX_WIDTH, draw_spots, heatmap_colors
 from hexwin.synth import SpotDataset, SynthConfig, load_dataset, save_dataset
 from hexwin.windowing import partition
+from test_numerics import run_python
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# the launcher in a fresh interpreter under the user's BLAS settings, then
+# the loaded OpenBLAS's thread count, read as perfbench/env.py reads it
+LAUNCHER_PROBE = """
+import contextlib, io, os, sys
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.pop(var, None)
+os.environ.update({user!r})
+from hexwin.__main__ import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["--help"])
+sys.path.insert(0, {perfbench!r})
+import env
+print(env._openblas_runtime()[0], os.environ["OPENBLAS_NUM_THREADS"], env.nproc())
+"""
 
 
 def read_ppm(path: str) -> np.ndarray:
@@ -934,3 +952,15 @@ def test_mutated_inputs_exit_with_one_line(fuzz_base, data):
         assert {p: b for p, b in after.items() if Path(work, "out") not in p.parents} == before
     assert code in (0, 1, 2, 3)
     assert code == 0 or len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
+@pytest.mark.parametrize("user,want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")],
+                         ids=["default", "user-set"])
+def test_launcher_runs_blas_on_one_thread_unless_set(user, want):
+    out = run_python(LAUNCHER_PROBE.format(user=user, perfbench=str(PERFBENCH)))
+    assert out.returncode == 0, out.stderr
+    threads, var, cpus = out.stdout.split()
+    if threads == "None":
+        pytest.skip("no OpenBLAS loaded")
+    # OpenBLAS runs no more threads than the process has CPUs
+    assert var == want and int(threads) == min(int(want), int(cpus))

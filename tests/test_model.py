@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -59,6 +58,11 @@ def worst_gradient_error(cfg, ds, params):
 
     fd = param_views(finite_diff_grad(scalar, params_to_vector(params)), params)
     return max(relative_error(grads[k], fd[k]) for k in params)
+
+
+def tile_list(m, s, heads):
+    """Every (window, query-row, key) tile of `model._tiles`' schedule, in order."""
+    return [(ws, rs, ks) for ws, rs, keys in model._tiles(m, s, heads) for ks in keys]
 
 
 def spy_tile_scores(monkeypatch):
@@ -186,7 +190,7 @@ class TestWindowAttention:
         d_ctx = rng.normal(0, 1, q.shape)
         ctx, neg_lse, pack = self.attend(q, k, v, win)
         (m, s), heads = pack.occ.shape, q.shape[1]
-        _, rs, ks = model._tiles(m, s, heads)[0]
+        _, rs, ks = tile_list(m, s, heads)[0]
         assert s == 5 and rs.stop < s and ks.stop < s
         grads = model._attend_vjp(d_ctx, ctx, model._windows(q, k, v, neg_lse, pack), pack)
         fd = finite_diff_grad(lambda x: float(np.sum(self.attend(*x, win)[0] * d_ctx)),
@@ -489,7 +493,7 @@ class TestQueryTiles:
     def tile_count(pack, heads):
         """Tiles of one packing at the current budget, in forward and backward."""
         m, s = pack.occ.shape
-        return len(model._tiles(m, s, heads))
+        return len(tile_list(m, s, heads))
 
     @pytest.mark.parametrize("window,pe", [("hex", "hexrope"), ("hex", "rope2d"),
                                            ("square", "rope2d"),
@@ -520,7 +524,7 @@ class TestQueryTiles:
             if tile == self.TILE:
                 # the global window is cut along its keys as well
                 m, s = packs[-1].occ.shape
-                assert model._tiles(m, s, cfg.heads)[0][2].stop < s
+                assert tile_list(m, s, cfg.heads)[0][2].stop < s
             views.clear()
             scored.clear()
             out = forward(ds.tokens, geo, params, cfg, train=True)
@@ -574,7 +578,7 @@ class TestQueryTiles:
            budget=st.integers(1, 3000))
     def test_tiles_cover_every_cell_once(self, m, s, heads, budget):
         with mock.patch.object(model, "TILE_CELLS", budget):
-            tiles = model._tiles(m, s, heads)
+            tiles = tile_list(m, s, heads)
         hits = np.zeros((m, s, s), dtype=np.int64)
         cells = []
         for ws, rs, ks in tiles:
@@ -598,7 +602,7 @@ class TestQueryTiles:
         for row in geo.packings:
             for pack in row:
                 m, s = pack.occ.shape
-                first = model._tiles(m, s, TINY.heads)[0]
+                first = tile_list(m, s, TINY.heads)[0]
                 assert [sl.stop for sl in first] == [1, 1, 1]
                 assert self.tile_count(pack, TINY.heads) >= 3
         out, grads = forward_and_grads(TINY, ds, geo, params)
@@ -667,10 +671,10 @@ def loss_and_grads(ds, geo, params, cfg):
 
 @pytest.mark.usefixtures("interleaved")
 class TestTwoThreads:
-    """A cut window's tiles split into two halves of query-row blocks, in
-    forward and backward alike; backward's halves keep their own dK and dV.
-    The bits depend on the split, never on the CPU count: the worker gives a
-    one-CPU run's bits, and forward gives the unsplit bits too."""
+    """A cut window's row blocks split into two halves (`numerics.in_halves`),
+    in forward and backward alike; backward's halves keep their own dK and
+    dV. The bits depend on the split, never on the CPU count: the second
+    thread gives a one-CPU run's bits, and forward gives the unsplit bits too."""
 
     @pytest.mark.parametrize("exp_limit", [model.EXP_LIMIT, 0.0])
     @pytest.mark.parametrize("win", [np.zeros(30, dtype=np.int64), np.arange(30) % 4],
@@ -773,11 +777,44 @@ class TestTwoThreads:
         monkeypatch.setattr(numerics, "ERF_BLOCK", 16)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("job handed to the worker thread")
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         ds = tiny_dataset(seed=9, n=19)
         geo = build_geometry(ds.coords, TINY)
         forward_and_grads(TINY, ds, geo, generic_params(TINY, seed=9))
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        # each split joins its thread before returning, after an error too
+        split_over_threads(monkeypatch, True)
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(model, "TILE_CELLS", 8)
+        monkeypatch.setattr(numerics, "ERF_BLOCK", 16)
+        ds = tiny_dataset(seed=9, n=19)
+        geo = build_geometry(ds.coords, TINY)
+        params = generic_params(TINY, seed=9)
+        threads = tile_threads(monkeypatch)
+        before = threading.active_count()
+        loss_and_grads(ds, geo, params, TINY)
+        assert "hexwin" in threads and threading.active_count() == before
+        real = model._tile_scores
+
+        def failing(*args):
+            if threading.current_thread().name == "hexwin":
+                raise KeyError("second half")
+            return real(*args)
+        monkeypatch.setattr(model, "_tile_scores", failing)
+        with pytest.raises(KeyError, match="second half"):
+            loss_and_grads(ds, geo, params, TINY)
+        assert threading.active_count() == before
+
+
+def test_shipped_split_cuts_every_row_block_into_key_blocks():
+    # in_halves cuts a window of SPLIT_ROWS rows or more between its row
+    # blocks; at the shipped TILE_CELLS every row block of such a window also
+    # spans two or more key blocks, so only windows cut along their keys split
+    for heads in range(1, 17):
+        blocks = model._tiles(1, numerics.SPLIT_ROWS, heads)
+        assert len(blocks) >= 2 and min(len(keys) for _, _, keys in blocks) >= 2, heads
 
 
 def test_real_tiles_on_two_cpus_match_one_cpu(monkeypatch):
@@ -788,7 +825,7 @@ def test_real_tiles_on_two_cpus_match_one_cpu(monkeypatch):
     ds = generate(SynthConfig(radius=20, jitter=0.05, dropout=0.05, seed=17, token_dim=5,
                               transcriptomic_dim=3, patterns=("boundary", "gradient", "noise")))
     assert numerics.SPLIT_ROWS <= ds.n_spots <= 1300
-    _, rs, ks = model._tiles(1, ds.n_spots, cfg.heads)[0]
+    _, rs, ks = tile_list(1, ds.n_spots, cfg.heads)[0]
     assert (rs.stop, ks.stop) == (128, 128)
     geo = build_geometry(ds.coords, cfg)
     params = generic_params(cfg, seed=17)
@@ -816,7 +853,7 @@ class TestExpBound:
                                   patterns=("boundary", "gradient", "noise")))
         params = generic_params(cfg, seed=14)
         geo = build_geometry(ds.coords, cfg)
-        n_tiles = sum(len(model._tiles(*pack.occ.shape, cfg.heads))
+        n_tiles = sum(len(tile_list(*pack.occ.shape, cfg.heads))
                       for row in geo.packings for pack in row)
         scored = spy_tile_scores(monkeypatch)
         out, grads = forward_and_grads(cfg, ds, geo, params)

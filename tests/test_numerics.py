@@ -270,14 +270,36 @@ def test_runtime_imports_no_scipy():
                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
                      "import threading; print(threading.active_count())")
     assert out.returncode == 0, out.stderr
-    # and starts no thread: the worker starts with the first job split over two
+    # and starts no thread: in_halves starts one inside a split call, joined by its end
     assert out.stdout == "[]\n[]\n1\n"
 
 
-def test_cli_imports_without_register_at_fork():
-    # os.register_at_fork exists on Unix only (not on Windows)
-    out = run_python("import os; del os.register_at_fork; import hexwin.cli")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_split_gelu_runs_in_a_forked_child():
+    # no thread or runner state outlives a split call, so a child forked
+    # after one splits its own jobs; the parent checks the child's status
+    out = run_python(
+        "import os, signal, threading, numpy as np\n"
+        "from hexwin import numerics\n"
+        "numerics.SPLIT_ROWS, numerics.ERF_BLOCK = 2, 16\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "names, real = set(), numerics._gelu_into\n"
+        "def spy(*args):\n"
+        "    names.add(threading.current_thread().name)\n"
+        "    real(*args)\n"
+        "numerics._gelu_into = spy\n"
+        "x = np.linspace(-4.0, 4.0, 200).reshape(50, 4)\n"
+        "want = numerics.gelu(x)[0]\n"
+        "assert 'hexwin' in names and threading.active_count() == 1\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(60)\n"               # a hung child dies, not the suite
+        "    names.clear()\n"
+        "    ok = np.array_equal(numerics.gelu(x)[0], want) and 'hexwin' in names\n"
+        "    os._exit(0 if ok else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n")
     assert out.returncode == 0, out.stderr
+    assert out.stdout == "0\n" and out.stderr == ""
 
 
 class TestGelu:
@@ -356,8 +378,8 @@ class TestTwoThreadGelu:
             np.testing.assert_array_equal(split, serial)
 
     def test_worker_overflow_raises_here(self, monkeypatch):
-        # a plain worker thread would run at numpy's default error state and
-        # only warn; it runs in a copy of this thread's context instead
+        # a plain thread would run at numpy's default error state and only
+        # warn; the second half runs in a copy of this thread's context instead
         self.split(monkeypatch, True)
         x, upstream = self.inputs()
         x[-1, -1] = 1e200                          # x * x overflows in the second half

@@ -95,7 +95,7 @@ def test_trace_mode_records_and_restores(monkeypatch, tmp_path):
 
 
 def test_spans_open_on_the_main_thread_when_split(monkeypatch):
-    # the tracer keeps one span stack, so the worker thread must never call a
+    # the tracer keeps one span stack, so the second thread must never call a
     # function it patches; force every split on a small slide and check
     from hexwin import model, numerics, trainer
     from hexwin.synth import SynthConfig, generate

@@ -1,4 +1,4 @@
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 import pytest
@@ -112,11 +112,11 @@ class TestTrainLoop:
 
 
 def test_acceptance_slide_step_stays_on_one_thread(monkeypatch):
-    # below numerics.SPLIT_ROWS a training step runs today's serial loops:
-    # the acceptance slide (N ~ 311) hands no job to the worker thread
+    # below numerics.SPLIT_ROWS a training step runs the serial loops: the
+    # acceptance slide (N ~ 311) starts no thread
     def refuse(*args, **kwargs):
-        raise AssertionError("job handed to the worker thread")
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", refuse)
+        raise AssertionError("a thread was started")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     cfg = ModelConfig(in_dim=32, genes=16, dim=32, heads=4, stages=4, blocks=3,
                       radii=(1, 2, 4), out_dim=16, t_dim=16)
     patterns = ("boundary",) * 4 + ("gradient",) * 4 + ("sparse",) * 4 + ("noise",) * 4
